@@ -39,14 +39,7 @@ from .network import (
     network_invariant_modes,
     sync_manifold,
 )
-from .oracle import OracleConfig, ValidationSummary, validate_subspace
-
-
-def _check_pair(phi: NetworkSystem, phibar: NetworkSystem) -> None:
-    if phi.phi.shape != phibar.phi.shape:
-        raise ValueError(
-            f"dimension mismatch: {phi.phi.shape} vs {phibar.phi.shape}"
-        )
+from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
 
 
 def indiscernible_subspace(

@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels and tolerance-aware subspace arithmetic.
 
-Everything here operates on small dense matrices (desk scale, a few hundred
-rows at most) and favors reproducibility: spectra are clustered at explicit
-tolerances, subspaces carry orthonormal bases, and every rank decision goes
-through a single relative singular-value threshold.
+Everything here operates on dense matrices.  Square operands are small (the
+state dimension m = N*n, a few dozen), but ``kernel`` also receives tall
+stacks: the indiscernible-subspace stack is m^2 x m, which is 1,296 rows at
+N = 12 and 14,400 rows at N = 40 with n = 3.  The code favors
+reproducibility: spectra are clustered at explicit tolerances, subspaces
+carry orthonormal bases, and every rank decision goes through a single
+relative singular-value threshold.
 """
 
 from __future__ import annotations
@@ -238,12 +241,20 @@ def _check_same_ambient(U: Subspace, V: Subspace) -> None:
 
 def kernel(M, tol: float = RANK_TOL) -> Subspace:
     """Orthonormal basis of the null space at relative singular-value
-    threshold ``tol * sigma_max``."""
+    threshold ``tol * sigma_max``.
+
+    The basis is the trailing rows of V^H from the SVD M = U S V^H; U is
+    never read.  For a tall or square M the thin factors already hold all
+    of V, so only they are formed: a full U would be rows x rows, 13 MB for
+    the 1,296 x 36 stack at N = 12.  A wide M (rows < cols) has null
+    directions outside the thin V^H, so only then is the full V^H formed.
+    The singular values, and so the rank decision, are the same either
+    way."""
     M = _as_matrix(M)
-    ambient = M.shape[1]
-    if M.shape[0] == 0:
+    rows, ambient = M.shape
+    if rows == 0:
         return Subspace.full(ambient, tol)
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = np.linalg.svd(M, full_matrices=rows < ambient)
     if s.size == 0 or s[0] == 0:
         return Subspace.full(ambient, tol)
     rank = int(np.sum(s > tol * s[0]))

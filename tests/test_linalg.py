@@ -137,6 +137,31 @@ def test_kernel_residual_bound():
             assert np.linalg.norm(M @ ker.basis, 2) <= 1e-10 * smax * 10
 
 
+def _low_rank(rng, rows, cols, rank, complex_=False):
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    return draw((rows, rank)) @ draw((rank, cols))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank, complex_",
+    [(60, 6, 4, False), (60, 6, 4, True), (4, 9, 3, False)],
+    ids=["tall-real", "tall-complex", "wide-real"],
+)
+def test_kernel_exact_dim_for_tall_and_wide(rows, cols, rank, complex_):
+    # tall inputs take the thin factorization; a wide input keeps null
+    # directions outside the thin V^H, which the full factorization must find
+    M = _low_rank(np.random.default_rng(11), rows, cols, rank, complex_)
+    ker = kernel(M)
+    assert ker.dim == cols - rank
+    smax = np.linalg.norm(M, 2)
+    assert np.linalg.norm(M @ ker.basis, 2) <= 1e-12 * smax
+    q = ker.basis
+    assert np.allclose(q.conj().T @ q, np.eye(ker.dim), rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # subspace arithmetic
 # ---------------------------------------------------------------------------
