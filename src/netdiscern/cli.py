@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -447,14 +448,9 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     return 0
 
 
-def _variation_row(args) -> tuple[int, dict]:
-    idx, A, B, L, Lvar, descr, kind, opts_dict = args
-    dyn = NodeDynamics(A, B)
-    opts = AnalyzeOptions(**opts_dict) if opts_dict else AnalyzeOptions()
+def _variation_row(dyn: NodeDynamics, L, Lvar, opts: AnalyzeOptions) -> dict:
     report = analyze(dyn, L, Lvar, opts)
-    row = {
-        "variation": descr,
-        "kind": kind,
+    return {
         "indiscernible_dim": int(report.indiscernible.dim),
         "extra_dim": int(report.extra_dim),
         "corrected_condition": report.corrected.verdict,
@@ -463,7 +459,6 @@ def _variation_row(args) -> tuple[int, dict]:
         if report.oracle_summary is None
         else bool(report.oracle_summary.passed),
     }
-    return idx, row
 
 
 def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
@@ -493,25 +488,18 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    L = laplacian(base)
-    opts_dict = {
-        "rank_tol": opts.rank_tol,
-        "angle_tol": opts.angle_tol,
-        "eig_tol": opts.eig_tol,
-        "validate": opts.validate,
-        "oracle": opts.oracle,
-    }
-    tasks = [
-        (idx, dyn.A, dyn.B, L, Lvar, var.describe(), var.kind, opts_dict)
-        for idx, (var, _, Lvar) in enumerate(entries)
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    # map and pool.map both return rows in enumeration order
+    row_of = functools.partial(_variation_row, dyn, laplacian(base), opts=opts)
+    varied = [Lvar for _, _, Lvar in entries]
+    if jobs > 1 and len(varied) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_variation_row, tasks))
+            results = list(pool.map(row_of, varied))
     else:
-        results = [_variation_row(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    rows = [row for _, row in results]
+        results = list(map(row_of, varied))
+    rows = [
+        {"variation": var.describe(), "kind": var.kind, **result}
+        for (var, _, _), result in zip(entries, results)
+    ]
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(

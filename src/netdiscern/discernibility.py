@@ -8,9 +8,12 @@ form a subspace: the kernel of the stacked matrix
     [Delta; Delta Phi; Delta Phi^2; ...; Delta Phi^(m-1)],   Delta = Phi - Phibar,
 
 which is also the largest Phi-invariant subspace contained in kernel(Delta).
-The stacked-kernel route is authoritative (no diagonalizability assumption);
-a Wong-style subspace iteration provides an independent cross-check, and the
-modal route explains the result in terms of shared eigenstructure.
+The stack is ``network.unobservable_subspace(Delta, Phi)``, the same routine
+that finds the invariant-mode core of (B, A).  The stacked-kernel route is
+authoritative (no diagonalizability assumption); a Wong-style subspace
+iteration provides an independent cross-check, and the modal route explains
+the result in terms of shared eigenstructure, with the corrected condition's
+collisions found by ``network.cross_collisions``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linalg import (
     RANK_TOL,
     Subspace,
     default_cluster_tol,
+    distinct_values,
     eig,
     kernel,
     realify,
@@ -35,9 +39,11 @@ from .network import (
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
+    cross_collisions,
     modal_matrix,
     network_invariant_modes,
     sync_manifold,
+    unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
 
@@ -48,26 +54,11 @@ def indiscernible_subspace(
     """The exact subspace of initial states whose responses under the two
     systems coincide for all time (stacked-kernel method).
 
-    Each power block Delta*Phi^k is renormalized to unit Frobenius norm
-    before stacking; kernels are unaffected by row scaling, and the
-    renormalization keeps spectral radii > 1 from overflowing the stack.
+    This is the largest Phi-invariant subspace contained in kernel(Delta):
+    ``unobservable_subspace(Delta, Phi)``.
     """
     _check_pair(phi, phibar)
-    m = phi.phi.shape[0]
-    delta = phi.phi - phibar.phi
-    scale = max(1.0, float(np.linalg.norm(phi.phi)))
-    blocks = []
-    R = delta.copy()
-    for _ in range(m):
-        nr = float(np.linalg.norm(R))
-        if nr <= 1e-14 * scale:
-            break  # the remaining powers are numerically zero
-        R = R / nr
-        blocks.append(R)
-        R = R @ phi.phi
-    if not blocks:
-        return Subspace.full(m, tol)
-    return kernel(np.vstack(blocks), tol)
+    return unobservable_subspace(phi.phi - phibar.phi, phi.phi, tol)
 
 
 def indiscernible_subspace_wong(
@@ -116,7 +107,6 @@ def shared_modal_subspace(
     dyn: NodeDynamics,
     L,
     Lbar,
-    cluster_tol: float | None = None,
     rank_tol: float = RANK_TOL,
 ) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
@@ -133,11 +123,7 @@ def shared_modal_subspace(
             raise ValueError("shared modal analysis requires symmetric Laplacians")
     N = L.shape[0]
     n = dyn.n
-    ctol = (
-        max(default_cluster_tol(L), default_cluster_tol(Lbar))
-        if cluster_tol is None
-        else float(cluster_tol)
-    )
+    ctol = max(default_cluster_tol(L), default_cluster_tol(Lbar))
 
     a1, V1 = np.linalg.eigh(L)
     a2, V2 = np.linalg.eigh(Lbar)
@@ -145,8 +131,7 @@ def shared_modal_subspace(
     cols: list[np.ndarray] = []
     # Common eigenpairs: cluster the two spectra jointly, intersect the
     # per-cluster eigenspaces.
-    reps = _cluster_reps(np.concatenate([a1, a2]), ctol)
-    for alpha in reps:
+    for alpha in distinct_values(np.concatenate([a1, a2]), ctol):
         sel1 = np.abs(a1 - alpha) <= ctol
         sel2 = np.abs(a2 - alpha) <= ctol
         if not (sel1.any() and sel2.any()):
@@ -173,18 +158,6 @@ def shared_modal_subspace(
         return Subspace.zero(N * n, rank_tol)
     span = Subspace.from_spanning(np.column_stack(cols), rank_tol)
     return realify(span)
-
-
-def _cluster_reps(values: np.ndarray, tol: float) -> list[float]:
-    """Distinct representatives of a real value set at absolute tolerance,
-    ascending."""
-    reps: list[list[float]] = []
-    for v in np.sort(values):
-        if reps and v - reps[-1][-1] < tol:
-            reps[-1].append(float(v))
-        else:
-            reps.append([float(v)])
-    return [float(np.mean(group)) for group in reps]
 
 
 @dataclass(frozen=True)
@@ -217,26 +190,15 @@ def corrected_condition(
     Lbar = validate_laplacian(Lbar)
     if L.shape != Lbar.shape:
         raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-    alphas = _cluster_reps(
+    alphas = distinct_values(
         np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol
     )
     spectra = [np.linalg.eigvals(modal_matrix(dyn, a)) for a in alphas]
-    collisions: list[tuple[float, float, complex]] = []
-    min_gap = np.inf
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            for lam in spectra[i]:
-                dist = float(np.min(np.abs(spectra[j] - lam)))
-                min_gap = min(min_gap, dist)
-                if dist <= tol:
-                    matched = spectra[j][int(np.argmin(np.abs(spectra[j] - lam)))]
-                    collisions.append(
-                        (alphas[i], alphas[j], complex((lam + matched) / 2))
-                    )
+    collisions, min_gap = cross_collisions(alphas, spectra, tol)
     return CorrectedConditionResult(
         holds=not collisions,
-        collisions=tuple(collisions),
-        min_cross_gap=float(min_gap),
+        collisions=collisions,
+        min_cross_gap=min_gap,
         tol=float(tol),
     )
 

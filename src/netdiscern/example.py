@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, laplacian
+from .graphs import Graph
 from .network import NodeDynamics
 
 EXAMPLE_A = np.array(
@@ -43,10 +43,6 @@ def example_graph() -> Graph:
 def example_modified_graph() -> Graph:
     """The varied topology: the base graph with edge (1,3) removed."""
     return example_graph().with_edge_removed(1, 3)
-
-
-def example_laplacians() -> tuple[np.ndarray, np.ndarray]:
-    return laplacian(example_graph()), laplacian(example_modified_graph())
 
 
 def example_config(validate: bool = True) -> dict:

@@ -212,8 +212,8 @@ def enumerate_single_link_variations(
     return out
 
 
-def laplacian_spectrum(L, cluster_tol: float | None = None) -> Spectrum:
+def laplacian_spectrum(L) -> Spectrum:
     """Spectrum of a Laplacian: real, sorted ascending; eigenvalue 0 is
     present (with the all-ones eigenvector for a connected graph)."""
     L = validate_laplacian(L)
-    return eig(L, cluster_tol)
+    return eig(L)

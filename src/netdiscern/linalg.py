@@ -70,12 +70,6 @@ class Spectrum:
         """Distinct (clustered) eigenvalues."""
         return np.array([p.value for p in self.eigenpairs])
 
-    def values_with_multiplicity(self) -> np.ndarray:
-        out: list[complex] = []
-        for p in self.eigenpairs:
-            out.extend([p.value] * p.algebraic_multiplicity)
-        return np.array(out)
-
     def multiplicity_of(self, value: complex, tol: float | None = None) -> int:
         tol = self.cluster_tol if tol is None else tol
         for p in self.eigenpairs:
@@ -109,6 +103,13 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def distinct_values(values, tol: float) -> list[float]:
+    """Distinct representatives of a real value set at absolute tolerance,
+    ascending: the mean of each single-linkage cluster."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return [float(np.mean(v[idx])) for idx in _cluster_indices(v, tol)]
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,13 @@ different alpha_i are mutually distinct; this module computes the blocks,
 flags the cross-block eigenvalue collisions, and finds the network-invariant
 modes (A v = lambda v with B v = 0) that make an eigenvalue of Phi appear
 for every topology.
+
+``unobservable_subspace`` is the one power-stack routine of the package:
+the largest A-invariant subspace inside kernel(C).  It gives the
+invariant-mode core here (C = B) and the indiscernible subspace in
+``discernibility`` (C = Delta, A = Phi).  ``cross_collisions`` is the one
+cross-block collision scan, shared with ``discernibility``'s corrected
+condition.
 """
 
 from __future__ import annotations
@@ -108,34 +115,47 @@ class NetworkInvariantMode:
     vector: np.ndarray
 
 
+def unobservable_subspace(C, A, tol: float = RANK_TOL) -> Subspace:
+    """The largest A-invariant subspace contained in kernel(C): the kernel
+    of the stacked products [C; CA; ...; CA^(m-1)], m the order of A.
+
+    Each power block C*A^k is renormalized to unit Frobenius norm before
+    stacking; kernels are unaffected by row scaling, and the
+    renormalization keeps spectral radii > 1 from overflowing the stack.
+    Once a block is numerically zero, so is every later one, and the
+    stack stops there.
+    """
+    m = A.shape[0]
+    scale = max(1.0, float(np.linalg.norm(A)))
+    blocks = []
+    R = C
+    for _ in range(m):
+        nr = float(np.linalg.norm(R))
+        if nr <= 1e-14 * scale:
+            break
+        R = R / nr
+        blocks.append(R)
+        R = R @ A
+    if not blocks:  # C == 0: the whole space qualifies
+        return Subspace.full(m, tol)
+    return kernel(np.vstack(blocks), tol)
+
+
 def network_invariant_modes(
     dyn: NodeDynamics, tol: float = RANK_TOL
 ) -> list[NetworkInvariantMode]:
     """All eigenpairs of A restricted to kernel(B).
 
     The restriction is taken on the largest A-invariant subspace contained
-    in kernel(B), i.e. the kernel of the stacked products [B; BA; ...;
-    BA^(n-1)]; eigenvectors of A inside kernel(B) live exactly there.
-    Returns the empty list when kernel(B) holds no eigenvector of A.
+    in kernel(B) (``unobservable_subspace(B, A)``); eigenvectors of A
+    inside kernel(B) live exactly there.  Returns the empty list when
+    kernel(B) holds no eigenvector of A.
     """
-    n = dyn.n
-    blocks = []
-    R = dyn.B.copy()
-    scale = max(1.0, float(np.linalg.norm(dyn.A, 2)))
-    for _ in range(n):
-        nr = np.linalg.norm(R)
-        if nr <= 1e-14 * scale:
-            break
-        R = R / nr
-        blocks.append(R)
-        R = R @ dyn.A
-    if not blocks:  # B == 0: every eigenpair of A qualifies
-        core = Subspace.full(n, tol)
-    else:
-        core = kernel(np.vstack(blocks), tol)
+    core = unobservable_subspace(dyn.B, dyn.A, tol)
     if core.dim == 0:
         return []
 
+    scale = max(1.0, float(np.linalg.norm(dyn.A, 2)))
     Q = core.basis
     restricted = Q.conj().T @ dyn.A @ Q
     spec = eig(restricted)
@@ -197,9 +217,31 @@ class ModalEigenstructure:
         return tuple(b.alpha for b in self.blocks if b.deficient)
 
 
-def modal_eigenstructure(
-    dyn: NodeDynamics, L, cluster_tol: float | None = None
-) -> ModalEigenstructure:
+def cross_collisions(
+    alphas, spectra, tol: float
+) -> tuple[tuple[tuple[float, float, complex], ...], float]:
+    """Eigenvalue collisions between the spectra of different alphas.
+
+    For every i < j and every lambda in ``spectra[i]``, the nearest value
+    of ``spectra[j]`` within ``tol`` is a collision, reported as
+    (alphas[i], alphas[j], midpoint of the pair).  Also returns the
+    smallest such cross distance (inf for fewer than two alphas)."""
+    collisions: list[tuple[float, float, complex]] = []
+    min_gap = np.inf
+    for i in range(len(alphas)):
+        for j in range(i + 1, len(alphas)):
+            for lam in spectra[i]:
+                dists = np.abs(spectra[j] - lam)
+                k = int(np.argmin(dists))
+                min_gap = min(min_gap, float(dists[k]))
+                if dists[k] <= tol:
+                    collisions.append(
+                        (alphas[i], alphas[j], complex((lam + spectra[j][k]) / 2))
+                    )
+    return tuple(collisions), float(min_gap)
+
+
+def modal_eigenstructure(dyn: NodeDynamics, L) -> ModalEigenstructure:
     """Eigen-decompose each modal matrix A - alpha_i*B over the distinct
     Laplacian eigenvalues, verify that every Kronecker product v_i (x) w_ij
     is an eigenvector of the assembled network, and list the eigenvalue
@@ -209,7 +251,7 @@ def modal_eigenstructure(
         raise ValueError("modal analysis requires a symmetric Laplacian")
     sys = assemble_transition(dyn, L)
     phi_scale = max(1.0, float(np.linalg.norm(sys.phi, 2)))
-    ctol = default_cluster_tol(L) if cluster_tol is None else float(cluster_tol)
+    ctol = default_cluster_tol(L)
 
     alphas, V = np.linalg.eigh(L)
     lap_spec = eig(L, ctol)
@@ -236,20 +278,9 @@ def modal_eigenstructure(
                     kron_cols.append(x)
         blocks.append(ModalBlock(alpha, lap_vecs, modal))
 
-    collisions: list[tuple[float, float, complex]] = []
-    min_gap = np.inf
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            vi = blocks[i].modal.values
-            vj = blocks[j].modal.values
-            for lam in vi:
-                dist = float(np.min(np.abs(vj - lam)))
-                min_gap = min(min_gap, dist)
-                if dist <= ctol:
-                    matched = vj[int(np.argmin(np.abs(vj - lam)))]
-                    collisions.append(
-                        (blocks[i].alpha, blocks[j].alpha, complex((lam + matched) / 2))
-                    )
+    collisions, min_gap = cross_collisions(
+        [b.alpha for b in blocks], [b.modal.values for b in blocks], ctol
+    )
 
     cols = np.column_stack(kron_cols) if kron_cols else np.zeros((sys.dim, 0))
     if cols.shape[1]:
@@ -259,8 +290,8 @@ def modal_eigenstructure(
         rank = 0
     return ModalEigenstructure(
         blocks=tuple(blocks),
-        cross_block_collisions=tuple(collisions),
-        min_cross_gap=float(min_gap),
+        cross_block_collisions=collisions,
+        min_cross_gap=min_gap,
         kron_rank=rank,
         complete=rank == sys.dim,
     )

@@ -16,6 +16,7 @@ from netdiscern import (
     subspaces_equal,
 )
 from netdiscern.example import EXAMPLE_B
+from netdiscern.linalg import distinct_values
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,15 @@ def test_eig_rejects_bad_input():
         eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_distinct_values_chains_and_sorts():
+    # 0 and 1.2e-8 are farther apart than tol, but 0.6e-8 links them
+    reps = distinct_values([1.0, 1.2e-8, -1.0, 0.0, 0.6e-8], 1e-8)
+    assert len(reps) == 3
+    assert reps[0] == -1.0 and reps[2] == 1.0
+    assert reps[1] == pytest.approx(0.6e-8, rel=1e-12)
+    assert reps == sorted(reps)
 
 
 # ---------------------------------------------------------------------------

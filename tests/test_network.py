@@ -15,6 +15,7 @@ from netdiscern import (
     sync_manifold,
 )
 from netdiscern.example import EXAMPLE_A, EXAMPLE_B
+from netdiscern.network import cross_collisions, unobservable_subspace
 
 from conftest import random_graph
 
@@ -159,6 +160,25 @@ def test_invariant_mode_spans_network_eigenvectors(demo):
         assert resid <= 1e-9 * np.linalg.norm(phi, 2) * np.linalg.norm(x)
 
 
+def test_unobservable_subspace_of_zero_output_is_full():
+    S = unobservable_subspace(np.zeros((2, 3)), EXAMPLE_A)
+    assert S.dim == 3
+
+
+def test_unobservable_subspace_known_dimensions():
+    shift = np.diag([1.0, 1.0], k=1)  # e2 -> e1, e3 -> e2, e1 -> 0
+    # C = e1^T sees every state through its powers
+    assert unobservable_subspace(np.array([[1.0, 0.0, 0.0]]), shift).dim == 0
+    # C = e3^T: C*shift = 0 ends the stack, and span{e1, e2} is invariant
+    S = unobservable_subspace(np.array([[0.0, 0.0, 1.0]]), shift)
+    assert S.dim == 2
+    assert np.allclose(S.basis[2], 0.0)
+    # distinct eigenvalues: C = [1, 1, 0] misses only the e3 mode
+    S = unobservable_subspace(np.array([[1.0, 1.0, 0.0]]), np.diag([1.0, 2.0, 3.0]))
+    assert S.dim == 1
+    assert subspace_contains(S, np.array([0.0, 0.0, 1.0]), angle_tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sync manifold
 # ---------------------------------------------------------------------------
@@ -256,3 +276,16 @@ def test_kronecker_eigenvector_identity():
 def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
     with pytest.raises(ValueError):
         modal_eigenstructure(demo.dyn, np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+
+def test_cross_collisions_tolerance_midpoint_and_gap():
+    tol = 2.0**-20  # every value below is exact in binary
+    inside, outside = 2.0**-22, tol + 2.0**-30
+    spectra = [np.array([1.0, 5.0]), np.array([1.0 + inside, 5.0 + outside])]
+    collisions, min_gap = cross_collisions([0.0, 2.0], spectra, tol)
+    assert collisions == ((0.0, 2.0, complex(1.0 + inside / 2)),)
+    assert min_gap == inside
+
+
+def test_cross_collisions_single_alpha_has_none():
+    assert cross_collisions([0.0], [np.array([1.0, 2.0])], 1e-8) == ((), np.inf)
