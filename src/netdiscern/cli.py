@@ -45,7 +45,8 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import NetworkInvariantMode, NodeDynamics
+from .network import (NetworkInvariantMode, NodeDynamics, assemble_transition,
+                      modal_decomposition)
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -448,8 +449,8 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     return 0
 
 
-def _variation_row(dyn: NodeDynamics, L, Lvar, opts: AnalyzeOptions) -> dict:
-    report = analyze(dyn, L, Lvar, opts)
+def _variation_row(dyn: NodeDynamics, Lvar, opts: AnalyzeOptions, base) -> dict:
+    report = analyze(dyn, base.system.laplacian, Lvar, opts, base)
     return {
         "indiscernible_dim": int(report.indiscernible.dim),
         "extra_dim": int(report.extra_dim),
@@ -488,8 +489,10 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    # map and pool.map both return rows in enumeration order
-    row_of = functools.partial(_variation_row, dyn, laplacian(base), opts=opts)
+    # every row reads one base decomposition; map and pool.map keep row order
+    shared = modal_decomposition(assemble_transition(dyn, laplacian(base)),
+                                 opts.rank_tol)
+    row_of = functools.partial(_variation_row, dyn, opts=opts, base=shared)
     varied = [Lvar for _, _, Lvar in entries]
     if jobs > 1 and len(varied) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -507,16 +510,9 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["variation", "indiscernible_dim", "extra_dim", "corrected_condition"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["variation"],
-                row["indiscernible_dim"],
-                row["extra_dim"],
-                row["corrected_condition"],
-            ]
-        )
+    columns = ["variation", "indiscernible_dim", "extra_dim", "corrected_condition"]
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
     _write_atomic(os.path.join(out_dir, "variations.csv"), out.getvalue())
 
     width = max([len(r["variation"]) for r in rows] + [len("variation")])

@@ -3,17 +3,14 @@
 An initial state x is indiscernible for (Phi, Phibar) when the natural
 responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
-form a subspace: the kernel of the stacked matrix
-
-    [Delta; Delta Phi; Delta Phi^2; ...; Delta Phi^(m-1)],   Delta = Phi - Phibar,
-
-which is also the largest Phi-invariant subspace contained in kernel(Delta).
-The stack is ``network.unobservable_subspace(Delta, Phi)``, the same routine
-that finds the invariant-mode core of (B, A).  The stacked-kernel route is
-authoritative (no diagonalizability assumption); a Wong-style subspace
-iteration provides an independent cross-check, and the modal route explains
-the result in terms of shared eigenstructure, with the corrected condition's
-collisions found by ``network.cross_collisions``.
+form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
+Phibar.  The one algorithm is modal: each generalized eigenspace of Phi
+from ``network.modal_decomposition`` is solved on its own by a small
+``network.unobservable_subspace`` stack.  That stack over the whole network
+computes the same subspace without the modal split, but loses rank as N
+grows; it is the tests' desk-scale reference.  The shared modal span
+explains the result through common eigenstructure, and the corrected
+condition's collisions are found by ``network.cross_collisions``.
 """
 
 from __future__ import annotations
@@ -27,93 +24,70 @@ from .linalg import (
     ANGLE_TOL,
     RANK_TOL,
     Subspace,
-    default_cluster_tol,
     distinct_values,
-    eig,
-    kernel,
+    kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
     realify,
     subspace_intersect,
 )
 from .network import (
+    ModalDecomposition,
     NetworkInvariantMode,
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
     cross_collisions,
+    modal_decomposition,
     modal_matrix,
-    network_invariant_modes,
     sync_manifold,
     unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
 
 
-def indiscernible_subspace(
-    phi: NetworkSystem, phibar: NetworkSystem, tol: float = RANK_TOL
-) -> Subspace:
+def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
+                           tol: float = RANK_TOL,
+                           base: ModalDecomposition | None = None) -> Subspace:
     """The exact subspace of initial states whose responses under the two
-    systems coincide for all time (stacked-kernel method).
+    systems coincide for all time: the largest Phi-invariant subspace
+    inside kernel(Delta), one eigenvalue cluster of Phi at a time.
 
-    This is the largest Phi-invariant subspace contained in kernel(Delta):
-    ``unobservable_subspace(Delta, Phi)``.
+    An invariant subspace is the direct sum of its parts in Phi's
+    generalized eigenspaces, so with X_g an orthonormal basis of the one
+    for cluster g (from ``base``, the modal decomposition of ``phi``,
+    computed when not given) the answer is the sum over g of
+    X_g * ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g).  The rank
+    of Delta X_g is decided against ||Delta||_2, not its own norm, which
+    would read the roundoff left by a cluster that Delta misses as rank;
+    the stack starts from the orthonormal rows above that cutoff.
     """
     _check_pair(phi, phibar)
-    return unobservable_subspace(phi.phi - phibar.phi, phi.phi, tol)
-
-
-def indiscernible_subspace_wong(
-    phi: NetworkSystem, phibar: NetworkSystem, tol: float = RANK_TOL
-) -> Subspace:
-    """Cross-check by monotone subspace recursion: the fixed point of
-
-        V_0 = kernel(Delta),   V_{k+1} = V_0  ∩  {x : Phi x ∈ V_k},
-
-    i.e. the largest Phi-invariant subspace contained in kernel(Delta),
-    detected by dimension stabilization rather than a fixed power count.
-
-    The annihilator of V_k is the row space of [Delta; Delta Phi; ...;
-    Delta Phi^k], so each preimage-and-intersect step appends one exact
-    product block (unit-normalized) and the fixed point shows up as a
-    stabilized kernel dimension.  Carrying V_k itself through projector
-    geometry is numerically treacherous: direction errors amplify by
-    roughly ||Phi|| / gap per iteration and the computed space can
-    collapse below the true fixed point."""
-    _check_pair(phi, phibar)
-    m = phi.phi.shape[0]
     delta = phi.phi - phibar.phi
-    scale = max(1.0, float(np.linalg.norm(phi.phi)))
-    if float(np.linalg.norm(delta)) <= 1e-14 * scale:
-        return Subspace.full(m, tol)
-    blocks = [delta / float(np.linalg.norm(delta))]
-    V = kernel(blocks[0], tol)
-    R = blocks[0]
-    for _ in range(m + 1):
-        if V.dim == 0:
-            return V
-        R = R @ phi.phi
-        nr = float(np.linalg.norm(R))
-        if nr <= 1e-14 * scale:
-            return V  # the next constraint vanishes: V is already invariant
-        R = R / nr
-        blocks.append(R)
-        Vn = kernel(np.vstack(blocks), tol)
-        if Vn.dim == V.dim:
-            return Vn
-        V = Vn
-    raise RuntimeError("subspace iteration failed to reach a fixed point")
+    if not delta.any():
+        return Subspace.full(phi.dim, tol)
+    base = modal_decomposition(phi, tol) if base is None else base
+    cutoff = tol * float(np.linalg.norm(delta, 2))
+    parts = [np.zeros((phi.dim, 0))]
+    for X in base.clusters:
+        _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
+        rank = int(np.sum(s > cutoff))
+        if rank < X.shape[1]:
+            restricted = X.conj().T @ (phi.phi @ X)
+            parts.append(X @ unobservable_subspace(vh[:rank], restricted, tol).basis)
+    return realify(Subspace.from_spanning(np.hstack(parts), tol))
 
 
-def shared_modal_subspace(
-    dyn: NodeDynamics,
-    L,
-    Lbar,
-    rank_tol: float = RANK_TOL,
-) -> Subspace:
+def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
+                          base: ModalDecomposition | None = None) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
     v (x) w for every common eigenpair (alpha, v) of L and Lbar with
     (lambda, w) an eigenpair of A - alpha*B, plus a (x) v over all
     coefficient vectors a for each network-invariant mode (lambda, v).
-    Always contained in the indiscernible subspace."""
+    Always contained in the indiscernible subspace.
+
+    A common eigenvector is an eigenvector v of L with (L - Lbar) v = 0:
+    per distinct alpha of L, V_alpha times the kernel of (L - Lbar)
+    V_alpha, decided against ||L - Lbar||_2.  ``base`` is the modal
+    decomposition of (dyn, L), computed when not given."""
     L = np.asarray(L, dtype=float)
     Lbar = np.asarray(Lbar, dtype=float)
     if L.shape != Lbar.shape:
@@ -121,43 +95,25 @@ def shared_modal_subspace(
     for M in (L, Lbar):
         if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max(initial=0.0))):
             raise ValueError("shared modal analysis requires symmetric Laplacians")
+    if base is None:
+        base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
     N = L.shape[0]
-    n = dyn.n
-    ctol = max(default_cluster_tol(L), default_cluster_tol(Lbar))
+    diff = L - Lbar
+    cutoff = rank_tol * float(np.linalg.norm(diff, 2))
 
-    a1, V1 = np.linalg.eigh(L)
-    a2, V2 = np.linalg.eigh(Lbar)
-
-    cols: list[np.ndarray] = []
-    # Common eigenpairs: cluster the two spectra jointly, intersect the
-    # per-cluster eigenspaces.
-    for alpha in distinct_values(np.concatenate([a1, a2]), ctol):
-        sel1 = np.abs(a1 - alpha) <= ctol
-        sel2 = np.abs(a2 - alpha) <= ctol
-        if not (sel1.any() and sel2.any()):
-            continue
-        U = Subspace.from_spanning(V1[:, sel1], rank_tol)
-        W = Subspace.from_spanning(V2[:, sel2], rank_tol)
-        common = subspace_intersect(U, W)
-        if common.dim == 0:
-            continue
-        modal = eig(modal_matrix(dyn, alpha), ctol)
-        for c in range(common.dim):
-            v = common.basis[:, c]
-            for mp in modal.eigenpairs:
-                for k in range(mp.vectors.shape[1]):
-                    cols.append(np.kron(v, mp.vectors[:, k]))
-    # Invariant-mode fans: a (x) v for every coefficient vector a.
-    for mode in network_invariant_modes(dyn, rank_tol):
-        for p in range(N):
-            e = np.zeros(N)
-            e[p] = 1.0
-            cols.append(np.kron(e, mode.vector))
-
-    if not cols:
-        return Subspace.zero(N * n, rank_tol)
-    span = Subspace.from_spanning(np.column_stack(cols), rank_tol)
-    return realify(span)
+    # v (x) w over all common v and eigenvectors w, one Kronecker product
+    # per alpha; then a (x) v over all coefficient vectors a: I_N (x) v
+    cols = [np.zeros((N * dyn.n, 0))]
+    for group in base.alpha_groups:
+        Va = base.laplacian_vectors[:, group]
+        _, s, vh = np.linalg.svd(diff @ Va)
+        common = Va @ vh[int(np.sum(s > cutoff)):].T
+        if common.shape[1]:
+            modal = base.block_spectrum(int(group[0]))
+            eigvecs = np.hstack([mp.vectors for mp in modal.eigenpairs])
+            cols.append(np.kron(common, eigvecs))
+    cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
+    return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
 
 
 @dataclass(frozen=True)
@@ -239,30 +195,38 @@ VERDICT_EXTRA_STATES = "extra indiscernible states present"
 
 
 def analyze(
-    dyn: NodeDynamics, L, Lbar, opts: AnalyzeOptions | None = None
+    dyn: NodeDynamics,
+    L,
+    Lbar,
+    opts: AnalyzeOptions | None = None,
+    base: ModalDecomposition | None = None,
 ) -> DiscernibilityReport:
     """Full discernibility analysis of a topology variation.
 
-    Computes the indiscernible subspace (stacked-kernel method), its overlap
-    with the synchronous manifold, the shared modal span, the
-    network-invariant modes, and the spectral-disjointness verdict; when
-    ``opts.validate`` is set the computed subspace is checked against the
-    trajectory oracle.
+    Computes the indiscernible subspace (modal method), its overlap with the
+    synchronous manifold, the shared modal span, the network-invariant
+    modes, and the spectral-disjointness verdict; when ``opts.validate`` is
+    set the computed subspace is checked against the trajectory oracle.
+    ``base``, the modal decomposition of (dyn, L), is computed when not
+    given; ``enumerate`` passes one for all variations of a base graph.
     """
     opts = opts or AnalyzeOptions()
     L = validate_laplacian(L)
     Lbar = validate_laplacian(Lbar)
     if L.shape != Lbar.shape:
         raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-
-    sys = assemble_transition(dyn, L)
+    if base is None:
+        base = modal_decomposition(assemble_transition(dyn, L), opts.rank_tol)
+    elif not all(map(np.array_equal, (L, dyn.A, dyn.B), (
+            base.system.laplacian, base.system.dynamics.A, base.system.dynamics.B))):
+        raise ValueError("base decomposition belongs to another network")
+    sys = base.system
     sysbar = assemble_transition(dyn, Lbar)
-    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol)
+    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base)
     sync = sync_manifold(sys.node_count, sys.node_dim, opts.rank_tol)
     overlap = subspace_intersect(ind, sync)
     extra = ind.dim - overlap.dim
-    shared = shared_modal_subspace(dyn, L, Lbar, rank_tol=opts.rank_tol)
-    modes = tuple(network_invariant_modes(dyn, opts.rank_tol))
+    shared = shared_modal_subspace(dyn, L, Lbar, opts.rank_tol, base)
     corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol)
 
     if np.array_equal(sys.phi, sysbar.phi):
@@ -284,7 +248,7 @@ def analyze(
         sync_overlap_dim=overlap.dim,
         extra_dim=extra,
         shared_modal=shared,
-        invariant_modes=modes,
+        invariant_modes=base.modes,
         corrected=corrected,
         verdict=verdict,
         oracle_summary=summary,

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels and tolerance-aware subspace arithmetic.
 
-Everything here operates on dense matrices.  Square operands are small (the
-state dimension m = N*n, a few dozen), but ``kernel`` also receives tall
-stacks: the indiscernible-subspace stack is m^2 x m, which is 1,296 rows at
-N = 12 and 14,400 rows at N = 40 with n = 3.  The code favors
+Everything here operates on dense matrices.  Operands are small: the state
+dimension m = N*n is a few dozen, and the tall stacks ``kernel`` receives
+are per-eigenvalue-cluster power stacks and the 2m x m projector stack of
+``subspace_intersect``.  The code favors
 reproducibility: spectra are clustered at explicit tolerances, subspaces
 carry orthonormal bases, and every rank decision goes through a single
 relative singular-value threshold.
@@ -28,21 +28,19 @@ def default_cluster_tol(M: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(M, 2)))
 
 
-def _as_square(M) -> np.ndarray:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    return M
-
-
 def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
+    return M
+
+
+def _as_square(M) -> np.ndarray:
+    M = _as_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return M
 
 
@@ -82,7 +80,7 @@ class Spectrum:
         return sum(p.algebraic_multiplicity for p in self.eigenpairs)
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
+def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     """Single-linkage clustering of complex values at absolute tolerance."""
     n = len(values)
     parent = list(range(n))
@@ -93,12 +91,12 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    values = np.asarray(values)
+    close = np.abs(values[:, None] - values[None, :]) < tol
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -109,7 +107,7 @@ def distinct_values(values, tol: float) -> list[float]:
     """Distinct representatives of a real value set at absolute tolerance,
     ascending: the mean of each single-linkage cluster."""
     v = np.sort(np.asarray(values, dtype=float))
-    return [float(np.mean(v[idx])) for idx in _cluster_indices(v, tol)]
+    return [float(np.mean(v[idx])) for idx in cluster_indices(v, tol)]
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -136,22 +134,18 @@ def eig(M, cluster_tol: float | None = None) -> Spectrum:
     """
     M = _as_square(M)
     tol = default_cluster_tol(M) if cluster_tol is None else float(cluster_tol)
+    solver = np.linalg.eigh if np.array_equal(M, M.conj().T) else np.linalg.eig
+    return clustered_spectrum(M, *solver(M), tol)
+
+
+def clustered_spectrum(M: np.ndarray, w, V: np.ndarray, tol: float) -> Spectrum:
+    """The ``Spectrum`` of M from an eigen-decomposition already computed:
+    eigenvalues ``w`` with unit eigenvectors in the columns of ``V``,
+    clustered at absolute tolerance ``tol``."""
+    w = np.asarray(w).astype(complex)
     scale = max(1.0, float(np.linalg.norm(M, 2)))
-
-    if np.array_equal(M, M.conj().T):
-        try:
-            w, V = np.linalg.eigh(M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise np.linalg.LinAlgError(f"eigensolver did not converge: {exc}")
-        w = w.astype(complex)
-    else:
-        try:
-            w, V = np.linalg.eig(M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise np.linalg.LinAlgError(f"eigensolver did not converge: {exc}")
-
     pairs = []
-    for idx in _cluster_indices(w, tol):
+    for idx in cluster_indices(w, tol):
         rep = complex(np.mean(w[idx]))
         if abs(rep.imag) < tol:
             rep = complex(rep.real, 0.0)
@@ -165,11 +159,10 @@ def eig(M, cluster_tol: float | None = None) -> Spectrum:
             v = keep[:, c]
             if np.linalg.norm(M @ v - rep * v) <= RESID_TOL * scale:
                 good.append(canonical_sign(v))
-        if not good:
-            # fall back to the best raw eigenvector of the cluster
-            resids = [np.linalg.norm(M @ V[:, i] / np.linalg.norm(V[:, i]) - rep * V[:, i] / np.linalg.norm(V[:, i])) for i in idx]
-            v = V[:, idx[int(np.argmin(resids))]]
-            good.append(canonical_sign(v / np.linalg.norm(v)))
+        if not good:  # fall back to the best raw eigenvector of the cluster
+            raw = cols / np.linalg.norm(cols, axis=0)
+            best = np.argmin(np.linalg.norm(M @ raw - rep * raw, axis=0))
+            good.append(canonical_sign(raw[:, best]))
         vecs = np.column_stack(good)
         if np.iscomplexobj(vecs) and np.max(np.abs(vecs.imag)) < tol:
             vecs = vecs.real.copy()
@@ -246,11 +239,10 @@ def kernel(M, tol: float = RANK_TOL) -> Subspace:
 
     The basis is the trailing rows of V^H from the SVD M = U S V^H; U is
     never read.  For a tall or square M the thin factors already hold all
-    of V, so only they are formed: a full U would be rows x rows, 13 MB for
-    the 1,296 x 36 stack at N = 12.  A wide M (rows < cols) has null
-    directions outside the thin V^H, so only then is the full V^H formed.
-    The singular values, and so the rank decision, are the same either
-    way."""
+    of V, so only they are formed (a full U would be rows x rows).  A wide
+    M has null directions outside the thin V^H, so only then is the full
+    V^H formed.  The singular values, and so the rank decision, are the
+    same either way."""
     M = _as_matrix(M)
     rows, ambient = M.shape
     if rows == 0:

@@ -1,4 +1,4 @@
-"""Networked linear system assembly and per-eigenvalue modal analysis.
+"""Networked linear system assembly and its modal decomposition.
 
 A network of N identical nodes with local dynamics (A, B), coupled through
 a Laplacian L, evolves under the block transition matrix
@@ -8,18 +8,17 @@ a Laplacian L, evolves under the block transition matrix
 When L is symmetric with eigenpairs (alpha_i, v_i), Phi is similar to the
 block diagonal of the modal matrices A - alpha_i*B, and the Kronecker
 products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
-of Phi.  That family spans the whole space only when the modal spectra for
-different alpha_i are mutually distinct; this module computes the blocks,
-flags the cross-block eigenvalue collisions, and finds the network-invariant
-modes (A v = lambda v with B v = 0) that make an eigenvalue of Phi appear
-for every topology.
+of Phi; they span the whole space only when the modal spectra of different
+alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
+are decomposed, read by the indiscernible subspace, the shared modal span
+and ``modal_eigenstructure``.  ``cross_collisions`` is the one cross-block
+collision scan; ``network_invariant_modes`` finds the modes (A v = lambda v
+with B v = 0) that put an eigenvalue in Phi for every topology.
 
-``unobservable_subspace`` is the one power-stack routine of the package:
-the largest A-invariant subspace inside kernel(C).  It gives the
-invariant-mode core here (C = B) and the indiscernible subspace in
-``discernibility`` (C = Delta, A = Phi).  ``cross_collisions`` is the one
-cross-block collision scan, shared with ``discernibility``'s corrected
-condition.
+``unobservable_subspace`` is the one power stack, the largest A-invariant
+subspace inside kernel(C): the invariant-mode core (C = B), the per-cluster
+solve of the indiscernible subspace, and, for the whole network (C = Delta,
+A = Phi), the tests' desk-scale reference.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import (
     RANK_TOL,
@@ -34,6 +34,8 @@ from .linalg import (
     Spectrum,
     Subspace,
     canonical_sign,
+    cluster_indices,
+    clustered_spectrum,
     default_cluster_tol,
     eig,
     kernel,
@@ -161,16 +163,14 @@ def network_invariant_modes(
     spec = eig(restricted)
     modes: list[NetworkInvariantMode] = []
     for pair in spec.eigenpairs:
-        for c in range(pair.vectors.shape[1]):
-            v = Q @ pair.vectors[:, c]
+        for v in (Q @ pair.vectors).T:
             v = canonical_sign(v / np.linalg.norm(v))
             if np.iscomplexobj(v) and np.max(np.abs(v.imag)) < spec.cluster_tol:
                 v = v.real / np.linalg.norm(v.real)
-            value = pair.value
-            resid_a = np.linalg.norm(dyn.A @ v - value * v)
+            resid_a = np.linalg.norm(dyn.A @ v - pair.value * v)
             resid_b = np.linalg.norm(dyn.B @ v)
             if resid_a <= RESID_TOL * scale and resid_b <= RESID_TOL * scale:
-                modes.append(NetworkInvariantMode(value, v))
+                modes.append(NetworkInvariantMode(pair.value, v))
     modes.sort(key=lambda mi: (mi.value.real, mi.value.imag))
     return modes
 
@@ -181,6 +181,76 @@ def sync_manifold(N: int, n: int, tol: float = RANK_TOL) -> Subspace:
         raise ValueError("N and n must be >= 1")
     ones = np.ones((N, 1)) / np.sqrt(N)
     return Subspace(np.kron(ones, np.eye(n)), tol)
+
+
+@dataclass(frozen=True)
+class ModalDecomposition:
+    """Phi = I (x) A - L (x) B in modal coordinates: with L = V diag(alpha)
+    V^T, Phi is orthogonally similar to the block diagonal of the blocks
+    A - alpha_i*B, decomposed by one batched ``np.linalg.eig``.
+
+    ``clusters`` holds, per cluster g of the union of the block spectra
+    with imaginary part >= 0 (a conjugate cluster's basis is the complex
+    conjugate), an orthonormal basis X_g of Phi's generalized eigenspace:
+    columns v_i (x) z, z the block's unit eigenvector when it owns one
+    member of g, else its ordered Schur vectors for its members, which is
+    exact for defective blocks.  The clustering width is 1e-6 * max(1,
+    ||Phi||_2): merging clusters is exact, splitting one is not, and the
+    copies of a defective eigenvalue differ by about sqrt(eps) * ||block||.
+    """
+
+    system: NetworkSystem
+    alphas: np.ndarray                    # eigenvalues of L, ascending
+    laplacian_vectors: np.ndarray         # V
+    alpha_groups: tuple[np.ndarray, ...]  # indices of each distinct alpha
+    blocks: np.ndarray                    # (N, n, n): A - alphas[i]*B
+    block_eig: tuple[np.ndarray, np.ndarray]  # np.linalg.eig(blocks)
+    cluster_tol: float                    # 1e-6 * max(1, ||Phi||_2)
+    clusters: tuple[np.ndarray, ...]      # the X_g
+    modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
+
+    def block_spectrum(self, i: int) -> Spectrum:
+        """Spectrum of block i, clustered at ``cluster_tol`` so that a
+        defective eigenvalue stays one cluster."""
+        w, W = self.block_eig
+        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
+
+
+def modal_decomposition(sys: NetworkSystem,
+                        tol: float = RANK_TOL) -> ModalDecomposition:
+    """The one modal decomposition of an assembled network (symmetric
+    Laplacian required); its invariant modes are found at ``tol``."""
+    L, dyn, n = sys.laplacian, sys.dynamics, sys.node_dim
+    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, np.abs(L).max(initial=0.0))):
+        raise ValueError("modal analysis requires a symmetric Laplacian")
+    alphas, V = np.linalg.eigh(L)
+    N = len(alphas)
+    blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
+    w, W = np.linalg.eig(blocks)
+    flat = w.reshape(-1)
+    ctol = 1e-6 * max(1.0, float(np.linalg.norm(sys.phi, 2)))
+    # column i*n + j: v_i (x) w_ij, the Kronecker eigenvectors of Phi
+    kron = np.einsum("pi,iqj->pqij", V, W).reshape(N * n, N * n)
+    clusters = []
+    for idx in map(np.asarray, cluster_indices(flat, ctol)):
+        if np.mean(flat[idx].imag) < -ctol / 4:
+            continue  # the conjugate of a kept cluster
+        owner = idx // n
+        single = np.bincount(owner, minlength=N)[owner] == 1
+        cols = [kron[:, idx[single]]]
+        for i in np.unique(owner[~single]):
+            member = np.isin(np.arange(n), idx[owner == i] % n)
+            _, Z, sdim = scipy.linalg.schur(
+                blocks[i], output="complex",
+                sort=lambda x: bool(member[np.argmin(np.abs(w[i] - x))]))
+            if sdim != member.sum():
+                raise RuntimeError(f"ordered Schur form kept {sdim} of {member.sum()}")
+            cols.append((V[:, i, None, None] * Z[:, :sdim]).reshape(N * n, -1))
+        clusters.append(np.hstack(cols))
+    groups = tuple(map(np.asarray, cluster_indices(alphas, default_cluster_tol(L))))
+    modes = tuple(network_invariant_modes(dyn, tol))
+    return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol,
+                              tuple(clusters), modes)
 
 
 @dataclass(frozen=True)
@@ -242,56 +312,26 @@ def cross_collisions(
 
 
 def modal_eigenstructure(dyn: NodeDynamics, L) -> ModalEigenstructure:
-    """Eigen-decompose each modal matrix A - alpha_i*B over the distinct
-    Laplacian eigenvalues, verify that every Kronecker product v_i (x) w_ij
-    is an eigenvector of the assembled network, and list the eigenvalue
-    collisions between blocks of different alpha."""
-    L = np.asarray(L, dtype=float)
-    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, np.abs(L).max(initial=0.0))):
-        raise ValueError("modal analysis requires a symmetric Laplacian")
-    sys = assemble_transition(dyn, L)
-    phi_scale = max(1.0, float(np.linalg.norm(sys.phi, 2)))
-    ctol = default_cluster_tol(L)
-
-    alphas, V = np.linalg.eigh(L)
-    lap_spec = eig(L, ctol)
-
-    blocks: list[ModalBlock] = []
-    kron_cols: list[np.ndarray] = []
-    for pair in lap_spec.eigenpairs:
-        alpha = float(pair.value.real)
-        sel = np.abs(alphas - alpha) <= ctol
-        lap_vecs = V[:, sel]
-        modal = eig(modal_matrix(dyn, alpha), ctol)
-        for c in range(lap_vecs.shape[1]):
-            v = lap_vecs[:, c]
-            for mp in modal.eigenpairs:
-                for k in range(mp.vectors.shape[1]):
-                    w = mp.vectors[:, k]
-                    x = np.kron(v, w)
-                    resid = np.linalg.norm(sys.phi @ x - mp.value * x)
-                    if resid > 1e-9 * phi_scale:
-                        raise RuntimeError(
-                            "Kronecker candidate failed the eigenvector check "
-                            f"(residual {resid:.3e} at alpha={alpha:g})"
-                        )
-                    kron_cols.append(x)
-        blocks.append(ModalBlock(alpha, lap_vecs, modal))
-
+    """The modal decomposition grouped by distinct Laplacian eigenvalue:
+    verify that every Kronecker product v_i (x) w_ij is an eigenvector of
+    the assembled network, and list the eigenvalue collisions between
+    blocks of different alpha."""
+    dec = modal_decomposition(assemble_transition(dyn, L))
+    phi = dec.system.phi
+    blocks = tuple(
+        ModalBlock(float(np.mean(dec.alphas[g])), dec.laplacian_vectors[:, g],
+                   dec.block_spectrum(g[0]))
+        for g in dec.alpha_groups
+    )
+    kron = [(np.kron(b.laplacian_vectors, p.vectors), p.value)
+            for b in blocks for p in b.modal.eigenpairs]
+    resid = max(np.linalg.norm(phi @ X - lam * X, axis=0).max() for X, lam in kron)
+    if resid > 1e-9 * max(1.0, np.linalg.norm(phi, 2)):
+        raise RuntimeError(f"Kronecker eigenvector check failed (residual {resid:.3e})")
+    s = np.linalg.svd(np.hstack([X for X, _ in kron]), compute_uv=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     collisions, min_gap = cross_collisions(
-        [b.alpha for b in blocks], [b.modal.values for b in blocks], ctol
+        [b.alpha for b in blocks], [b.modal.values for b in blocks],
+        default_cluster_tol(dec.system.laplacian),
     )
-
-    cols = np.column_stack(kron_cols) if kron_cols else np.zeros((sys.dim, 0))
-    if cols.shape[1]:
-        s = np.linalg.svd(cols, compute_uv=False)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-    else:
-        rank = 0
-    return ModalEigenstructure(
-        blocks=tuple(blocks),
-        cross_block_collisions=collisions,
-        min_cross_gap=min_gap,
-        kron_rank=rank,
-        complete=rank == sys.dim,
-    )
+    return ModalEigenstructure(blocks, collisions, min_gap, rank, rank == phi.shape[0])

@@ -1,10 +1,12 @@
-"""Indiscernible subspaces: both algorithms, decompositions, verdicts."""
+"""Indiscernible subspaces: the modal algorithm against the stacked reference,
+decompositions, verdicts."""
 
 import numpy as np
 import pytest
 
 from netdiscern import (
     AnalyzeOptions,
+    Graph,
     NodeDynamics,
     OracleConfig,
     Subspace,
@@ -15,9 +17,10 @@ from netdiscern import (
     assemble_transition,
     corrected_condition,
     indiscernible_subspace,
-    indiscernible_subspace_wong,
     laplacian,
     max_principal_angle,
+    modal_decomposition,
+    modal_eigenstructure,
     shared_modal_subspace,
     subspace_contains,
     subspaces_equal,
@@ -25,10 +28,20 @@ from netdiscern import (
     trajectory_gap,
 )
 
+from netdiscern.cli import canonical_json, report_to_dict
+from netdiscern.example import example_dynamics
+from netdiscern.network import unobservable_subspace
+
 from conftest import random_graph, random_instance
 
 P2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 DIAG_DYN = NodeDynamics(np.diag([1.0, 10.0]), np.eye(2))
+
+
+def stacked(s1, s2) -> Subspace:
+    """The desk-scale reference: the m^2 x m stack of the whole network,
+    no modal split."""
+    return unobservable_subspace(s1.phi - s2.phi, s1.phi)
 
 
 def _expected_demo_subspace() -> Subspace:
@@ -38,14 +51,14 @@ def _expected_demo_subspace() -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# the two subspace algorithms
+# the modal algorithm and the stacked reference
 # ---------------------------------------------------------------------------
 
 
 def test_identical_systems_are_fully_indiscernible(demo):
     V = indiscernible_subspace(demo.phi, demo.phi)
     assert V.dim == 12
-    W = indiscernible_subspace_wong(demo.phi, demo.phi)
+    W = stacked(demo.phi, demo.phi)
     assert W.dim == 12
 
 
@@ -55,9 +68,9 @@ def test_demo_subspace_is_six_dimensional(demo):
     assert subspaces_equal(V, _expected_demo_subspace(), angle_tol=1e-7)
 
 
-def test_wong_iteration_agrees_on_demo(demo):
+def test_stacked_reference_agrees_on_demo(demo):
     V = indiscernible_subspace(demo.phi, demo.phibar)
-    W = indiscernible_subspace_wong(demo.phi, demo.phibar)
+    W = stacked(demo.phi, demo.phibar)
     assert W.dim == V.dim == 6
     assert max_principal_angle(V, W) <= 1e-7
 
@@ -67,7 +80,7 @@ def test_invertible_difference_gives_zero_subspace():
     dyn = NodeDynamics(np.array([[0.5, 0.0], [0.0, -0.25]]), np.eye(2))
     s1 = assemble_transition(dyn, np.zeros((2, 2)))
     s2 = assemble_transition(dyn, np.eye(2))
-    assert indiscernible_subspace_wong(s1, s2).dim == 0
+    assert stacked(s1, s2).dim == 0
     assert indiscernible_subspace(s1, s2).dim == 0
 
 
@@ -92,7 +105,7 @@ def test_algorithms_agree_on_random_instances():
         s1 = assemble_transition(dyn, L)
         s2 = assemble_transition(dyn, Lbar)
         V = indiscernible_subspace(s1, s2)
-        W = indiscernible_subspace_wong(s1, s2)
+        W = stacked(s1, s2)
         assert V.dim == W.dim
         assert max_principal_angle(V, W) <= 1e-7
 
@@ -110,8 +123,8 @@ def test_subspace_is_symmetric_in_the_pair(demo):
         V21 = indiscernible_subspace(s2, s1)
         assert V12.dim == V21.dim
         assert max_principal_angle(V12, V21) <= 1e-7
-        W12 = indiscernible_subspace_wong(s1, s2)
-        W21 = indiscernible_subspace_wong(s2, s1)
+        W12 = stacked(s1, s2)
+        W21 = stacked(s2, s1)
         assert W12.dim == W21.dim
         assert max_principal_angle(W12, W21) <= 1e-7
 
@@ -150,7 +163,114 @@ def test_dimension_mismatch_raises(demo):
     with pytest.raises(ValueError):
         indiscernible_subspace(demo.phi, small)
     with pytest.raises(ValueError):
-        indiscernible_subspace_wong(demo.phi, small)
+        stacked(demo.phi, small)
+    with pytest.raises(ValueError):
+        unobservable_subspace(np.ones((2, small.dim)), demo.phi.phi)
+
+
+# ---------------------------------------------------------------------------
+# beyond desk scale: the ring with chords, first edge removed
+# ---------------------------------------------------------------------------
+
+
+def ring_with_chords(N: int) -> Graph:
+    """C_N plus a chord from every third node to the node N // 2 ahead."""
+    pairs = {tuple(sorted((i, (i + 1) % N))) for i in range(N)}
+    pairs |= {tuple(sorted((i, (i + N // 2) % N))) for i in range(0, N, 3)}
+    return Graph(N, tuple(sorted((i + 1, j + 1, 1.0) for i, j in pairs if i != j)))
+
+
+def certified(dyn, g, gbar):
+    """dim Q with the invariance residual ||Phi Q - Q (Q^T Phi Q)||_2 /
+    ||Phi||_2 and the containment residual ||Delta Q||_2 / ||Delta||_2."""
+    s1 = assemble_transition(dyn, laplacian(g))
+    s2 = assemble_transition(dyn, laplacian(gbar))
+    Q = indiscernible_subspace(s1, s2).basis
+    phi, delta = s1.phi, s1.phi - s2.phi
+    invariance = np.linalg.norm(phi @ Q - Q @ (Q.T @ phi @ Q), 2) / np.linalg.norm(phi, 2)
+    containment = np.linalg.norm(delta @ Q, 2) / np.linalg.norm(delta, 2)
+    return Q.shape[1], invariance, containment
+
+
+def without_first_edge(g: Graph) -> Graph:
+    return g.with_edge_removed(*g.edges[0][:2])
+
+
+# The dimensions are exact counts (rank of the Krylov rows of Delta under
+# Phi over a prime field); the whole-network stack gets N = 30 and 40 wrong.
+@pytest.mark.parametrize("N, dim", [(12, 24), (20, 34), (30, 60), (40, 62)])
+def test_ladder_paper_dynamics(N, dim):
+    g = ring_with_chords(N)
+    got, invariance, containment = certified(example_dynamics(), g, without_first_edge(g))
+    assert got == dim
+    assert invariance <= 1e-12 and containment <= 1e-12
+
+
+def test_ladder_random_dynamics():
+    rng = np.random.default_rng(0)
+    A = rng.uniform(-1.0, 1.0, (3, 3))
+    while True:
+        B = rng.uniform(-1.0, 1.0, (3, 3))
+        if np.linalg.cond(B) < 100.0:
+            break
+    g = ring_with_chords(20)
+    got, invariance, containment = certified(NodeDynamics(A, B), g, without_first_edge(g))
+    assert got == 21
+    assert invariance <= 1e-12 and containment <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# numerical traps of the per-cluster solve
+# ---------------------------------------------------------------------------
+
+TRIANGLE = Graph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+
+
+def test_defective_block():
+    # A - 3B = [[1, 1], [0, 1]] is a Jordan block, and alpha = 3 is double
+    dyn = NodeDynamics(np.array([[1.0, 1.0], [0.0, 4.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]))
+    gbar = TRIANGLE.with_edge_reweighted(2, 3, 2.0)
+    assert modal_eigenstructure(dyn, laplacian(TRIANGLE)).deficient_alphas
+    got, invariance, containment = certified(dyn, TRIANGLE, gbar)
+    assert got == 5
+    assert invariance <= 1e-12 and containment <= 1e-12
+    s1 = assemble_transition(dyn, laplacian(TRIANGLE))
+    assert stacked(s1, assemble_transition(dyn, laplacian(gbar))).dim == 5
+
+
+def test_defective_pair_beside_a_simple_eigenvalue():
+    # A - 3B has the Jordan pair at 1 and a simple 9: the cluster at 1
+    # takes two of the block's three ordered Schur vectors
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 9.0]])
+    dyn = NodeDynamics(A, np.diag([0.0, 1.0, 0.0]))
+    gbar = TRIANGLE.with_edge_reweighted(2, 3, 2.0)
+    got, invariance, containment = certified(dyn, TRIANGLE, gbar)
+    assert got == 8
+    assert invariance <= 1e-12 and containment <= 1e-12
+    s1 = assemble_transition(dyn, laplacian(TRIANGLE))
+    assert stacked(s1, assemble_transition(dyn, laplacian(gbar))).dim == 8
+
+
+def test_cluster_that_delta_misses():
+    # Delta X_g is pure roundoff on the ten-member cluster at eigenvalue 1;
+    # read against its own norm it would count as rank
+    g = ring_with_chords(10)
+    got, invariance, containment = certified(example_dynamics(), g, g.with_node_disconnected(1))
+    assert got == 12
+    assert invariance <= 1e-12 and containment <= 1e-12
+
+
+def test_shared_base_changes_no_report_byte(demo):
+    g = ring_with_chords(12)
+    L = laplacian(g)
+    base = modal_decomposition(assemble_transition(demo.dyn, L))
+    for gbar in (without_first_edge(g), g.with_node_disconnected(1)):
+        Lbar = laplacian(gbar)
+        alone = canonical_json(report_to_dict(analyze(demo.dyn, L, Lbar)))
+        shared = canonical_json(report_to_dict(analyze(demo.dyn, L, Lbar, base=base)))
+        assert shared == alone
+    with pytest.raises(ValueError):
+        analyze(demo.dyn, demo.L, demo.Lbar, base=base)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from netdiscern import (
     assemble_transition,
     eig,
     laplacian,
+    modal_decomposition,
     modal_eigenstructure,
     modal_matrix,
     network_invariant_modes,
@@ -271,6 +272,30 @@ def test_kronecker_eigenvector_identity():
             for j, lam in enumerate(w_vals):
                 x = np.kron(V[:, i], W[:, j])
                 assert np.linalg.norm(phi @ x - lam * x) <= 1e-9 * max(scale, 1.0)
+
+
+def test_modal_decomposition_bases_are_generalized_eigenspaces():
+    # random dynamics (complex pairs), the demo's shared eigenvalue 1, and
+    # a Jordan block: each X_g is orthonormal and Phi-invariant, and with
+    # the conjugates of the complex clusters they span the whole space
+    rng = np.random.default_rng(37)
+    cases = [
+        (NodeDynamics(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))),
+         laplacian(random_graph(rng, 5))),
+        (NodeDynamics(EXAMPLE_A, EXAMPLE_B), laplacian(random_graph(rng, 4))),
+        (NodeDynamics(np.array([[1.0, 1.0], [0.0, 4.0]]), np.diag([0.0, 1.0])),
+         3 * np.eye(3) - np.ones((3, 3))),
+    ]
+    for dyn, L in cases:
+        dec = modal_decomposition(assemble_transition(dyn, L))
+        phi = dec.system.phi
+        total = 0
+        for X in dec.clusters:
+            H = X.conj().T @ phi @ X
+            assert np.allclose(X.conj().T @ X, np.eye(X.shape[1]), atol=1e-12)
+            assert np.linalg.norm(phi @ X - X @ H, 2) <= 1e-12 * np.linalg.norm(phi, 2)
+            total += X.shape[1] * (2 if abs(np.trace(H).imag) > 1e-9 else 1)
+        assert total == phi.shape[0]
 
 
 def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
