@@ -227,7 +227,6 @@ def _parse_options(data: dict) -> dict:
     known = {
         "tol",
         "rank_tol",
-        "angle_tol",
         "validate",
         "seed",
         "sample_count",
@@ -276,7 +275,6 @@ def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOpti
         )
         return AnalyzeOptions(
             rank_tol=float(opts.get("rank_tol", 1e-10)),
-            angle_tol=float(opts.get("angle_tol", 1e-8)),
             eig_tol=eig_tol,
             validate=validate,
             oracle=oracle,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .graphs import validate_laplacian
 from .linalg import (
-    ANGLE_TOL,
     RANK_TOL,
     Subspace,
     distinct_values,
@@ -37,7 +36,6 @@ from .network import (
     assemble_transition,
     cross_collisions,
     modal_decomposition,
-    modal_matrix,
     sync_manifold,
     unobservable_subspace,
 )
@@ -149,7 +147,7 @@ def corrected_condition(
     alphas = distinct_values(
         np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol
     )
-    spectra = [np.linalg.eigvals(modal_matrix(dyn, a)) for a in alphas]
+    spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
     collisions, min_gap = cross_collisions(alphas, spectra, tol)
     return CorrectedConditionResult(
         holds=not collisions,
@@ -162,7 +160,6 @@ def corrected_condition(
 @dataclass(frozen=True)
 class AnalyzeOptions:
     rank_tol: float = RANK_TOL
-    angle_tol: float = ANGLE_TOL
     eig_tol: float = 1e-8
     validate: bool = False
     oracle: OracleConfig = field(default_factory=OracleConfig)

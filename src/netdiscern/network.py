@@ -296,19 +296,28 @@ def cross_collisions(
     of ``spectra[j]`` within ``tol`` is a collision, reported as
     (alphas[i], alphas[j], midpoint of the pair).  Also returns the
     smallest such cross distance (inf for fewer than two alphas)."""
-    collisions: list[tuple[float, float, complex]] = []
-    min_gap = np.inf
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            for lam in spectra[i]:
-                dists = np.abs(spectra[j] - lam)
-                k = int(np.argmin(dists))
-                min_gap = min(min_gap, float(dists[k]))
-                if dists[k] <= tol:
-                    collisions.append(
-                        (alphas[i], alphas[j], complex((lam + spectra[j][k]) / 2))
-                    )
-    return tuple(collisions), float(min_gap)
+    k = len(alphas)
+    if k < 2:
+        return (), float(np.inf)
+    # One (i, j, a, b) distance array: spectra of unequal lengths are padded
+    # with inf, so a padded target is never nearest and a padded source row
+    # is masked out below.
+    lengths = np.array([len(s) for s in spectra])
+    padded = np.full((k, lengths.max()), np.inf, dtype=complex)
+    for i, s in enumerate(spectra):
+        padded[i, : len(s)] = s
+    valid = np.arange(padded.shape[1]) < lengths[:, None]
+    sources = np.where(valid, padded, 0.0)
+    dists = np.abs(sources[:, None, :, None] - padded[None, :, None, :])
+    nearest = dists.argmin(axis=3)
+    gap = np.take_along_axis(dists, nearest[..., None], axis=3)[..., 0]
+    pairs = np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None] & valid[:, None, :]
+    collisions = tuple(
+        (alphas[i], alphas[j],
+         complex((spectra[i][a] + spectra[j][nearest[i, j, a]]) / 2))
+        for i, j, a in zip(*np.nonzero(pairs & (gap <= tol)))
+    )
+    return collisions, float(gap[pairs].min(initial=np.inf))
 
 
 def modal_eigenstructure(dyn: NodeDynamics, L) -> ModalEigenstructure:

@@ -5,6 +5,14 @@ responses of the two systems directly, on a time grid through the matrix
 exponential and over a range of matrix powers.  Both checks are normalized
 by the propagator magnitude so that growing modes (spectral radius well
 above 1) cannot mask or fake a divergence through floating-point roundoff.
+
+The continuous check walks the grid in ascending order and advances both
+propagators by the semigroup identity e^{Phi (t + d)} = e^{Phi d} e^{Phi t},
+so it computes one matrix exponential per system for each distinct step d;
+any grid works (unsorted, repeated, non-uniform).
+The power check divides both iterates by max(1, ||Phi||_2, ||Phibar||_2)
+at every step, so the normalized iterates stay bounded instead of
+overflowing before the division.
 """
 
 from __future__ import annotations
@@ -59,32 +67,53 @@ def _check_pair(phi: NetworkSystem, phibar: NetworkSystem) -> None:
 def _continuous_gap_table(
     phi: np.ndarray, phibar: np.ndarray, X: np.ndarray, time_grid
 ) -> np.ndarray:
-    """Per-(t, sample) normalized trajectory gaps for unit columns X."""
-    out = np.zeros((len(time_grid), X.shape[1]))
-    for row, t in enumerate(time_grid):
-        E = expm(phi, t)
-        Eb = expm(phibar, t)
-        scale = max(1.0, float(np.linalg.norm(E)), float(np.linalg.norm(Eb)))
-        out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / scale
+    """Per-(t, sample) normalized trajectory gaps for unit columns X, in
+    grid order: ||(E - Ebar) x|| / max(1, ||E||_F, ||Ebar||_F) with
+    E = e^{Phi t}, Ebar = e^{Phibar t}.
+
+    The propagators start at the identity (t = 0) and are advanced through
+    the grid in ascending order, one cached pair of step exponentials per
+    distinct step."""
+    grid = np.asarray(time_grid, dtype=float)
+    out = np.zeros((len(grid), X.shape[1]))
+    E = np.eye(phi.shape[0])
+    Eb = np.eye(phibar.shape[0])
+    steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    t_prev = 0.0
+    for row in np.argsort(grid, kind="stable"):
+        d = float(grid[row]) - t_prev
+        t_prev = float(grid[row])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d:
+                if d not in steps:
+                    steps[d] = (expm(phi, d), expm(phibar, d))
+                E = steps[d][0] @ E
+                Eb = steps[d][1] @ Eb
+            norms = (float(np.linalg.norm(E)), float(np.linalg.norm(Eb)))
+            if not np.all(np.isfinite(norms)):
+                raise OverflowError(
+                    f"propagated matrix exponential overflowed at t = {t_prev:g}"
+                )
+            out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / max(1.0, *norms)
     return out
 
 
 def _discrete_gaps(
     phi: np.ndarray, phibar: np.ndarray, X: np.ndarray, power_range: int
 ) -> np.ndarray:
-    """Per-sample max over k <= power_range of ||(Phi^k - Phibar^k) x||,
-    normalized by max(1, ||Phi||^k) with the larger of the two norms."""
-    nrm = max(
-        float(np.linalg.norm(phi, 2)), float(np.linalg.norm(phibar, 2))
+    """Per-sample max over k <= power_range of ||(Phi^k - Phibar^k) x||
+    / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2); both iterates are
+    divided by nu at every step, so they cannot overflow."""
+    nu = max(
+        1.0, float(np.linalg.norm(phi, 2)), float(np.linalg.norm(phibar, 2))
     )
     gaps = np.zeros(X.shape[1])
     P = X.astype(float, copy=True)
     Pb = X.astype(float, copy=True)
-    for k in range(1, power_range + 1):
-        P = phi @ P
-        Pb = phibar @ Pb
-        denom = max(1.0, nrm**k)
-        gaps = np.maximum(gaps, np.linalg.norm(P - Pb, axis=0) / denom)
+    for _ in range(power_range):
+        P = phi @ P / nu
+        Pb = phibar @ Pb / nu
+        gaps = np.maximum(gaps, np.linalg.norm(P - Pb, axis=0))
     return gaps
 
 

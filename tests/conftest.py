@@ -100,6 +100,17 @@ def random_instance(rng: np.random.Generator):
     return NodeDynamics(A, B), laplacian(g), laplacian(gbar)
 
 
+def ring_with_chords(N: int) -> Graph:
+    """C_N plus a chord from every third node to the node N // 2 ahead."""
+    pairs = {tuple(sorted((i, (i + 1) % N))) for i in range(N)}
+    pairs |= {tuple(sorted((i, (i + N // 2) % N))) for i in range(0, N, 3)}
+    return Graph(N, tuple(sorted((i + 1, j + 1, 1.0) for i, j in pairs if i != j)))
+
+
+def without_first_edge(g: Graph) -> Graph:
+    return g.with_edge_removed(*g.edges[0][:2])
+
+
 def component_count(g: Graph) -> int:
     """Union-find count of connected components (independent of any
     spectral machinery)."""

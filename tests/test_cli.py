@@ -92,10 +92,11 @@ def test_node_count_mismatch_message(tmp_path, capsys):
 
 
 def test_unknown_option_message(tmp_path, capsys):
-    config = two_node_config()
-    config["options"]["mystery"] = 1
-    assert main(["analyze", write_config(tmp_path, config)]) == 1
-    assert "unknown options" in capsys.readouterr().err
+    for key in ("mystery", "angle_tol"):  # angle_tol is no longer an option
+        config = two_node_config()
+        config["options"][key] = 1
+        assert main(["analyze", write_config(tmp_path, config)]) == 1
+        assert f"unknown options ['{key}']" in capsys.readouterr().err
 
 
 def test_analyze_rejects_enumerate_config(tmp_path, capsys):

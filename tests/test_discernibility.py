@@ -32,7 +32,12 @@ from netdiscern.cli import canonical_json, report_to_dict
 from netdiscern.example import example_dynamics
 from netdiscern.network import unobservable_subspace
 
-from conftest import random_graph, random_instance
+from conftest import (
+    random_graph,
+    random_instance,
+    ring_with_chords,
+    without_first_edge,
+)
 
 P2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 DIAG_DYN = NodeDynamics(np.diag([1.0, 10.0]), np.eye(2))
@@ -173,13 +178,6 @@ def test_dimension_mismatch_raises(demo):
 # ---------------------------------------------------------------------------
 
 
-def ring_with_chords(N: int) -> Graph:
-    """C_N plus a chord from every third node to the node N // 2 ahead."""
-    pairs = {tuple(sorted((i, (i + 1) % N))) for i in range(N)}
-    pairs |= {tuple(sorted((i, (i + N // 2) % N))) for i in range(0, N, 3)}
-    return Graph(N, tuple(sorted((i + 1, j + 1, 1.0) for i, j in pairs if i != j)))
-
-
 def certified(dyn, g, gbar):
     """dim Q with the invariance residual ||Phi Q - Q (Q^T Phi Q)||_2 /
     ||Phi||_2 and the containment residual ||Delta Q||_2 / ||Delta||_2."""
@@ -190,10 +188,6 @@ def certified(dyn, g, gbar):
     invariance = np.linalg.norm(phi @ Q - Q @ (Q.T @ phi @ Q), 2) / np.linalg.norm(phi, 2)
     containment = np.linalg.norm(delta @ Q, 2) / np.linalg.norm(delta, 2)
     return Q.shape[1], invariance, containment
-
-
-def without_first_edge(g: Graph) -> Graph:
-    return g.with_edge_removed(*g.edges[0][:2])
 
 
 # The dimensions are exact counts (rank of the Krylov rows of Delta under

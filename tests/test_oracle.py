@@ -1,5 +1,7 @@
 """Trajectory oracle: gap measurement and subspace validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,17 @@ from netdiscern import (
     OracleConfig,
     assemble_transition,
     indiscernible_subspace,
+    laplacian,
     trajectory_gap,
     validate_subspace,
     sync_manifold,
 )
-from netdiscern.linalg import Subspace
+from netdiscern import oracle
+from netdiscern.cli import _time_grid_from
+from netdiscern.example import example_dynamics
+from netdiscern.linalg import Subspace, expm
 
-from conftest import random_instance
+from conftest import random_instance, ring_with_chords, without_first_edge
 
 P2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -35,6 +41,9 @@ def test_config_validation():
         OracleConfig(sample_count=0)
     with pytest.raises(ValueError):
         OracleConfig(power_range=0)
+
+
+UNSORTED_GRID = (2.5, 0.0, 1.0, 2.5, 0.3, 4.0)
 
 
 def test_default_grid_runs_zero_to_five():
@@ -95,6 +104,62 @@ def test_gap_bounded_despite_fast_modes():
     assert trajectory_gap(s1, s2, fast_sync) <= 1e-9
 
 
+def dense_gap_table(phi, phibar, X, grid):
+    """Reference for the propagated table: both exponentials computed anew
+    at every grid time."""
+    out = np.zeros((len(grid), X.shape[1]))
+    for row, t in enumerate(grid):
+        E, Eb = expm(phi, t), expm(phibar, t)
+        scale = max(1.0, np.linalg.norm(E), np.linalg.norm(Eb))
+        out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / scale
+    return out
+
+
+@pytest.mark.parametrize("case", ["demo", "random"])
+@pytest.mark.parametrize("grid", [
+    OracleConfig().time_grid,
+    _time_grid_from({"time_grid": {"t_max": 3.0, "step": 0.25}}),
+    UNSORTED_GRID,
+])
+def test_propagated_table_matches_dense_exponentials(demo, case, grid):
+    if case == "demo":
+        s1, s2 = demo.phi, demo.phibar
+    else:
+        dyn, L, Lbar = random_instance(np.random.default_rng(7))
+        s1, s2 = assemble_transition(dyn, L), assemble_transition(dyn, Lbar)
+    X = np.random.default_rng(3).standard_normal((s1.phi.shape[0], 8))
+    X /= np.linalg.norm(X, axis=0)
+    got = oracle._continuous_gap_table(s1.phi, s2.phi, X, grid)
+    want = dense_gap_table(s1.phi, s2.phi, X, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_one_expm_per_distinct_step(demo, monkeypatch):
+    calls = []
+
+    def counting(M, t=1.0):
+        calls.append(t)
+        return expm(M, t)
+
+    monkeypatch.setattr(oracle, "expm", counting)
+    grid = sorted(OracleConfig().time_grid)
+    steps = {b - a for a, b in zip([0.0] + grid, grid)} - {0.0}
+    V = indiscernible_subspace(demo.phi, demo.phibar)
+    validate_subspace(demo.phi, demo.phibar, V, OracleConfig(seed=14))
+    assert len(calls) == 2 * len(steps)
+
+
+def test_overflowing_fast_mode_raises_without_warning():
+    # e^{200 t} passes the float range near t = 3.5 on the default grid
+    dyn = NodeDynamics(np.diag([1.0, 200.0]), np.eye(2))
+    s1 = assemble_transition(dyn, P2)
+    s2 = assemble_transition(dyn, 0.5 * P2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            trajectory_gap(s1, s2, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # subspace validation
 # ---------------------------------------------------------------------------
@@ -146,6 +211,14 @@ def test_continuous_trace_shape(demo):
     assert [x[0] for x in summary.continuous_trace] == list(cfg.time_grid)
 
 
+def test_continuous_trace_keeps_unsorted_grid_order(demo):
+    V = indiscernible_subspace(demo.phi, demo.phibar)
+    cfg = OracleConfig(time_grid=UNSORTED_GRID, seed=12)
+    summary = validate_subspace(demo.phi, demo.phibar, V, cfg)
+    assert [x[0] for x in summary.continuous_trace] == list(UNSORTED_GRID)
+    assert dict(summary.continuous_trace)[0.0] == 0.0
+
+
 def test_validation_agrees_with_subspace_algorithms():
     rng = np.random.default_rng(500)
     cfg = OracleConfig(sample_count=25, seed=13)
@@ -161,6 +234,22 @@ def test_validation_agrees_with_subspace_algorithms():
             f"worst in {summary.inside_worst_gap:.3e}, "
             f"worst out {summary.outside_worst_gap}"
         )
+
+
+def test_validate_ladder_without_power_overflow():
+    # paper dynamics on the 40-node ring with chords minus its first edge:
+    # ||Phi||_2^k overflows within the default power range of 240
+    dyn = example_dynamics()
+    g = ring_with_chords(40)
+    s1 = assemble_transition(dyn, laplacian(g))
+    s2 = assemble_transition(dyn, laplacian(without_first_edge(g)))
+    V = indiscernible_subspace(s1, s2)
+    assert V.dim == 62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = validate_subspace(s1, s2, V)
+    assert summary.inside_pass == summary.inside_total == 100
+    assert summary.outside_pass == summary.outside_total == 100
 
 
 def test_validate_dimension_mismatch(demo):
