@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig
+from .linalg import Spectrum, eig, is_symmetric
 
 VARIATION_KINDS = ("remove_edge", "add_edge", "reweight_edge", "disconnect_node")
 
@@ -120,7 +120,7 @@ def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(L)):
         raise ValueError("Laplacian entries must be finite")
     scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
-    if not np.allclose(L, L.T, atol=tol * scale, rtol=0):
+    if not is_symmetric(L, tol):
         raise ValueError("Laplacian is not symmetric")
     rowsum = np.abs(L @ np.ones(L.shape[0]))
     if rowsum.size and rowsum.max() > tol * scale:

@@ -28,6 +28,13 @@ def default_cluster_tol(M: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(M, 2)))
 
 
+def is_symmetric(M: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when no entry of M - M^T exceeds ``tol * max(1, max |M_ij|)``
+    in magnitude (a purely absolute test; a non-finite entry fails)."""
+    scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
+    return bool(np.abs(M - M.T).max(initial=0.0) <= tol * scale)
+
+
 def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2:
@@ -188,8 +195,10 @@ class Subspace:
         if b.shape[1] > b.shape[0]:
             raise ValueError("more basis columns than ambient dimensions")
         if b.shape[1]:
-            gram = b.conj().T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-8):
+            # np.allclose(gram, I, atol=1e-8) for finite entries, without
+            # its per-call overhead
+            eye = np.eye(b.shape[1])
+            if not (np.abs(b.conj().T @ b - eye) <= 1e-8 + 1e-5 * eye).all():
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 

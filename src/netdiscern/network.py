@@ -23,7 +23,7 @@ A = Phi), the tests' desk-scale reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +38,7 @@ from .linalg import (
     clustered_spectrum,
     default_cluster_tol,
     eig,
+    is_symmetric,
     kernel,
 )
 
@@ -197,6 +198,9 @@ class ModalDecomposition:
     exact for defective blocks.  The clustering width is 1e-6 * max(1,
     ||Phi||_2): merging clusters is exact, splitting one is not, and the
     copies of a defective eigenvalue differ by about sqrt(eps) * ||block||.
+
+    ``block_spectrum(i)`` is computed on first use and kept, so every
+    ``enumerate`` row reads the same clustered base spectra.
     """
 
     system: NetworkSystem
@@ -208,12 +212,17 @@ class ModalDecomposition:
     cluster_tol: float                    # 1e-6 * max(1, ||Phi||_2)
     clusters: tuple[np.ndarray, ...]      # the X_g
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
+    _spectra: dict[int, Spectrum] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def block_spectrum(self, i: int) -> Spectrum:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a
         defective eigenvalue stays one cluster."""
-        w, W = self.block_eig
-        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
+        if i not in self._spectra:
+            w, W = self.block_eig
+            self._spectra[i] = clustered_spectrum(
+                self.blocks[i], w[i], W[i], self.cluster_tol)
+        return self._spectra[i]
 
 
 def modal_decomposition(sys: NetworkSystem,
@@ -221,7 +230,7 @@ def modal_decomposition(sys: NetworkSystem,
     """The one modal decomposition of an assembled network (symmetric
     Laplacian required); its invariant modes are found at ``tol``."""
     L, dyn, n = sys.laplacian, sys.dynamics, sys.node_dim
-    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, np.abs(L).max(initial=0.0))):
+    if not is_symmetric(L):
         raise ValueError("modal analysis requires a symmetric Laplacian")
     alphas, V = np.linalg.eigh(L)
     N = len(alphas)

@@ -2,12 +2,22 @@
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
-from netdiscern.cli import ConfigError, canonical_json, load_config, main
-from netdiscern.example import example_config
+from netdiscern import (
+    assemble_transition,
+    laplacian,
+    modal_decomposition,
+    modal_eigenstructure,
+    network,
+)
+from netdiscern.cli import ConfigError, canonical_json, load_config, main, run_enumerate
+from netdiscern.example import example_config, example_dynamics
+
+from conftest import ring_with_chords
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -260,6 +270,51 @@ def test_enumerate_parallel_matches_serial(tmp_path):
     assert main(["enumerate", path, "--out", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "variations.json").read_text() == (out2 / "variations.json").read_text()
     assert (out1 / "variations.csv").read_text() == (out2 / "variations.csv").read_text()
+
+
+def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
+    # 66 rows of the 12-node ring with chords: every row reads the base
+    # block spectra of one shared decomposition, clustered on first use
+    graph = ring_with_chords(12)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    dec = modal_decomposition(assemble_transition(example_dynamics(), laplacian(graph)))
+
+    calls = []
+    original = network.clustered_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(network, "clustered_spectrum", counting)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert run_enumerate(config, str(serial)) == 0
+    rows = json.loads((serial / "variations.json").read_text())["rows"]
+    assert len(rows) == 66
+    assert 0 < len(calls) <= len(dec.alpha_groups)
+
+    monkeypatch.undo()
+    assert dec.block_spectrum(3) is dec.block_spectrum(3)
+
+    def assert_same(s1, s2):
+        for p1, p2 in zip(s1.eigenpairs, s2.eigenpairs, strict=True):
+            assert p1.value == p2.value
+            assert np.array_equal(p1.vectors, p2.vectors)
+
+    assert_same(pickle.loads(pickle.dumps(dec)).block_spectrum(3), dec.block_spectrum(3))
+    # the kept spectra are the ones clustered from the decomposition directly
+    w, W = dec.block_eig
+    ms = modal_eigenstructure(example_dynamics(), laplacian(graph))
+    assert len(ms.blocks) == len(dec.alpha_groups)
+    for block, group in zip(ms.blocks, dec.alpha_groups):
+        i = int(group[0])
+        assert_same(block.modal, original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
+
+    assert run_enumerate(config, str(parallel), jobs=2) == 0
+    for name in ("variations.json", "variations.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 def test_enumerate_requires_enumerate_variation(tmp_path, capsys):

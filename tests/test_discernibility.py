@@ -331,6 +331,20 @@ def test_shared_modal_contained_in_indiscernible_on_randoms():
         assert subspace_contains(V, shared, angle_tol=1e-6)
 
 
+def test_modal_checks_reject_a_nearly_symmetric_laplacian():
+    # one entry off by 5e-6 is inside np.allclose's default rtol (1e-5) but
+    # far outside the absolute 1e-12 * max|L| test every symmetry check uses
+    dyn = NodeDynamics(np.array([[1.0]]), np.array([[1.0]]))
+    skewed = np.array([[1.0, -1.0], [-1.0 + 5e-6, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        modal_decomposition(assemble_transition(dyn, skewed))
+    for L, Lbar in ((skewed, P2), (P2, skewed)):
+        with pytest.raises(ValueError, match="symmetric"):
+            shared_modal_subspace(dyn, L, Lbar)
+    modal_decomposition(assemble_transition(dyn, P2))
+    assert shared_modal_subspace(dyn, P2, P2).dim == 2
+
+
 # ---------------------------------------------------------------------------
 # corrected condition
 # ---------------------------------------------------------------------------

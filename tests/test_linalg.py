@@ -279,6 +279,30 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def _with_inner_product(c: complex) -> np.ndarray:
+    """Columns e1 and c*e1 + e2: unit norm up to |c|^2, inner product c."""
+    return np.array([[1.0, c], [0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("basis, ok", [
+    # a diagonal gram entry passes within 1e-8 + 1e-5 of one
+    (np.sqrt(1 + 5e-6) * np.eye(3, 1), True),
+    (np.sqrt(1 + 2e-5) * np.eye(3, 1), False),
+    # an off-diagonal one within 1e-8 of zero
+    (_with_inner_product(5e-9), True),
+    (_with_inner_product(2e-8), False),
+    # complex entries are measured by modulus: 8e-9 in each part is 1.13e-8
+    (_with_inner_product(5e-9j), True),
+    (_with_inner_product(8e-9 + 8e-9j), False),
+])
+def test_subspace_orthonormality_threshold(basis, ok):
+    if ok:
+        assert Subspace(basis).dim == basis.shape[1]
+    else:
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(basis)
+
+
 def test_principal_angles():
     e = np.eye(3)
     U = _span(e[:, 0], e[:, 1])
