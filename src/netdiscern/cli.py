@@ -17,7 +17,9 @@ Config schema (JSON)
   "options":       {"tol": 1e-8, "validate": true, "seed": 0, ...}
 }
 
-Exit codes: 0 success, 1 input error, 2 oracle validation failure.
+Exit codes: 0 success, 1 input error (including an oracle time grid so long
+that a matrix exponential overflows; no output is written), 2 oracle
+validation failure.
 """
 
 from __future__ import annotations
@@ -68,52 +70,52 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits.
-    Re-reading and re-serializing a canonical document is byte-identical."""
-    out = io.StringIO()
-    _emit(obj, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    """Deterministic JSON: sorted keys, two-space indent, floats at 17
+    significant digits. Re-reading and re-serializing a canonical document
+    is byte-identical.
+
+    A list whose items are all exactly ``float`` (a subspace basis, a
+    complex pair) is formatted in one joined pass; every other value is
+    emitted item by item. Both follow one float rule: ``-0.0`` is written
+    as ``0``, and NaN or infinity raises ValueError."""
+    return _dumps(obj, 0) + "\n"
 
 
-def _emit(obj, out: io.StringIO, level: int) -> None:
-    pad = "  " * level
-    inner = "  " * (level + 1)
+def _dumps(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        keys = sorted(obj)
-        for idx, key in enumerate(keys):
+            return "{}"
+        inner = "  " * (level + 1)
+        items = []
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise ValueError("JSON object keys must be strings")
-            out.write(f"{inner}{json.dumps(key)}: ")
-            _emit(obj[key], out, level + 1)
-            out.write(",\n" if idx < len(keys) - 1 else "\n")
-        out.write(f"{pad}}}")
-    elif isinstance(obj, (list, tuple)):
+            items.append(f"{inner}{json.dumps(key)}: {_dumps(obj[key], level + 1)}")
+        return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for idx, item in enumerate(obj):
-            out.write(inner)
-            _emit(item, out, level + 1)
-            out.write(",\n" if idx < len(obj) - 1 else "\n")
-        out.write(f"{pad}]")
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(_fmt_float(obj))
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+            return "[]"
+        inner = "  " * (level + 1)
+        if all(type(x) is float for x in obj):
+            # x + 0.0 turns -0.0 into 0.0; a finite float's .17g form has no
+            # "n", while NaN and infinity format as "nan" and "inf"
+            body = f",\n{inner}".join([format(x + 0.0, ".17g") for x in obj])
+            if "n" in body:
+                raise ValueError("non-finite float cannot be serialized")
+        else:
+            body = f",\n{inner}".join([_dumps(x, level + 1) for x in obj])
+        return f"[\n{inner}{body}\n" + "  " * level + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -174,7 +176,7 @@ def _parse_dynamics(data: dict) -> NodeDynamics:
         B = _parse_matrix(nd["B"], n, "B")
     except KeyError as exc:
         raise ConfigError(f"invalid config: missing node_dynamics key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: bad node_dynamics ({exc})") from exc
@@ -193,7 +195,7 @@ def _parse_graph(data, context: str) -> Graph:
             (int(e["i"]), int(e["j"]), float(e.get("w", 1.0)))
             for e in data.get("edges", [])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: bad {context} ({exc})") from exc
     try:
         return Graph(nodes, tuple(edges))
@@ -214,7 +216,7 @@ def _parse_link(data: dict) -> LinkVariation:
         target = (int(data["i"]), int(data["j"]))
         w = data.get("w")
         return LinkVariation(kind, target, None if w is None else float(w))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: bad link variation ({exc})") from exc
@@ -248,7 +250,7 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
         try:
             t_max = float(grid["t_max"])
             step = float(grid["step"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
         if step <= 0 or t_max < 0:
             raise ConfigError("invalid config: time_grid needs step > 0, t_max >= 0")
@@ -256,15 +258,15 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
         return tuple(float(k * step) for k in range(count))
     try:
         return tuple(float(t) for t in grid)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
 
 
 def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOptions:
-    eig_tol = float(opts.get("tol", 1e-8)) if cli_tol is None else float(cli_tol)
-    seed = int(opts.get("seed", 0)) if cli_seed is None else int(cli_seed)
     validate = bool(opts.get("validate", False)) or cli_validate
     try:
+        eig_tol = float(opts.get("tol", 1e-8)) if cli_tol is None else float(cli_tol)
+        seed = int(opts.get("seed", 0)) if cli_seed is None else int(cli_seed)
         power_range = opts.get("power_range")
         oracle = OracleConfig(
             time_grid=_time_grid_from(opts),
@@ -279,7 +281,7 @@ def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOpti
             validate=validate,
             oracle=oracle,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -304,7 +306,7 @@ def _subspace_dict(S: Subspace) -> dict:
     return {
         "ambient_dim": int(S.ambient_dim),
         "dim": int(S.dim),
-        "basis": [float(x) for x in basis.reshape(-1)],  # row-major ambient x dim
+        "basis": basis.reshape(-1).tolist(),  # row-major ambient x dim
     }
 
 
@@ -538,6 +540,7 @@ def run_paper_example(out_dir: str, cli_tol=None, cli_seed=None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netdiscern",
@@ -589,6 +592,11 @@ def main(argv=None) -> int:
         return run_paper_example(args.out, args.tol, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # the oracle's trajectories e^{Phi t} outgrew float64 before any
+        # output was written
+        print(f"error: {exc}; shorten the time_grid option", file=sys.stderr)
         return 1
 
 

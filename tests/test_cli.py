@@ -14,7 +14,8 @@ from netdiscern import (
     modal_eigenstructure,
     network,
 )
-from netdiscern.cli import ConfigError, canonical_json, load_config, main, run_enumerate
+from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
+                            run_enumerate)
 from netdiscern.example import example_config, example_dynamics
 
 from conftest import ring_with_chords
@@ -67,6 +68,86 @@ def test_canonical_json_rejects_nonfinite():
         canonical_json({"x": float("inf")})
 
 
+def test_canonical_json_golden_layout():
+    doc = {
+        "b": {"empty": {}, "list": [], "nested": {"t": (1, "x")}},
+        "f": [0.1, -0.0, 2.5e-300],
+        "a": [True, False, None],
+        "i": -3,
+        "s": 'q"\u00e9',
+    }
+    assert canonical_json(doc) == (
+        "{\n"
+        '  "a": [\n'
+        "    true,\n"
+        "    false,\n"
+        "    null\n"
+        "  ],\n"
+        '  "b": {\n'
+        '    "empty": {},\n'
+        '    "list": [],\n'
+        '    "nested": {\n'
+        '      "t": [\n'
+        "        1,\n"
+        '        "x"\n'
+        "      ]\n"
+        "    }\n"
+        "  },\n"
+        '  "f": [\n'
+        "    0.10000000000000001,\n"
+        "    0,\n"
+        "    2.5e-300\n"
+        "  ],\n"
+        '  "i": -3,\n'
+        '  "s": "q\\"\\u00e9"\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"z": [], "a": {}, "m": [1, [2, [3, {}]], {"k": None}], "t": (True, "é\n")},
+        [{"b": {"c": {"d": [False, -7, "x"]}}}, [], {}],
+        "bare",
+        0,
+    ],
+)
+def test_canonical_json_matches_json_dumps_without_floats(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [1.0, float("nan")],
+        [float("inf")],
+        [-0.0, float("-inf")],
+        [1, float("nan")],  # mixed list: item by item
+    ],
+)
+def test_canonical_json_rejects_nonfinite_in_lists(items):
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_json({"x": items})
+
+
+@pytest.mark.parametrize(
+    "items, text",
+    [
+        ([1, 2.5, True, None], "[\n  1,\n  2.5,\n  true,\n  null\n]\n"),
+        ([2.5, False], "[\n  2.5,\n  false\n]\n"),
+    ],
+)
+def test_canonical_json_mixed_list_keeps_ints_and_bools(items, text):
+    assert canonical_json(items) == text
+
+
+def test_canonical_json_numpy_floats_match_python_floats():
+    values = [0.1, -0.0, 1e-7, 3.0, -2.5e300]
+    as_numpy = {"list": [np.float64(x) for x in values], "one": np.float64(0.1)}
+    assert canonical_json(as_numpy) == canonical_json({"list": values, "one": 0.1})
+
+
 # ---------------------------------------------------------------------------
 # input errors (exit code 1, distinct messages)
 # ---------------------------------------------------------------------------
@@ -116,12 +197,55 @@ def test_analyze_rejects_enumerate_config(tmp_path, capsys):
     assert "enumerate subcommand" in capsys.readouterr().err
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "where, literal, message",
+    [
+        (("base_graph", "nodes"), "1e400", "bad base_graph"),
+        (("node_dynamics", "A", 0), BIG_INT, "bad node_dynamics"),
+        (("variation", "link", "i"), "1e400", "bad link variation"),
+        (("options", "seed"), "1e400", "cannot convert float infinity"),
+        (("options", "tol"), '"abc"', "could not convert string"),
+        (("options", "rel_tol"), "[1]", "float() argument"),
+        (("options", "time_grid"), f"[0, {BIG_INT}]", "bad time_grid"),
+        (("options", "time_grid"), f'{{"t_max": {BIG_INT}, "step": 1}}', "bad time_grid"),
+    ],
+    ids=["nodes", "A", "link", "seed", "tol", "rel_tol", "grid_list", "grid_spec"],
+)
+def test_unconvertible_numbers_are_config_errors(tmp_path, capsys, where, literal,
+                                                 message):
+    config = two_node_config()
+    node = config
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "PLACEHOLDER"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"PLACEHOLDER"', literal))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and message in err
+    assert "shorten" not in err
+
+
 def test_no_partial_outputs_on_error(tmp_path):
     config = two_node_config()
     config["node_dynamics"]["B"] = [1.0]
     out = tmp_path / "out"
     assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_oracle_overflow_exits_one_without_output(tmp_path, capsys):
+    config = example_config(validate=True)
+    config["options"]["time_grid"] = [0.0, 500.0]
+    out = tmp_path / "out"
+    assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflowed" in err
+    assert "shorten the time_grid" in err
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +344,28 @@ def test_report_round_trip_is_byte_identical(tmp_path):
     assert main(["analyze", path, "--out", str(out)]) == 0
     text = (out / "report.json").read_text()
     assert canonical_json(json.loads(text)) == text
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    assert _build_parser() is _build_parser()
+    path = write_config(tmp_path, example_config(validate=False))
+    calls = {
+        "a": ["analyze", path, "--validate", "--tol", "1e-6"],
+        "b": ["analyze", path],
+        "c": ["paper-example"],
+    }
+    for name, argv in calls.items():  # each call first in a fresh parser
+        _build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / f"fresh-{name}")]) == 0
+    _build_parser.cache_clear()
+    for name, argv in calls.items():  # then all three through one parser
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    for name in calls:
+        assert (tmp_path / name / "report.json").read_bytes() == (
+            tmp_path / f"fresh-{name}" / "report.json"
+        ).read_bytes()
+    assert not (tmp_path / "b" / "gaps.csv").exists()
+    assert json.loads((tmp_path / "b" / "report.json").read_text())["oracle"] is None
 
 
 # ---------------------------------------------------------------------------
