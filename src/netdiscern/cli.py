@@ -252,8 +252,11 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
             step = float(grid["step"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
-        if step <= 0 or t_max < 0:
-            raise ConfigError("invalid config: time_grid needs step > 0, t_max >= 0")
+        if not (math.isfinite(step) and math.isfinite(t_max)
+                and step > 0 and t_max >= 0):
+            raise ConfigError(
+                "invalid config: time_grid needs finite step > 0, t_max >= 0"
+            )
         count = int(round(t_max / step)) + 1
         return tuple(float(k * step) for k in range(count))
     try:
@@ -262,23 +265,37 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
         raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
 
 
+def _int_option(opts: dict, key: str, default):
+    """An integer option: a JSON integer or an integral number, never a
+    boolean, a string or a fractional number."""
+    value = opts.get(key, default)
+    if type(value) is int or (value is None and default is None):
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"invalid config: {key} must be an integer, got {value!r}")
+
+
 def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOptions:
-    validate = bool(opts.get("validate", False)) or cli_validate
+    validate = opts.get("validate", False)
+    if type(validate) is not bool:
+        raise ConfigError(
+            f"invalid config: validate must be true or false, got {validate!r}"
+        )
     try:
         eig_tol = float(opts.get("tol", 1e-8)) if cli_tol is None else float(cli_tol)
-        seed = int(opts.get("seed", 0)) if cli_seed is None else int(cli_seed)
-        power_range = opts.get("power_range")
+        seed = _int_option(opts, "seed", 0) if cli_seed is None else int(cli_seed)
         oracle = OracleConfig(
             time_grid=_time_grid_from(opts),
-            power_range=None if power_range is None else int(power_range),
+            power_range=_int_option(opts, "power_range", None),
             rel_tol=float(opts.get("rel_tol", 1e-7)),
-            sample_count=int(opts.get("sample_count", 100)),
+            sample_count=_int_option(opts, "sample_count", 100),
             seed=seed,
         )
         return AnalyzeOptions(
             rank_tol=float(opts.get("rank_tol", 1e-10)),
             eig_tol=eig_tol,
-            validate=validate,
+            validate=validate or cli_validate,
             oracle=oracle,
         )
     except (TypeError, ValueError, OverflowError) as exc:

@@ -8,15 +8,23 @@ above 1) cannot mask or fake a divergence through floating-point roundoff.
 
 The continuous check walks the grid in ascending order and advances both
 propagators by the semigroup identity e^{Phi (t + d)} = e^{Phi d} e^{Phi t},
-so it computes one matrix exponential per system for each distinct step d;
-any grid works (unsorted, repeated, non-uniform).
-The power check divides both iterates by max(1, ||Phi||_2, ||Phibar||_2)
-at every step, so the normalized iterates stay bounded instead of
-overflowing before the division.
+so it computes one matrix exponential per system for each distinct step d
+(14 expm calls for the default grid); any grid works (unsorted, repeated,
+non-uniform).  The power check works on the powers of F = Phi / nu and
+Fbar = Phibar / nu with nu = max(1, ||Phi||_2, ||Phibar||_2), whose
+2-norms are at most 1, so they stay bounded instead of overflowing.
+
+Both checks are evaluated in blocks: the propagators of a run of grid
+times (or a run of consecutive powers) are stacked, and each block is
+checked for overflow and reduced to gaps by a few batched products and
+einsum reductions instead of per-time calls.  The block length follows
+from a byte budget (_BLOCK_BYTES) on the largest stacked array, so memory
+stays flat as the system grows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,10 @@ from .linalg import Subspace, expm
 from .network import NetworkSystem
 
 DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 51))
+
+# Upper bound on the bytes of the largest stacked array one block of the
+# checks holds; the block length follows from it and the problem size.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -46,8 +58,8 @@ class OracleConfig:
         grid = tuple(float(t) for t in self.time_grid)
         if not grid:
             raise ValueError("time_grid must be nonempty")
-        if any(t < 0 for t in grid):
-            raise ValueError("time_grid entries must be nonnegative")
+        if not all(math.isfinite(t) and t >= 0 for t in grid):
+            raise ValueError("time_grid entries must be finite and nonnegative")
         object.__setattr__(self, "time_grid", grid)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
@@ -55,6 +67,8 @@ class OracleConfig:
             raise ValueError("sample_count must be >= 1")
         if self.power_range is not None and self.power_range < 1:
             raise ValueError("power_range must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _check_pair(phi: NetworkSystem, phibar: NetworkSystem) -> None:
@@ -62,6 +76,23 @@ def _check_pair(phi: NetworkSystem, phibar: NetworkSystem) -> None:
         raise ValueError(
             f"dimension mismatch: {phi.phi.shape} vs {phibar.phi.shape}"
         )
+
+
+def _block_len(m: int, s: int) -> int:
+    """Grid times or powers per block: the largest stack a block holds,
+    (B, m, max(m, s)) in float64, stays within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * m * max(m, s)))
+
+
+def _frobenius(S: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of the stack S."""
+    return np.sqrt(np.einsum("kij,kij->k", S, S))
+
+
+def _column_norms(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Column norms of each D[k] @ X, shape (len(D), X.shape[1])."""
+    G = D @ X
+    return np.sqrt(np.einsum("kij,kij->kj", G, G))
 
 
 def _continuous_gap_table(
@@ -73,28 +104,50 @@ def _continuous_gap_table(
 
     The propagators start at the identity (t = 0) and are advanced through
     the grid in ascending order, one cached pair of step exponentials per
-    distinct step."""
+    distinct step, into a stack of one block of grid times; each block is
+    then checked and reduced in a few batched calls."""
     grid = np.asarray(time_grid, dtype=float)
-    out = np.zeros((len(grid), X.shape[1]))
-    E = np.eye(phi.shape[0])
-    Eb = np.eye(phibar.shape[0])
+    order = np.argsort(grid, kind="stable")
+    times = grid[order]
+    deltas = np.diff(times, prepend=0.0).tolist()
+    m = phi.shape[0]
+    out = np.empty((len(grid), X.shape[1]))
+    block = _block_len(m, X.shape[1])
+    E_prev, Eb_prev = np.eye(m), np.eye(m)
     steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    t_prev = 0.0
-    for row in np.argsort(grid, kind="stable"):
-        d = float(grid[row]) - t_prev
-        t_prev = float(grid[row])
-        with np.errstate(over="ignore", invalid="ignore"):
-            if d:
-                if d not in steps:
-                    steps[d] = (expm(phi, d), expm(phibar, d))
-                E = steps[d][0] @ E
-                Eb = steps[d][1] @ Eb
-            norms = (float(np.linalg.norm(E)), float(np.linalg.norm(Eb)))
-            if not np.all(np.isfinite(norms)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(grid), block):
+            stop = min(start + block, len(grid))
+            E = np.empty((stop - start, m, m))
+            Eb = np.empty((stop - start, m, m))
+            failed = None
+            for k, d in enumerate(deltas[start:stop]):
+                if d and d not in steps:
+                    try:
+                        steps[d] = (expm(phi, d), expm(phibar, d))
+                    except OverflowError as exc:
+                        # raised once the times before this one are checked
+                        failed, stop = exc, start + k
+                        E, Eb = E[:k], Eb[:k]
+                        break
+                if d:
+                    np.matmul(steps[d][0], E_prev, out=E[k])
+                    np.matmul(steps[d][1], Eb_prev, out=Eb[k])
+                else:
+                    E[k], Eb[k] = E_prev, Eb_prev
+                E_prev, Eb_prev = E[k], Eb[k]
+            scale = np.maximum(_frobenius(E), _frobenius(Eb))
+            finite = np.isfinite(scale)
+            if not finite.all():
                 raise OverflowError(
-                    f"propagated matrix exponential overflowed at t = {t_prev:g}"
+                    "propagated matrix exponential overflowed at "
+                    f"t = {times[start + np.argmin(finite)]:g}"
                 )
-            out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / max(1.0, *norms)
+            if failed is not None:
+                raise failed
+            out[order[start:stop]] = (
+                _column_norms(E - Eb, X) / np.maximum(1.0, scale)[:, None]
+            )
     return out
 
 
@@ -102,18 +155,31 @@ def _discrete_gaps(
     phi: np.ndarray, phibar: np.ndarray, X: np.ndarray, power_range: int
 ) -> np.ndarray:
     """Per-sample max over k <= power_range of ||(Phi^k - Phibar^k) x||
-    / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2); both iterates are
-    divided by nu at every step, so they cannot overflow."""
+    / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2).  The powers of
+    F = Phi / nu have 2-norm at most 1, so they cannot overflow.
+
+    One block of powers F^1 .. F^B is built by doubling (log2 B batched
+    products); each later block is the previous one times F^B."""
     nu = max(
         1.0, float(np.linalg.norm(phi, 2)), float(np.linalg.norm(phibar, 2))
     )
-    gaps = np.zeros(X.shape[1])
-    P = X.astype(float, copy=True)
-    Pb = X.astype(float, copy=True)
-    for _ in range(power_range):
-        P = phi @ P / nu
-        Pb = phibar @ Pb / nu
-        gaps = np.maximum(gaps, np.linalg.norm(P - Pb, axis=0))
+    m = phi.shape[0]
+    block = min(power_range, _block_len(m, X.shape[1]))
+    P = np.empty((block, m, m))
+    Pb = np.empty((block, m, m))
+    P[0], Pb[0] = phi / nu, phibar / nu
+    n = 1
+    while n < block:
+        h = min(n, block - n)
+        np.matmul(P[n - 1], P[:h], out=P[n:n + h])
+        np.matmul(Pb[n - 1], Pb[:h], out=Pb[n:n + h])
+        n += h
+    step, step_b = P[-1], Pb[-1]
+    gaps = _column_norms(P - Pb, X).max(axis=0)
+    for done in range(block, power_range, block):
+        h = min(block, power_range - done)
+        P, Pb = step @ P[:h], step_b @ Pb[:h]
+        gaps = np.maximum(gaps, _column_norms(P - Pb, X).max(axis=0))
     return gaps
 
 

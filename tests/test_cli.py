@@ -206,7 +206,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer no float can hold
         (("base_graph", "nodes"), "1e400", "bad base_graph"),
         (("node_dynamics", "A", 0), BIG_INT, "bad node_dynamics"),
         (("variation", "link", "i"), "1e400", "bad link variation"),
-        (("options", "seed"), "1e400", "cannot convert float infinity"),
+        (("options", "seed"), "1e400", "seed must be an integer"),
         (("options", "tol"), '"abc"', "could not convert string"),
         (("options", "rel_tol"), "[1]", "float() argument"),
         (("options", "time_grid"), f"[0, {BIG_INT}]", "bad time_grid"),
@@ -246,6 +246,46 @@ def test_oracle_overflow_exits_one_without_output(tmp_path, capsys):
     assert err.startswith("error: ") and "overflowed" in err
     assert "shorten the time_grid" in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option, literal, message",
+    [
+        ("validate", '"no"', "validate must be true or false"),
+        ("validate", "1", "validate must be true or false"),
+        ("seed", "true", "seed must be an integer"),
+        ("seed", "2.5", "seed must be an integer"),
+        ("seed", '"3"', "seed must be an integer"),
+        ("seed", "null", "seed must be an integer"),
+        ("seed", "-1", "seed must be >= 0"),
+        ("sample_count", "2.7", "sample_count must be an integer"),
+        ("sample_count", "false", "sample_count must be an integer"),
+        ("power_range", "true", "power_range must be an integer"),
+        ("power_range", "1.5", "power_range must be an integer"),
+        ("time_grid", "[0.0, NaN]", "finite"),
+        ("time_grid", "[0.0, Infinity]", "finite"),
+        ("time_grid", '{"t_max": NaN, "step": 0.1}', "finite"),
+        ("time_grid", '{"t_max": 1.0, "step": Infinity}', "finite"),
+    ],
+)
+def test_oracle_options_are_strict(tmp_path, capsys, option, literal, message):
+    config = example_config(validate=True)
+    config["options"][option] = "PLACEHOLDER"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"PLACEHOLDER"', literal))
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and message in err
+    assert not out.exists()
+
+
+def test_integral_option_values_are_accepted(tmp_path, capsys):
+    config = example_config(validate=True)
+    config["options"].update(seed=3.0, sample_count=4.0, power_range=None)
+    assert main(["analyze", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "oracle: inside 4/4, outside 4/4" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Trajectory oracle: gap measurement and subspace validation."""
 
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from netdiscern import (
 from netdiscern import oracle
 from netdiscern.cli import _time_grid_from
 from netdiscern.example import example_dynamics
+from netdiscern.graphs import Graph
 from netdiscern.linalg import Subspace, expm
 
 from conftest import random_instance, ring_with_chords, without_first_edge
@@ -41,6 +45,11 @@ def test_config_validation():
         OracleConfig(sample_count=0)
     with pytest.raises(ValueError):
         OracleConfig(power_range=0)
+    with pytest.raises(ValueError):
+        OracleConfig(seed=-1)
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            OracleConfig(time_grid=(0.0, t))
 
 
 UNSORTED_GRID = (2.5, 0.0, 1.0, 2.5, 0.3, 4.0)
@@ -113,6 +122,115 @@ def dense_gap_table(phi, phibar, X, grid):
         scale = max(1.0, np.linalg.norm(E), np.linalg.norm(Eb))
         out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / scale
     return out
+
+
+def sequential_gap_table(phi, phibar, X, grid):
+    """Reference for the blocked table: both propagators advanced one grid
+    time at a time in ascending order, each time checked and reduced on
+    its own."""
+    grid = np.asarray(grid, dtype=float)
+    out = np.zeros((len(grid), X.shape[1]))
+    E, Eb = np.eye(phi.shape[0]), np.eye(phibar.shape[0])
+    steps = {}
+    t_prev = 0.0
+    for row in np.argsort(grid, kind="stable"):
+        d = float(grid[row]) - t_prev
+        t_prev = float(grid[row])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d:
+                if d not in steps:
+                    steps[d] = (expm(phi, d), expm(phibar, d))
+                E, Eb = steps[d][0] @ E, steps[d][1] @ Eb
+            norms = (float(np.linalg.norm(E)), float(np.linalg.norm(Eb)))
+            if not np.all(np.isfinite(norms)):
+                raise OverflowError(
+                    f"propagated matrix exponential overflowed at t = {t_prev:g}"
+                )
+            out[row] = np.linalg.norm((E - Eb) @ X, axis=0) / max(1.0, *norms)
+    return out
+
+
+def sequential_discrete_gaps(phi, phibar, X, power_range):
+    """Reference for the blocked power check: one normalized iterate per
+    power."""
+    nu = max(1.0, np.linalg.norm(phi, 2), np.linalg.norm(phibar, 2))
+    gaps = np.zeros(X.shape[1])
+    P, Pb = X.copy(), X.copy()
+    for _ in range(power_range):
+        P, Pb = phi @ P / nu, phibar @ Pb / nu
+        gaps = np.maximum(gaps, np.linalg.norm(P - Pb, axis=0))
+    return gaps
+
+
+def pair_and_samples(demo, case, samples=200):
+    if case == "demo":
+        phi, phibar = demo.phi.phi, demo.phibar.phi
+    elif case == "random":
+        dyn, L, Lbar = random_instance(np.random.default_rng(7))
+        phi = assemble_transition(dyn, L).phi
+        phibar = assemble_transition(dyn, Lbar).phi
+    else:
+        # orthogonal Phi, Phibar = 0.9 Phi: the power gap 1 - 0.9^k grows
+        # with k, so the last power decides the max
+        phi = np.linalg.qr(np.random.default_rng(4).standard_normal((12, 12)))[0]
+        phibar = 0.9 * phi
+    X = np.random.default_rng(3).standard_normal((phi.shape[0], samples))
+    return phi, phibar, X / np.linalg.norm(X, axis=0)
+
+
+@pytest.mark.parametrize("case", ["demo", "random"])
+def test_blocked_table_matches_sequential_across_blocks(demo, case):
+    phi, phibar, X = pair_and_samples(demo, case)
+    block = oracle._block_len(phi.shape[0], X.shape[1])
+    # more than three blocks of an unsorted grid with repeated times
+    times = np.round(np.linspace(0.0, 4.0, 3 * block + 2), 6)
+    grid = np.random.default_rng(5).permutation(np.r_[times, times[1::4], 0.0])
+    assert len(grid) > 3 * block
+    got = oracle._continuous_gap_table(phi, phibar, X, tuple(grid))
+    want = sequential_gap_table(phi, phibar, X, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["demo", "random", "orthogonal"])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "B-1", "B", "B+1", "2B+3"])
+def test_blocked_powers_match_sequential_across_blocks(demo, case, blocks, extra):
+    phi, phibar, X = pair_and_samples(demo, case)
+    power_range = blocks * oracle._block_len(phi.shape[0], X.shape[1]) + extra
+    got = oracle._discrete_gaps(phi, phibar, X, power_range)
+    want = sequential_discrete_gaps(phi, phibar, X, power_range)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def fast_mode_pair(rate=200.0):
+    # e^{rate t} is the largest entry of both propagators
+    dyn = NodeDynamics(np.diag([1.0, rate]), np.eye(2))
+    return (assemble_transition(dyn, P2).phi,
+            assemble_transition(dyn, 0.5 * P2).phi)
+
+
+@pytest.mark.parametrize("grid, message", [
+    # the squared Frobenius scale passes the float range near t = 1.8,
+    # the 19th time in ascending order: the third block of eight
+    (tuple(np.random.default_rng(2).permutation(np.linspace(0.0, 5.0, 51))),
+     r"propagated matrix exponential overflowed at t = 1\.8$"),
+    # the first overflowing time comes before a step whose own expm
+    # overflows, in the same block
+    ((0.0, 1.0, 2.0, 2.1, 500.0), r"overflowed at t = 2$"),
+    # only the step exponential overflows
+    ((0.0, 0.1, 0.2, 500.0), r"overflowed for \|\|M t\|\|"),
+], ids=["later_block", "propagated_first", "step_expm"])
+def test_overflow_names_first_time_in_ascending_order(grid, message):
+    phi, phibar = fast_mode_pair()
+    X = np.eye(4)[:, [0] * 1024]  # 1024 samples: blocks of 8 times
+    assert oracle._block_len(4, X.shape[1]) == 8
+    with pytest.raises(OverflowError) as want:
+        sequential_gap_table(phi, phibar, X, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match=message) as got:
+            oracle._continuous_gap_table(phi, phibar, X, grid)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("case", ["demo", "random"])
@@ -236,13 +354,18 @@ def test_validation_agrees_with_subspace_algorithms():
         )
 
 
-def test_validate_ladder_without_power_overflow():
-    # paper dynamics on the 40-node ring with chords minus its first edge:
-    # ||Phi||_2^k overflows within the default power range of 240
+def ladder_pair():
+    """Paper dynamics on the 40-node ring with chords, and the same ring
+    minus its first edge."""
     dyn = example_dynamics()
     g = ring_with_chords(40)
-    s1 = assemble_transition(dyn, laplacian(g))
-    s2 = assemble_transition(dyn, laplacian(without_first_edge(g)))
+    return (assemble_transition(dyn, laplacian(g)),
+            assemble_transition(dyn, laplacian(without_first_edge(g))))
+
+
+def test_validate_ladder_without_power_overflow():
+    # ||Phi||_2^k overflows within the default power range of 240
+    s1, s2 = ladder_pair()
     V = indiscernible_subspace(s1, s2)
     assert V.dim == 62
     with warnings.catch_warnings():
@@ -255,3 +378,47 @@ def test_validate_ladder_without_power_overflow():
 def test_validate_dimension_mismatch(demo):
     with pytest.raises(ValueError):
         validate_subspace(demo.phi, demo.phibar, Subspace.full(5))
+
+
+def bench_inputs():
+    """The benchmark's seeded input generator, bench/inputs.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def validate_plan_checks(seeds):
+    """(Phi, Phibar, seed) of every oracle check of the benchmark's
+    validate workload: the paper example plus the 28 rows of the 8-node
+    ring, per seed."""
+    inputs = bench_inputs()
+    for seed in seeds:
+        for call in inputs.make_plan("validate", seed):
+            dyn = NodeDynamics(call.A, call.B)
+            base = assemble_transition(dyn, laplacian(Graph(call.N, call.edges)))
+            for _, edges in call.varied:
+                varied = laplacian(Graph(call.N, edges))
+                yield base, assemble_transition(dyn, varied), seed
+
+
+def test_blocked_oracle_keeps_every_verdict(monkeypatch):
+    checks = list(validate_plan_checks(range(3))) + [(*ladder_pair(), 0)]
+    assert len(checks) == 3 * 29 + 1
+    cases = [(s1, s2, indiscernible_subspace(s1, s2), OracleConfig(seed=seed))
+             for s1, s2, seed in checks]
+    blocked = [validate_subspace(*case) for case in cases]
+    monkeypatch.setattr(oracle, "_continuous_gap_table", sequential_gap_table)
+    monkeypatch.setattr(oracle, "_discrete_gaps", sequential_discrete_gaps)
+    for case, got in zip(cases, blocked):
+        want = validate_subspace(*case)
+        assert got.passed
+        assert (got.inside_total, got.inside_pass, got.outside_total,
+                got.outside_pass) == (want.inside_total, want.inside_pass,
+                                      want.outside_total, want.outside_pass)
+        assert abs(got.inside_worst_gap - want.inside_worst_gap) <= 1e-12
+        if want.outside_worst_gap is not None:
+            assert got.outside_worst_gap == pytest.approx(
+                want.outside_worst_gap, rel=1e-12, abs=0.0)
