@@ -36,14 +36,11 @@ from .linalg import (
     subspaces_equal,
 )
 from .network import (
-    ModalBlock,
-    ModalEigenstructure,
     NetworkInvariantMode,
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
     modal_decomposition,
-    modal_eigenstructure,
     modal_matrix,
     network_invariant_modes,
     sync_manifold,
@@ -59,8 +56,6 @@ __all__ = [
     "Eigenpair",
     "Graph",
     "LinkVariation",
-    "ModalBlock",
-    "ModalEigenstructure",
     "NetworkInvariantMode",
     "NetworkSystem",
     "NodeDynamics",
@@ -83,7 +78,6 @@ __all__ = [
     "laplacian_spectrum",
     "max_principal_angle",
     "modal_decomposition",
-    "modal_eigenstructure",
     "modal_matrix",
     "network_invariant_modes",
     "shared_modal_subspace",

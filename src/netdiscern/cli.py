@@ -25,7 +25,6 @@ validation failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -153,6 +152,23 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer or an integral number, never a boolean, a string or
+    a fractional number."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A JSON number, integer or not, never a boolean or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_matrix(entries, n: int, name: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim == 1:
@@ -171,7 +187,7 @@ def _parse_matrix(entries, n: int, name: str) -> np.ndarray:
 def _parse_dynamics(data: dict) -> NodeDynamics:
     try:
         nd = data["node_dynamics"]
-        n = int(nd["n"])
+        n = _integer(nd["n"], "n")
         A = _parse_matrix(nd["A"], n, "A")
         B = _parse_matrix(nd["B"], n, "B")
     except KeyError as exc:
@@ -190,9 +206,10 @@ def _parse_graph(data, context: str) -> Graph:
     if not isinstance(data, dict):
         raise ConfigError(f"invalid config: {context} must be an object")
     try:
-        nodes = int(data["nodes"])
+        nodes = _integer(data["nodes"], "nodes")
         edges = [
-            (int(e["i"]), int(e["j"]), float(e.get("w", 1.0)))
+            (_integer(e["i"], "edge i"), _integer(e["j"], "edge j"),
+             _real(e.get("w", 1.0), "edge w"))
             for e in data.get("edges", [])
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -212,10 +229,10 @@ def _parse_link(data: dict) -> LinkVariation:
         raise ConfigError(f"invalid config: unknown variation kind {kind!r}")
     try:
         if kind == "disconnect_node":
-            return LinkVariation(kind, int(data["node"]))
-        target = (int(data["i"]), int(data["j"]))
+            return LinkVariation(kind, _integer(data["node"], "node"))
+        target = (_integer(data["i"], "i"), _integer(data["j"], "j"))
         w = data.get("w")
-        return LinkVariation(kind, target, None if w is None else float(w))
+        return LinkVariation(kind, target, None if w is None else _real(w, "w"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -248,8 +265,8 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
         return DEFAULT_TIME_GRID
     if isinstance(grid, dict):
         try:
-            t_max = float(grid["t_max"])
-            step = float(grid["step"])
+            t_max = _real(grid["t_max"], "t_max")
+            step = _real(grid["step"], "step")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
         if not (math.isfinite(step) and math.isfinite(t_max)
@@ -260,20 +277,15 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
         count = int(round(t_max / step)) + 1
         return tuple(float(k * step) for k in range(count))
     try:
-        return tuple(float(t) for t in grid)
+        return tuple(_real(t, "time_grid entry") for t in grid)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
 
 
 def _int_option(opts: dict, key: str, default):
-    """An integer option: a JSON integer or an integral number, never a
-    boolean, a string or a fractional number."""
+    """An integer option, or None when both it and its default are absent."""
     value = opts.get(key, default)
-    if type(value) is int or (value is None and default is None):
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ConfigError(f"invalid config: {key} must be an integer, got {value!r}")
+    return None if value is None and default is None else _integer(value, key)
 
 
 def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOptions:
@@ -283,17 +295,18 @@ def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOpti
             f"invalid config: validate must be true or false, got {validate!r}"
         )
     try:
-        eig_tol = float(opts.get("tol", 1e-8)) if cli_tol is None else float(cli_tol)
+        eig_tol = (_real(opts.get("tol", 1e-8), "tol") if cli_tol is None
+                   else float(cli_tol))
         seed = _int_option(opts, "seed", 0) if cli_seed is None else int(cli_seed)
         oracle = OracleConfig(
             time_grid=_time_grid_from(opts),
             power_range=_int_option(opts, "power_range", None),
-            rel_tol=float(opts.get("rel_tol", 1e-7)),
+            rel_tol=_real(opts.get("rel_tol", 1e-7), "rel_tol"),
             sample_count=_int_option(opts, "sample_count", 100),
             seed=seed,
         )
         return AnalyzeOptions(
-            rank_tol=float(opts.get("rank_tol", 1e-10)),
+            rank_tol=_real(opts.get("rank_tol", 1e-10), "rank_tol"),
             eig_tol=eig_tol,
             validate=validate or cli_validate,
             oracle=oracle,
@@ -466,23 +479,10 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     return 0
 
 
-def _variation_row(dyn: NodeDynamics, Lvar, opts: AnalyzeOptions, base) -> dict:
-    report = analyze(dyn, base.system.laplacian, Lvar, opts, base)
-    return {
-        "indiscernible_dim": int(report.indiscernible.dim),
-        "extra_dim": int(report.extra_dim),
-        "corrected_condition": report.corrected.verdict,
-        "verdict": report.verdict,
-        "oracle_passed": None
-        if report.oracle_summary is None
-        else bool(report.oracle_summary.passed),
-    }
-
-
 def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
-                  cli_validate: bool = False, jobs: int = 1) -> int:
-    """Analyze every single-link variation of the base graph; one table row
-    per variation, merged deterministically by enumeration order."""
+                  cli_validate: bool = False) -> int:
+    """Analyze every single-link variation of the base graph, one table row
+    per variation in enumeration order."""
     dyn = _parse_dynamics(config)
     if "base_graph" not in config:
         raise ConfigError("invalid config: missing base_graph")
@@ -500,26 +500,28 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
 
     try:
-        entries = enumerate_single_link_variations(
-            base, kinds, None if reweight_to is None else float(reweight_to)
-        )
-    except ValueError as exc:
+        if reweight_to is not None:
+            reweight_to = _real(reweight_to, "reweight_to")
+        entries = enumerate_single_link_variations(base, kinds, reweight_to)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    # every row reads one base decomposition; map and pool.map keep row order
+    # every row reads one base decomposition
     shared = modal_decomposition(assemble_transition(dyn, laplacian(base)),
                                  opts.rank_tol)
-    row_of = functools.partial(_variation_row, dyn, opts=opts, base=shared)
-    varied = [Lvar for _, _, Lvar in entries]
-    if jobs > 1 and len(varied) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(row_of, varied))
-    else:
-        results = list(map(row_of, varied))
-    rows = [
-        {"variation": var.describe(), "kind": var.kind, **result}
-        for (var, _, _), result in zip(entries, results)
-    ]
+    rows = []
+    for var, _, Lvar in entries:
+        report = analyze(dyn, shared.system.laplacian, Lvar, opts, shared)
+        summary = report.oracle_summary
+        rows.append({
+            "variation": var.describe(),
+            "kind": var.kind,
+            "indiscernible_dim": int(report.indiscernible.dim),
+            "extra_dim": int(report.extra_dim),
+            "corrected_condition": report.corrected.verdict,
+            "verdict": report.verdict,
+            "oracle_passed": None if summary is None else bool(summary.passed),
+        })
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(
@@ -575,7 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="oracle sampling seed override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for enumerate")
+                       help="accepted and ignored: every subcommand runs in "
+                            "one process")
 
     pa = sub.add_parser("analyze", help="analyze one topology variation")
     pa.add_argument("config", help="scenario config JSON")
@@ -603,9 +606,7 @@ def main(argv=None) -> int:
             return run_analyze(config, args.out, args.tol, args.seed, args.validate)
         if args.command == "enumerate":
             config = load_config(args.config)
-            return run_enumerate(
-                config, args.out, args.tol, args.seed, args.validate, args.jobs
-            )
+            return run_enumerate(config, args.out, args.tol, args.seed, args.validate)
         return run_paper_example(args.out, args.tol, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,11 @@ block diagonal of the modal matrices A - alpha_i*B, and the Kronecker
 products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
-are decomposed, read by the indiscernible subspace, the shared modal span
-and ``modal_eigenstructure``.  ``cross_collisions`` is the one cross-block
-collision scan; ``network_invariant_modes`` finds the modes (A v = lambda v
-with B v = 0) that put an eigenvalue in Phi for every topology.
+are decomposed, read by the indiscernible subspace and the shared modal
+span.  ``cross_collisions`` is the one cross-block collision scan, read by
+the corrected condition; ``network_invariant_modes`` finds the modes
+(A v = lambda v with B v = 0) that put an eigenvalue in Phi for every
+topology.
 
 ``unobservable_subspace`` is the one power stack, the largest A-invariant
 subspace inside kernel(C): the invariant-mode core (C = B), the per-cluster
@@ -262,40 +263,6 @@ def modal_decomposition(sys: NetworkSystem,
                               tuple(clusters), modes)
 
 
-@dataclass(frozen=True)
-class ModalBlock:
-    """One distinct Laplacian eigenvalue with its eigenvector block and the
-    spectrum of the corresponding modal matrix A - alpha*B."""
-
-    alpha: float
-    laplacian_vectors: np.ndarray
-    modal: Spectrum
-
-    @property
-    def deficient(self) -> bool:
-        """True when the modal matrix supplies fewer independent
-        eigenvectors than its dimension (defective block)."""
-        n = self.modal.dimension
-        return sum(p.vectors.shape[1] for p in self.modal.eigenpairs) < n
-
-
-@dataclass(frozen=True)
-class ModalEigenstructure:
-    """Per-eigenvalue modal decomposition of a symmetric-Laplacian network,
-    with the cross-block eigenvalue collisions that break completeness of
-    the Kronecker eigenvector family."""
-
-    blocks: tuple[ModalBlock, ...]
-    cross_block_collisions: tuple[tuple[float, float, complex], ...]
-    min_cross_gap: float
-    kron_rank: int
-    complete: bool
-
-    @property
-    def deficient_alphas(self) -> tuple[float, ...]:
-        return tuple(b.alpha for b in self.blocks if b.deficient)
-
-
 def cross_collisions(
     alphas, spectra, tol: float
 ) -> tuple[tuple[tuple[float, float, complex], ...], float]:
@@ -327,29 +294,3 @@ def cross_collisions(
         for i, j, a in zip(*np.nonzero(pairs & (gap <= tol)))
     )
     return collisions, float(gap[pairs].min(initial=np.inf))
-
-
-def modal_eigenstructure(dyn: NodeDynamics, L) -> ModalEigenstructure:
-    """The modal decomposition grouped by distinct Laplacian eigenvalue:
-    verify that every Kronecker product v_i (x) w_ij is an eigenvector of
-    the assembled network, and list the eigenvalue collisions between
-    blocks of different alpha."""
-    dec = modal_decomposition(assemble_transition(dyn, L))
-    phi = dec.system.phi
-    blocks = tuple(
-        ModalBlock(float(np.mean(dec.alphas[g])), dec.laplacian_vectors[:, g],
-                   dec.block_spectrum(g[0]))
-        for g in dec.alpha_groups
-    )
-    kron = [(np.kron(b.laplacian_vectors, p.vectors), p.value)
-            for b in blocks for p in b.modal.eigenpairs]
-    resid = max(np.linalg.norm(phi @ X - lam * X, axis=0).max() for X, lam in kron)
-    if resid > 1e-9 * max(1.0, np.linalg.norm(phi, 2)):
-        raise RuntimeError(f"Kronecker eigenvector check failed (residual {resid:.3e})")
-    s = np.linalg.svd(np.hstack([X for X, _ in kron]), compute_uv=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    collisions, min_gap = cross_collisions(
-        [b.alpha for b in blocks], [b.modal.values for b in blocks],
-        default_cluster_tol(dec.system.laplacian),
-    )
-    return ModalEigenstructure(blocks, collisions, min_gap, rank, rank == phi.shape[0])

@@ -11,7 +11,6 @@ from netdiscern import (
     assemble_transition,
     laplacian,
     modal_decomposition,
-    modal_eigenstructure,
     network,
 )
 from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
@@ -207,8 +206,8 @@ BIG_INT = "1" + "0" * 400  # a JSON integer no float can hold
         (("node_dynamics", "A", 0), BIG_INT, "bad node_dynamics"),
         (("variation", "link", "i"), "1e400", "bad link variation"),
         (("options", "seed"), "1e400", "seed must be an integer"),
-        (("options", "tol"), '"abc"', "could not convert string"),
-        (("options", "rel_tol"), "[1]", "float() argument"),
+        (("options", "tol"), '"abc"', "tol must be a number"),
+        (("options", "rel_tol"), "[1]", "rel_tol must be a number"),
         (("options", "time_grid"), f"[0, {BIG_INT}]", "bad time_grid"),
         (("options", "time_grid"), f'{{"t_max": {BIG_INT}, "step": 1}}', "bad time_grid"),
     ],
@@ -227,6 +226,67 @@ def test_unconvertible_numbers_are_config_errors(tmp_path, capsys, where, litera
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config") and message in err
     assert "shorten" not in err
+
+
+INTEGER_FIELDS = [
+    ("node_dynamics", "n"),
+    ("base_graph", "nodes"),
+    ("base_graph", "edges", 0, "i"),
+    ("base_graph", "edges", 0, "j"),
+    ("variation", "link", "i"),
+    ("variation", "link", "j"),
+    ("variation", "link", "node"),
+]
+REAL_FIELDS = [
+    ("options", "tol"),
+    ("options", "rank_tol"),
+    ("options", "rel_tol"),
+    ("base_graph", "edges", 0, "w"),
+    ("variation", "link", "w"),
+    ("variation", "enumerate", "reweight_to"),
+    ("options", "time_grid", 1),
+    ("options", "time_grid", "t_max"),
+    ("options", "time_grid", "step"),
+]
+
+
+@pytest.mark.parametrize("where", INTEGER_FIELDS + REAL_FIELDS,
+                         ids=lambda where: "/".join(map(str, where)))
+def test_config_numbers_are_strict(tmp_path, capsys, where):
+    # integer fields take integral JSON numbers only, real fields any JSON
+    # number; a bool, a string or a fraction is an error, not a coercion
+    config = two_node_config(validate=True)
+    command = "analyze"
+    if where[-1] == "node":
+        config["variation"]["link"] = {"kind": "disconnect_node", "node": 1}
+    elif where[-1] == "reweight_to":
+        config["variation"] = {"enumerate": {"kinds": ["reweight_edge"],
+                                             "reweight_to": 2.0}}
+        command = "enumerate"
+    elif where[-1] in ("t_max", "step"):
+        config["options"]["time_grid"] = {"t_max": 1.0, "step": 0.5}
+    elif where[1] == "time_grid":
+        config["options"]["time_grid"] = [0.0, 0.5]
+    node = config
+    for key in where[:-1]:
+        node = node[key]
+    assert main([command, write_config(tmp_path, config),
+                 "--out", str(tmp_path / "valid")]) == 0
+
+    if where in INTEGER_FIELDS:
+        literals, message = ["1.5", "true", '"1"'], "must be an integer"
+    else:
+        literals, message = ["true", '"0.5"'], "must be a number"
+    for k, literal in enumerate(literals):
+        node[where[-1]] = "PLACEHOLDER"
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(config).replace('"PLACEHOLDER"', literal))
+        out = tmp_path / f"out{k}"
+        capsys.readouterr()
+        assert main([command, str(path), "--out", str(out)]) == 1, literal
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and message in err, err
+        assert not out.exists()
 
 
 def test_no_partial_outputs_on_error(tmp_path):
@@ -449,13 +509,25 @@ def test_enumerate_empty_for_edgeless_base(tmp_path):
     assert json.loads((out / "variations.json").read_text())["rows"] == []
 
 
-def test_enumerate_parallel_matches_serial(tmp_path):
-    path = write_config(tmp_path, enumerate_config(["remove_edge", "add_edge"]))
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["enumerate", path, "--out", str(out1)]) == 0
-    assert main(["enumerate", path, "--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "variations.json").read_text() == (out2 / "variations.json").read_text()
-    assert (out1 / "variations.csv").read_text() == (out2 / "variations.csv").read_text()
+def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
+    # --jobs stays accepted on every subcommand and changes nothing: each
+    # runs its analyses in one process
+    config = example_config(validate=True)
+    config["options"]["sample_count"] = 10
+    commands = {
+        "analyze": ["analyze", write_config(tmp_path, config, "analyze.json")],
+        "enumerate": ["enumerate", "--validate", write_config(
+            tmp_path, enumerate_config(["remove_edge"]), "enumerate.json")],
+        "paper-example": ["paper-example"],
+    }
+    for name, args in commands.items():
+        runs = []
+        for flags in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            out = tmp_path / "-".join([name, *flags])
+            assert main(args + flags + ["--out", str(out)]) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((files, capsys.readouterr().out))
+        assert runs[0][0] and runs[0] == runs[1] == runs[2], name
 
 
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
@@ -475,9 +547,8 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(network, "clustered_spectrum", counting)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert run_enumerate(config, str(serial)) == 0
-    rows = json.loads((serial / "variations.json").read_text())["rows"]
+    assert run_enumerate(config, str(tmp_path)) == 0
+    rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
     assert len(rows) == 66
     assert 0 < len(calls) <= len(dec.alpha_groups)
 
@@ -492,15 +563,11 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     assert_same(pickle.loads(pickle.dumps(dec)).block_spectrum(3), dec.block_spectrum(3))
     # the kept spectra are the ones clustered from the decomposition directly
     w, W = dec.block_eig
-    ms = modal_eigenstructure(example_dynamics(), laplacian(graph))
-    assert len(ms.blocks) == len(dec.alpha_groups)
-    for block, group in zip(ms.blocks, dec.alpha_groups):
+    fresh = modal_decomposition(assemble_transition(example_dynamics(), laplacian(graph)))
+    for group in dec.alpha_groups:
         i = int(group[0])
-        assert_same(block.modal, original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
-
-    assert run_enumerate(config, str(parallel), jobs=2) == 0
-    for name in ("variations.json", "variations.csv"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        assert_same(fresh.block_spectrum(i),
+                    original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
 
 
 def test_enumerate_requires_enumerate_variation(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Network assembly, modal matrices, invariant modes, modal eigenstructure."""
+"""Network assembly, modal matrices, invariant modes, modal decomposition."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from netdiscern import (
     NodeDynamics,
     assemble_transition,
+    corrected_condition,
     eig,
     laplacian,
     modal_decomposition,
-    modal_eigenstructure,
     modal_matrix,
     network_invariant_modes,
     subspace_contains,
@@ -207,52 +207,61 @@ def test_sync_manifold_contains_uniform_states():
 # ---------------------------------------------------------------------------
 
 
+def block_spectra(dyn, L):
+    """The clustered spectrum of A - alpha*B per distinct alpha of L, as
+    (alpha, spectrum) pairs in ascending alpha."""
+    dec = modal_decomposition(assemble_transition(dyn, L))
+    return [(float(np.mean(dec.alphas[g])), dec.block_spectrum(int(g[0])))
+            for g in dec.alpha_groups]
+
+
 def test_demo_modal_eigenstructure(demo):
-    ms = modal_eigenstructure(demo.dyn, demo.L)
-    assert len(ms.blocks) == 4
-    for block in ms.blocks:
-        assert np.min(np.abs(block.modal.values - 1.0)) < 1e-9
+    spectra = block_spectra(demo.dyn, demo.L)
+    assert len(spectra) == 4
+    for _, spectrum in spectra:
+        assert np.min(np.abs(spectrum.values - 1.0)) < 1e-9
     # every pair of distinct alphas collides (at least at lambda = 1)
-    pairs = {(round(ai, 6), round(aj, 6)) for ai, aj, _ in ms.cross_block_collisions}
+    collisions = corrected_condition(demo.dyn, demo.L, demo.L).collisions
+    pairs = {(round(ai, 6), round(aj, 6)) for ai, aj, _ in collisions}
     assert len(pairs) == 6
     assert all(
-        any(abs(lam - 1.0) < 1e-6 for ai2, aj2, lam in ms.cross_block_collisions
+        any(abs(lam - 1.0) < 1e-6 for ai2, aj2, lam in collisions
             if (round(ai2, 6), round(aj2, 6)) == pair)
         for pair in pairs
     )
-    assert ms.complete  # blocks are diagonalizable, the Kronecker family spans
-    assert ms.kron_rank == 12
     assert eig(demo.phi.phi).multiplicity_of(1.0) == 4
 
 
 def test_decoupled_modal_structure():
     dyn = NodeDynamics(np.diag([2.0, 3.0]), np.zeros((2, 2)))
     L = laplacian(random_graph(np.random.default_rng(35), 3))
-    ms = modal_eigenstructure(dyn, L)
-    for block in ms.blocks:
-        assert np.allclose(np.sort(block.modal.values.real), [2.0, 3.0], atol=1e-9)
-    n_blocks = len(ms.blocks)
-    assert len(ms.cross_block_collisions) >= n_blocks * (n_blocks - 1)  # both values collide
-    assert ms.complete
+    spectra = block_spectra(dyn, L)
+    for _, spectrum in spectra:
+        assert np.allclose(np.sort(spectrum.values.real), [2.0, 3.0], atol=1e-9)
+    n_blocks = len(spectra)
+    # both values collide
+    assert len(corrected_condition(dyn, L, L).collisions) >= n_blocks * (n_blocks - 1)
 
 
 def test_disjoint_modal_spectra():
     dyn = NodeDynamics(np.diag([1.0, 10.0]), np.eye(2))
-    ms = modal_eigenstructure(dyn, P2_LAPLACIAN)
-    assert [round(b.alpha, 9) for b in ms.blocks] == [0.0, 2.0]
-    assert np.allclose(np.sort(ms.blocks[0].modal.values.real), [1.0, 10.0])
-    assert np.allclose(np.sort(ms.blocks[1].modal.values.real), [-1.0, 8.0])
-    assert ms.cross_block_collisions == ()
-    assert ms.min_cross_gap >= 2.0 - 1e-9
-    assert ms.complete
+    spectra = block_spectra(dyn, P2_LAPLACIAN)
+    assert [round(alpha, 9) for alpha, _ in spectra] == [0.0, 2.0]
+    assert np.allclose(np.sort(spectra[0][1].values.real), [1.0, 10.0])
+    assert np.allclose(np.sort(spectra[1][1].values.real), [-1.0, 8.0])
+    result = corrected_condition(dyn, P2_LAPLACIAN, P2_LAPLACIAN)
+    assert result.collisions == ()
+    assert result.min_cross_gap >= 2.0 - 1e-9
 
 
 def test_defective_block_reported():
     dyn = NodeDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)))
-    ms = modal_eigenstructure(dyn, P2_LAPLACIAN)
-    assert not ms.complete
-    assert len(ms.deficient_alphas) == 2
-    assert ms.kron_rank == 2  # one true eigenvector per Jordan block
+    spectra = block_spectra(dyn, P2_LAPLACIAN)
+    assert len(spectra) == 2
+    for _, spectrum in spectra:
+        # one true eigenvector per Jordan block
+        assert [(p.vectors.shape[1], p.algebraic_multiplicity)
+                for p in spectrum.eigenpairs] == [(1, 2)]
 
 
 def test_kronecker_eigenvector_identity():
@@ -300,7 +309,8 @@ def test_modal_decomposition_bases_are_generalized_eigenspaces():
 
 def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
     with pytest.raises(ValueError):
-        modal_eigenstructure(demo.dyn, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        modal_decomposition(
+            assemble_transition(demo.dyn, np.array([[1.0, -1.0], [0.0, 0.0]])))
 
 
 def test_cross_collisions_tolerance_midpoint_and_gap():
