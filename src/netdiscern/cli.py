@@ -170,7 +170,10 @@ def _real(value, name: str) -> float:
 
 
 def _parse_matrix(entries, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    """n*n entries, flat or in rows, each under the ``_real`` rule."""
+    arr = np.asarray([[_real(x, f"{name} entry") for x in row]
+                      if isinstance(row, list) else _real(row, f"{name} entry")
+                      for row in entries], dtype=float)
     if arr.ndim == 1:
         if arr.size != n * n:
             raise ConfigError(

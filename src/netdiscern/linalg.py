@@ -7,6 +7,10 @@ are per-eigenvalue-cluster power stacks and the 2m x m projector stack of
 reproducibility: spectra are clustered at explicit tolerances, subspaces
 carry orthonormal bases, and every rank decision goes through a single
 relative singular-value threshold.
+
+NumPy does all of it but ``expm``, which imports ``scipy.linalg`` on its
+first call: SciPy would more than double the package's import time, and
+only the trajectory oracle needs it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Default tolerances.  Matrices in this problem domain are tiny and well
 # conditioned, so conservative fixed relative tolerances are reproducible.
@@ -357,6 +360,8 @@ def subspace_contains(U: Subspace, other, angle_tol: float = ANGLE_TOL) -> bool:
 def expm(M, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{M t} (scaling-and-squaring with a fixed-order
     rational core, via SciPy).  Overflow is reported, never silent."""
+    import scipy.linalg  # on first call: see the module docstring
+
     M = _as_square(M)
     with np.errstate(over="ignore"):  # overflow becomes the raise below
         E = scipy.linalg.expm(M * float(t))

@@ -20,6 +20,11 @@ topology.
 subspace inside kernel(C): the invariant-mode core (C = B), the per-cluster
 solve of the indiscernible subspace, and, for the whole network (C = Delta,
 A = Phi), the tests' desk-scale reference.
+
+The only SciPy call, the ordered complex Schur form of a block that owns
+several members of one eigenvalue cluster, imports ``scipy.linalg`` when
+it is first reached, so networks without a repeated block eigenvalue
+never load SciPy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     RANK_TOL,
@@ -249,6 +253,8 @@ def modal_decomposition(sys: NetworkSystem,
         single = np.bincount(owner, minlength=N)[owner] == 1
         cols = [kron[:, idx[single]]]
         for i in np.unique(owner[~single]):
+            import scipy.linalg  # on first use: see the module docstring
+
             member = np.isin(np.arange(n), idx[owner == i] % n)
             _, Z, sdim = scipy.linalg.schur(
                 blocks[i], output="complex",

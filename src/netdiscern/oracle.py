@@ -8,11 +8,13 @@ above 1) cannot mask or fake a divergence through floating-point roundoff.
 
 The continuous check walks the grid in ascending order and advances both
 propagators by the semigroup identity e^{Phi (t + d)} = e^{Phi d} e^{Phi t},
-so it computes one matrix exponential per system for each distinct step d
-(14 expm calls for the default grid); any grid works (unsorted, repeated,
-non-uniform).  The power check works on the powers of F = Phi / nu and
-Fbar = Phibar / nu with nu = max(1, ||Phi||_2, ||Phibar||_2), whose
-2-norms are at most 1, so they stay bounded instead of overflowing.
+so it computes one matrix exponential per system for each distinct step d;
+steps equal up to a few ulps of the largest time share one (2 expm calls
+for the default grid, whose 50 steps are 0.1 up to roundoff).  Any grid
+works (unsorted, repeated, non-uniform).  The power check works on the
+powers of F = Phi / nu and Fbar = Phibar / nu with
+nu = max(1, ||Phi||_2, ||Phibar||_2), whose 2-norms are at most 1, so they
+stay bounded instead of overflowing.
 
 Both checks are evaluated in blocks: the propagators of a run of grid
 times (or a run of consecutive powers) are stacked, and each block is
@@ -95,6 +97,17 @@ def _column_norms(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kij,kij->kj", G, G))
 
 
+def _cached_step(steps: dict, d: float, tol: float, slack: float):
+    """The cached (step, e^{Phi step}, e^{Phibar step}) whose step is within
+    ``tol`` and ``slack`` of d, or None.  ``steps`` is keyed by
+    round(step / tol), so a match sits in d's bucket or a neighbour."""
+    key = round(d / tol)
+    for step in map(steps.get, (key, key - 1, key + 1)):
+        if step is not None and abs(step[0] - d) <= min(tol, slack):
+            return step
+    return None
+
+
 def _continuous_gap_table(
     phi: np.ndarray, phibar: np.ndarray, X: np.ndarray, time_grid
 ) -> np.ndarray:
@@ -105,16 +118,21 @@ def _continuous_gap_table(
     The propagators start at the identity (t = 0) and are advanced through
     the grid in ascending order, one cached pair of step exponentials per
     distinct step, into a stack of one block of grid times; each block is
-    then checked and reduced in a few batched calls."""
+    then checked and reduced in a few batched calls.  Steps within a few
+    ulps of the largest time are one step, as long as the propagated time
+    stays within 1e-14 * t_max of the grid."""
     grid = np.asarray(time_grid, dtype=float)
     order = np.argsort(grid, kind="stable")
     times = grid[order]
     deltas = np.diff(times, prepend=0.0).tolist()
+    tol = 4 * float(np.spacing(times[-1]))  # steps this close are one step
+    budget = 1e-14 * float(times[-1])  # bound on the propagated time error
+    drift = 0.0  # propagated time minus grid time
     m = phi.shape[0]
     out = np.empty((len(grid), X.shape[1]))
     block = _block_len(m, X.shape[1])
     E_prev, Eb_prev = np.eye(m), np.eye(m)
-    steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    steps: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grid), block):
             stop = min(start + block, len(grid))
@@ -122,17 +140,20 @@ def _continuous_gap_table(
             Eb = np.empty((stop - start, m, m))
             failed = None
             for k, d in enumerate(deltas[start:stop]):
-                if d and d not in steps:
-                    try:
-                        steps[d] = (expm(phi, d), expm(phibar, d))
-                    except OverflowError as exc:
-                        # raised once the times before this one are checked
-                        failed, stop = exc, start + k
-                        E, Eb = E[:k], Eb[:k]
-                        break
                 if d:
-                    np.matmul(steps[d][0], E_prev, out=E[k])
-                    np.matmul(steps[d][1], Eb_prev, out=Eb[k])
+                    step = _cached_step(steps, d, tol, budget - abs(drift))
+                    if step is None:
+                        try:
+                            step = (d, expm(phi, d), expm(phibar, d))
+                        except OverflowError as exc:
+                            # raised once the times before this one are checked
+                            failed, stop = exc, start + k
+                            E, Eb = E[:k], Eb[:k]
+                            break
+                        steps[round(d / tol)] = step
+                    drift += step[0] - d
+                    np.matmul(step[1], E_prev, out=E[k])
+                    np.matmul(step[2], Eb_prev, out=Eb[k])
                 else:
                     E[k], Eb[k] = E_prev, Eb_prev
                 E_prev, Eb_prev = E[k], Eb[k]

@@ -3,6 +3,8 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +249,9 @@ REAL_FIELDS = [
     ("options", "time_grid", 1),
     ("options", "time_grid", "t_max"),
     ("options", "time_grid", "step"),
+    ("node_dynamics", "A", 0),
+    ("node_dynamics", "B", 3),
+    ("node_dynamics", "A", 1, 1),
 ]
 
 
@@ -267,6 +272,8 @@ def test_config_numbers_are_strict(tmp_path, capsys, where):
         config["options"]["time_grid"] = {"t_max": 1.0, "step": 0.5}
     elif where[1] == "time_grid":
         config["options"]["time_grid"] = [0.0, 0.5]
+    elif len(where) == 4:
+        config["node_dynamics"]["A"] = [[1.0, 0.0], [0.0, 10.0]]  # in rows
     node = config
     for key in where[:-1]:
         node = node[key]
@@ -648,3 +655,39 @@ def test_time_grid_spec_forms(tmp_path):
     assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 0
     lines = (out / "gaps.csv").read_text().splitlines()
     assert len(lines) == 6  # header + t in {0, 0.5, 1, 1.5, 2}
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = """
+import json, sys
+import netdiscern, netdiscern.cli
+loaded = {"import": "scipy" in sys.modules}
+code = netdiscern.cli.main(["enumerate", sys.argv[1], "--out", sys.argv[2]])
+loaded["enumerate"] = [code, "scipy" in sys.modules]
+code = netdiscern.cli.main(["paper-example", "--out", sys.argv[3]])
+loaded["paper-example"] = [code, "scipy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_when_a_computation_needs_it(tmp_path):
+    # SciPy serves only the oracle's expm and the ordered Schur form of a
+    # block with a repeated eigenvalue: importing the CLI and screening the
+    # link variations of a 12-node ring with chords never load it
+    config = enumerate_config(["remove_edge", "add_edge"])
+    ring = ring_with_chords(12)
+    config["base_graph"] = {"nodes": ring.node_count,
+                            "edges": [{"i": i, "j": j, "w": w} for i, j, w in ring.edges]}
+    path = write_config(tmp_path, config)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(network.__file__)))
+    probe = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, path, str(tmp_path / "enumerate"),
+         str(tmp_path / "paper")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    loaded = json.loads(probe.stdout.splitlines()[-1])
+    assert loaded == {"import": False, "enumerate": [0, False], "paper-example": [0, True]}
+    rows = json.loads((tmp_path / "enumerate" / "variations.json").read_text())["rows"]
+    assert len(rows) == 12 * 11 // 2

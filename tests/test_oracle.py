@@ -252,7 +252,8 @@ def test_propagated_table_matches_dense_exponentials(demo, case, grid):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_one_expm_per_distinct_step(demo, monkeypatch):
+@pytest.fixture
+def expm_calls(monkeypatch):
     calls = []
 
     def counting(M, t=1.0):
@@ -260,11 +261,40 @@ def test_one_expm_per_distinct_step(demo, monkeypatch):
         return expm(M, t)
 
     monkeypatch.setattr(oracle, "expm", counting)
+    return calls
+
+
+def test_one_expm_per_distinct_step(demo, expm_calls):
+    # the default grid's 50 steps are 0.1 up to roundoff: 7 distinct floats
+    # in [0.09999999999999964, 0.10000000000000053] share one step pair
     grid = sorted(OracleConfig().time_grid)
-    steps = {b - a for a, b in zip([0.0] + grid, grid)} - {0.0}
+    assert len({b - a for a, b in zip(grid, grid[1:])}) == 7
     V = indiscernible_subspace(demo.phi, demo.phibar)
     validate_subspace(demo.phi, demo.phibar, V, OracleConfig(seed=14))
-    assert len(calls) == 2 * len(steps)
+    assert len(expm_calls) == 2
+
+
+def test_unequal_steps_keep_their_own_exponentials(demo, expm_calls):
+    phi, phibar, X = pair_and_samples(demo, "random", samples=8)
+    grid = (0.0, 0.1, 0.3, 0.35)  # steps 0.1, 0.2 and 0.05 (up to roundoff)
+    got = oracle._continuous_gap_table(phi, phibar, X, grid)
+    assert len(expm_calls) == 2 * 3
+    want = sequential_gap_table(phi, phibar, X, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_shared_steps_keep_time_error_within_budget(demo, expm_calls):
+    # every step after the first is 3 ulps of t_max longer than it: each
+    # one alone may share the first step, but the time error they add up
+    # to passes 1e-14 * t_max, so a second step pair is computed
+    phi, phibar, X = pair_and_samples(demo, "random", samples=8)
+    grid = [0.0, 0.1]
+    for _ in range(49):
+        grid.append(grid[-1] + 0.1 + 3 * np.spacing(5.0))
+    got = oracle._continuous_gap_table(phi, phibar, X, grid)
+    assert len(expm_calls) == 2 * 2
+    want = sequential_gap_table(phi, phibar, X, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_overflowing_fast_mode_raises_without_warning():
