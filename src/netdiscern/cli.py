@@ -55,6 +55,11 @@ class ConfigError(ValueError):
     """Invalid input configuration (exit code 1)."""
 
 
+# The default grid has 51 points.  Every point costs matrix products in each
+# oracle check, so a grid far past this bound would not finish in useful time.
+MAX_TIME_GRID_POINTS = 100_000
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 # ---------------------------------------------------------------------------
@@ -277,12 +282,24 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
             raise ConfigError(
                 "invalid config: time_grid needs finite step > 0, t_max >= 0"
             )
-        count = int(round(t_max / step)) + 1
+        ratio = t_max / step  # inf when the point count overflows a float
+        count = round(ratio) + 1 if math.isfinite(ratio) else ratio
+        _check_grid_size(count)
         return tuple(float(k * step) for k in range(count))
     try:
-        return tuple(_real(t, "time_grid entry") for t in grid)
+        times = tuple(_real(t, "time_grid entry") for t in grid)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: bad time_grid ({exc})") from exc
+    _check_grid_size(len(times))
+    return times
+
+
+def _check_grid_size(count) -> None:
+    """Reject an oracle time grid of more than MAX_TIME_GRID_POINTS points;
+    a ``{t_max, step}`` grid is checked before any point is built."""
+    if count > MAX_TIME_GRID_POINTS:
+        raise ConfigError(f"invalid config: time_grid has {count} points, "
+                          f"more than {MAX_TIME_GRID_POINTS}")
 
 
 def _int_option(opts: dict, key: str, default):
@@ -373,25 +390,19 @@ def report_to_dict(report: DiscernibilityReport) -> dict:
         "ambient_dim": int(report.ambient_dim),
         "verdict": report.verdict,
         "indiscernible": _subspace_dict(report.indiscernible),
-        "sync": _subspace_dict(report.sync),
         "sync_overlap_dim": int(report.sync_overlap_dim),
         "extra_dim": int(report.extra_dim),
         "shared_modal": _subspace_dict(report.shared_modal),
         "invariant_modes": [_mode_dict(m) for m in report.invariant_modes],
         "corrected_condition": {
             "verdict": corrected.verdict,
-            "reading": corrected.reading,
             "tol": float(corrected.tol),
             "min_cross_gap": float(corrected.min_cross_gap)
             if math.isfinite(corrected.min_cross_gap)
             else None,
             "collisions": [
-                {
-                    "alpha_i": float(ai),
-                    "alpha_j": float(aj),
-                    "value": _complex_pair(lam),
-                }
-                for ai, aj, lam in corrected.collisions
+                {"alphas": list(alphas), "value": _complex_pair(lam)}
+                for lam, alphas in corrected.collisions
             ],
         },
         "oracle": None

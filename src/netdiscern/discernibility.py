@@ -10,11 +10,13 @@ from ``network.modal_decomposition`` is solved on its own by a small
 computes the same subspace without the modal split, but loses rank as N
 grows; it is the tests' desk-scale reference.  The shared modal span
 explains the result through common eigenstructure, and the corrected
-condition's collisions are found by ``network.cross_collisions``.
+condition reports each cross-block collision once, as one cluster of the
+block spectra from ``linalg.cluster_indices``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ from .graphs import validate_laplacian
 from .linalg import (
     RANK_TOL,
     Subspace,
+    cluster_indices,
     distinct_values,
     is_symmetric,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
@@ -35,7 +38,6 @@ from .network import (
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
-    cross_collisions,
     modal_decomposition,
     sync_manifold,
     unobservable_subspace,
@@ -119,13 +121,14 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
 class CorrectedConditionResult:
     """Verdict of the spectral-disjointness requirement: the spectra of
     A - alpha_i*B for distinct alpha_i (drawn from the union of both
-    Laplacian spectra) must not intersect."""
+    Laplacian spectra) must not intersect.  Each collision is one
+    (lambda, alphas) pair: a cluster of the block spectra at mean lambda
+    whose members come from the ascending alphas, two or more."""
 
     holds: bool
-    collisions: tuple[tuple[float, float, complex], ...]
+    collisions: tuple[tuple[complex, tuple[float, ...]], ...]
     min_cross_gap: float
     tol: float
-    reading: str = "union-spectra"
 
     @property
     def verdict(self) -> str:
@@ -138,21 +141,32 @@ def corrected_condition(
     """Check that modal spectra across distinct Laplacian eigenvalues are
     pairwise disjoint at tolerance ``tol``.
 
-    alpha ranges over spec(L) ∪ spec(Lbar) (the strictest reading); every
-    colliding triple (alpha_i, alpha_j, lambda) is reported, along with the
-    minimum cross-block spectral gap for tolerance auditing."""
+    alpha ranges over spec(L) ∪ spec(Lbar) (the strictest reading).  The
+    union of the block spectra is clustered by single linkage, two values
+    linked when at most ``tol`` apart; a cluster with members of two or
+    more alphas is one collision, and the condition holds when there is
+    none, i.e. when the minimum cross-block gap exceeds ``tol``."""
     L = validate_laplacian(L)
     Lbar = validate_laplacian(Lbar)
     if L.shape != Lbar.shape:
         raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-    alphas = distinct_values(
+    alphas = np.array(distinct_values(
         np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol
-    )
-    spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
-    collisions, min_gap = cross_collisions(alphas, spectra, tol)
+    ))
+    flat = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B)).reshape(-1)
+    owner = np.repeat(np.arange(len(alphas)), dyn.n)
+    cross = owner[:, None] != owner[None, :]
+    min_gap = float(np.abs(flat[:, None] - flat[None, :])[cross].min(initial=np.inf))
+    collisions = []
+    # cluster_indices links strictly below its width: a gap of exactly tol links
+    for idx in map(np.asarray, cluster_indices(flat, np.nextafter(tol, np.inf))):
+        members = np.unique(owner[idx])
+        if len(members) > 1:
+            collisions.append((complex(np.mean(flat[idx])), tuple(alphas[members].tolist())))
+    collisions.sort(key=lambda c: (c[0].real, c[0].imag))
     return CorrectedConditionResult(
-        holds=not collisions,
-        collisions=collisions,
+        holds=min_gap > tol,
+        collisions=tuple(collisions),
         min_cross_gap=min_gap,
         tol=float(tol),
     )
@@ -164,6 +178,13 @@ class AnalyzeOptions:
     eig_tol: float = 1e-8
     validate: bool = False
     oracle: OracleConfig = field(default_factory=OracleConfig)
+
+    def __post_init__(self):
+        # a relative singular-value cutoff >= 1 makes every matrix rank 0
+        if not 0 < self.rank_tol < 1:
+            raise ValueError(f"rank_tol must be in (0, 1), got {self.rank_tol!r}")
+        if not 0 < self.eig_tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.eig_tol!r}")
 
 
 @dataclass(frozen=True)

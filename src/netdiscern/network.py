@@ -11,10 +11,8 @@ products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
 are decomposed, read by the indiscernible subspace and the shared modal
-span.  ``cross_collisions`` is the one cross-block collision scan, read by
-the corrected condition; ``network_invariant_modes`` finds the modes
-(A v = lambda v with B v = 0) that put an eigenvalue in Phi for every
-topology.
+span.  ``network_invariant_modes`` finds the modes (A v = lambda v with
+B v = 0) that put an eigenvalue in Phi for every topology.
 
 ``unobservable_subspace`` is the one power stack, the largest A-invariant
 subspace inside kernel(C): the invariant-mode core (C = B), the per-cluster
@@ -268,35 +266,3 @@ def modal_decomposition(sys: NetworkSystem,
     return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol,
                               tuple(clusters), modes)
 
-
-def cross_collisions(
-    alphas, spectra, tol: float
-) -> tuple[tuple[tuple[float, float, complex], ...], float]:
-    """Eigenvalue collisions between the spectra of different alphas.
-
-    For every i < j and every lambda in ``spectra[i]``, the nearest value
-    of ``spectra[j]`` within ``tol`` is a collision, reported as
-    (alphas[i], alphas[j], midpoint of the pair).  Also returns the
-    smallest such cross distance (inf for fewer than two alphas)."""
-    k = len(alphas)
-    if k < 2:
-        return (), float(np.inf)
-    # One (i, j, a, b) distance array: spectra of unequal lengths are padded
-    # with inf, so a padded target is never nearest and a padded source row
-    # is masked out below.
-    lengths = np.array([len(s) for s in spectra])
-    padded = np.full((k, lengths.max()), np.inf, dtype=complex)
-    for i, s in enumerate(spectra):
-        padded[i, : len(s)] = s
-    valid = np.arange(padded.shape[1]) < lengths[:, None]
-    sources = np.where(valid, padded, 0.0)
-    dists = np.abs(sources[:, None, :, None] - padded[None, :, None, :])
-    nearest = dists.argmin(axis=3)
-    gap = np.take_along_axis(dists, nearest[..., None], axis=3)[..., 0]
-    pairs = np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None] & valid[:, None, :]
-    collisions = tuple(
-        (alphas[i], alphas[j],
-         complex((spectra[i][a] + spectra[j][nearest[i, j, a]]) / 2))
-        for i, j, a in zip(*np.nonzero(pairs & (gap <= tol)))
-    )
-    return collisions, float(gap[pairs].min(initial=np.inf))

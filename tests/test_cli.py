@@ -212,8 +212,22 @@ BIG_INT = "1" + "0" * 400  # a JSON integer no float can hold
         (("options", "rel_tol"), "[1]", "rel_tol must be a number"),
         (("options", "time_grid"), f"[0, {BIG_INT}]", "bad time_grid"),
         (("options", "time_grid"), f'{{"t_max": {BIG_INT}, "step": 1}}', "bad time_grid"),
+        (("options", "tol"), "-1", "tol must be finite and > 0"),
+        (("options", "tol"), "0", "tol must be finite and > 0"),
+        (("options", "tol"), "NaN", "tol must be finite and > 0"),
+        (("options", "tol"), "Infinity", "tol must be finite and > 0"),
+        (("options", "rank_tol"), "NaN", "rank_tol must be in (0, 1)"),
+        (("options", "rank_tol"), "-1", "rank_tol must be in (0, 1)"),
+        (("options", "rank_tol"), "1", "rank_tol must be in (0, 1)"),
+        # 10**10 + 1 points: rejected by its count, never built
+        (("options", "time_grid"), '{"t_max": 1e-300, "step": 1e-310}',
+         "time_grid has 10000000001 points, more than 100000"),
+        (("options", "time_grid"), '{"t_max": 1e300, "step": 1e-300}',
+         "time_grid has inf points, more than 100000"),
     ],
-    ids=["nodes", "A", "link", "seed", "tol", "rel_tol", "grid_list", "grid_spec"],
+    ids=["nodes", "A", "link", "seed", "tol", "rel_tol", "grid_list", "grid_spec",
+         "tol_negative", "tol_zero", "tol_nan", "tol_inf", "rank_tol_nan",
+         "rank_tol_negative", "rank_tol_one", "grid_spec_count", "grid_spec_inf_count"],
 )
 def test_unconvertible_numbers_are_config_errors(tmp_path, capsys, where, literal,
                                                  message):
@@ -224,10 +238,22 @@ def test_unconvertible_numbers_are_config_errors(tmp_path, capsys, where, litera
     node[where[-1]] = "PLACEHOLDER"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config).replace('"PLACEHOLDER"', literal))
-    assert main(["analyze", str(path)]) == 1
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config") and message in err
     assert "shorten" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_bad_tol_flag_is_a_config_error(tmp_path, capsys, tol):
+    # a tolerance <= 0 would report the paper's violated condition as held
+    out = tmp_path / "out"
+    assert main(["paper-example", "--tol", tol, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config: tol must be finite and > 0")
+    assert captured.out == "" and not out.exists()
 
 
 INTEGER_FIELDS = [
@@ -366,7 +392,7 @@ def test_analyze_bundled_scenario(tmp_path, capsys):
     assert main(["analyze", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["indiscernible"]["dim"] == 6
-    assert report["sync"]["dim"] == 3
+    assert report["sync_overlap_dim"] == 3
     assert report["extra_dim"] == 3
     assert report["corrected_condition"]["verdict"] == "violated"
     assert report["verdict"] == "extra indiscernible states present"

@@ -199,15 +199,19 @@ def test_ladder_paper_dynamics(N, dim):
     assert invariance <= 1e-12 and containment <= 1e-12
 
 
-def test_ladder_random_dynamics():
+def random_dynamics() -> NodeDynamics:
+    """Random (A, B): uniform entries, cond(B) < 100."""
     rng = np.random.default_rng(0)
     A = rng.uniform(-1.0, 1.0, (3, 3))
     while True:
         B = rng.uniform(-1.0, 1.0, (3, 3))
         if np.linalg.cond(B) < 100.0:
-            break
+            return NodeDynamics(A, B)
+
+
+def test_ladder_random_dynamics():
     g = ring_with_chords(20)
-    got, invariance, containment = certified(NodeDynamics(A, B), g, without_first_edge(g))
+    got, invariance, containment = certified(random_dynamics(), g, without_first_edge(g))
     assert got == 21
     assert invariance <= 1e-12 and containment <= 1e-12
 
@@ -356,15 +360,49 @@ def test_corrected_condition_violated_on_demo(demo):
     result = corrected_condition(demo.dyn, demo.L, demo.Lbar)
     assert not result.holds
     assert result.verdict == "violated"
-    assert result.reading == "union-spectra"
-    # lambda = 1 collides for EVERY pair of distinct alphas (7 distinct
-    # values across both spectra -> 21 pairs)
-    pairs_at_one = {
-        (round(ai, 6), round(aj, 6))
-        for ai, aj, lam in result.collisions
-        if abs(lam - 1.0) < 1e-6
-    }
-    assert len(pairs_at_one) == 21
+    # lambda = 1 collides for EVERY pair of distinct alphas: one collision
+    # naming all 7 distinct values across both spectra (21 pairs)
+    at_one = [alphas for lam, alphas in result.collisions if abs(lam - 1.0) < 1e-6]
+    assert [len(alphas) for alphas in at_one] == [7]
+    # and (7 -+ sqrt 17)/2 in the blocks of alpha = 2 and 4
+    others = [(lam.real, alphas) for lam, alphas in result.collisions
+              if abs(lam - 1.0) >= 1e-6]
+    assert np.allclose([lam for lam, _ in others],
+                       [(7 - np.sqrt(17)) / 2, (7 + np.sqrt(17)) / 2], atol=1e-12)
+    assert all(np.allclose(alphas, [2.0, 4.0], atol=1e-12) for _, alphas in others)
+
+
+@pytest.mark.parametrize("case, count", [("demo", 3), ("paper-8", 10), ("paper-12", 3),
+                                         ("random-8", 0), ("random-12", 0)])
+def test_corrected_condition_matches_pairwise_reference(demo, case, count):
+    # reference: every pair of eigenvalues of blocks of different alphas,
+    # colliding when at most tol apart
+    if case == "demo":
+        dyn, L, Lbar = demo.dyn, demo.L, demo.Lbar
+    else:
+        kind, N = case.split("-")
+        g = ring_with_chords(int(N))
+        dyn = example_dynamics() if kind == "paper" else random_dynamics()
+        L, Lbar = laplacian(g), laplacian(without_first_edge(g))
+    tol = 1e-8
+    values = np.sort(np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]))
+    groups = np.split(values, np.flatnonzero(np.diff(values) >= tol) + 1)
+    alphas = [float(np.mean(group)) for group in groups]
+    spectra = [np.linalg.eigvals(dyn.A - alpha * dyn.B) for alpha in alphas]
+    pairs = [(i, j, abs(a - b), (a, b))
+             for i in range(len(alphas)) for j in range(i + 1, len(alphas))
+             for a in spectra[i] for b in spectra[j]]
+
+    result = corrected_condition(dyn, L, Lbar, tol)
+    assert result.min_cross_gap == min(gap for *_, gap, _ in pairs)
+    assert result.holds == (not result.collisions) == (result.min_cross_gap > tol)
+    assert all(len(cluster) >= 2 for _, cluster in result.collisions)
+    for i, j, gap, ends in pairs:
+        if gap <= tol:
+            assert any({alphas[i], alphas[j]} <= set(cluster)
+                       and all(abs(lam - end) <= tol for end in ends)
+                       for lam, cluster in result.collisions)
+    assert len(result.collisions) == count
 
 
 def test_corrected_condition_holds_on_shifted_diagonal():
@@ -418,6 +456,17 @@ def test_analyze_demo_report(demo):
     assert len(report.invariant_modes) == 1
     assert not report.corrected.holds
     assert report.oracle_summary is None
+
+
+def test_analyze_reports_each_collision_once(demo):
+    # one entry per colliding cluster, not per colliding pair (80 at N = 12),
+    # and no constant sync basis or reading field
+    g = ring_with_chords(12)
+    report = report_to_dict(analyze(demo.dyn, laplacian(g), laplacian(without_first_edge(g))))
+    corrected = report["corrected_condition"]
+    assert len(corrected["collisions"]) == 3
+    assert "sync" not in report and "reading" not in corrected
+    assert report["sync_overlap_dim"] == 3
 
 
 def test_analyze_no_variation(demo):

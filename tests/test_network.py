@@ -16,7 +16,7 @@ from netdiscern import (
     sync_manifold,
 )
 from netdiscern.example import EXAMPLE_A, EXAMPLE_B
-from netdiscern.network import cross_collisions, unobservable_subspace
+from netdiscern.network import unobservable_subspace
 
 from conftest import random_graph
 
@@ -220,15 +220,11 @@ def test_demo_modal_eigenstructure(demo):
     assert len(spectra) == 4
     for _, spectrum in spectra:
         assert np.min(np.abs(spectrum.values - 1.0)) < 1e-9
-    # every pair of distinct alphas collides (at least at lambda = 1)
+    # every pair of distinct alphas collides at lambda = 1: one collision
+    # naming all 4 alphas
     collisions = corrected_condition(demo.dyn, demo.L, demo.L).collisions
-    pairs = {(round(ai, 6), round(aj, 6)) for ai, aj, _ in collisions}
-    assert len(pairs) == 6
-    assert all(
-        any(abs(lam - 1.0) < 1e-6 for ai2, aj2, lam in collisions
-            if (round(ai2, 6), round(aj2, 6)) == pair)
-        for pair in pairs
-    )
+    at_one = [alphas for lam, alphas in collisions if abs(lam - 1.0) < 1e-6]
+    assert [len(alphas) for alphas in at_one] == [4]
     assert eig(demo.phi.phi).multiplicity_of(1.0) == 4
 
 
@@ -238,9 +234,10 @@ def test_decoupled_modal_structure():
     spectra = block_spectra(dyn, L)
     for _, spectrum in spectra:
         assert np.allclose(np.sort(spectrum.values.real), [2.0, 3.0], atol=1e-9)
-    n_blocks = len(spectra)
-    # both values collide
-    assert len(corrected_condition(dyn, L, L).collisions) >= n_blocks * (n_blocks - 1)
+    # both values collide across every block: one collision each
+    collisions = corrected_condition(dyn, L, L).collisions
+    assert [(round(lam.real, 9), len(alphas)) for lam, alphas in collisions] == [
+        (2.0, len(spectra)), (3.0, len(spectra))]
 
 
 def test_disjoint_modal_spectra():
@@ -313,14 +310,33 @@ def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
             assemble_transition(demo.dyn, np.array([[1.0, -1.0], [0.0, 0.0]])))
 
 
-def test_cross_collisions_tolerance_midpoint_and_gap():
-    tol = 2.0**-20  # every value below is exact in binary
-    inside, outside = 2.0**-22, tol + 2.0**-30
-    spectra = [np.array([1.0, 5.0]), np.array([1.0 + inside, 5.0 + outside])]
-    collisions, min_gap = cross_collisions([0.0, 2.0], spectra, tol)
-    assert collisions == ((0.0, 2.0, complex(1.0 + inside / 2)),)
-    assert min_gap == inside
+TOL = 2.0**-20  # every value below is exact in binary
 
 
-def test_cross_collisions_single_alpha_has_none():
-    assert cross_collisions([0.0], [np.array([1.0, 2.0])], 1e-8) == ((), np.inf)
+def two_block_condition(first: float, second: float):
+    """The corrected condition on spectra {1, 5} (alpha = 0) and
+    {1 + first, 5 + second} (alpha = 2), exact in binary."""
+    dyn = NodeDynamics(np.diag([1.0, 5.0]), np.diag([-first / 2, -second / 2]))
+    return corrected_condition(dyn, P2_LAPLACIAN, P2_LAPLACIAN, TOL)
+
+
+def test_corrected_condition_tolerance_value_and_gap():
+    inside, outside = 2.0**-22, TOL + 2.0**-30
+    result = two_block_condition(inside, outside)
+    assert result.collisions == ((complex(1.0 + inside / 2), (0.0, 2.0)),)
+    assert result.min_cross_gap == inside
+    assert not result.holds
+
+
+def test_corrected_condition_gap_of_exactly_tol_collides():
+    result = two_block_condition(TOL, TOL + 2.0**-30)
+    assert result.collisions == ((complex(1.0 + TOL / 2), (0.0, 2.0)),)
+    assert result.min_cross_gap == TOL
+    assert not result.holds
+
+
+def test_corrected_condition_single_alpha_has_none():
+    # one alpha, whose block holds a repeated eigenvalue: no cross pair
+    dyn = NodeDynamics(np.eye(2), np.eye(2))
+    result = corrected_condition(dyn, np.zeros((2, 2)), np.zeros((2, 2)))
+    assert (result.collisions, result.min_cross_gap, result.holds) == ((), np.inf, True)
