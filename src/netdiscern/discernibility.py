@@ -9,15 +9,17 @@ from ``network.modal_decomposition`` is solved on its own by a small
 ``network.unobservable_subspace`` stack.  That stack over the whole network
 computes the same subspace without the modal split, but loses rank as N
 grows; it is the tests' desk-scale reference.  The shared modal span
-explains the result through common eigenstructure, and the corrected
-condition reports each cross-block collision once, as one cluster of the
-block spectra from ``linalg.cluster_indices``.
+explains the result through common eigenstructure; a report computes it
+on its first read, so an ``enumerate`` row, which does not report it,
+never does.  The corrected condition reports each cross-block collision
+once, as one cluster of the block spectra from ``linalg.cluster_indices``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +61,9 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     X_g * ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g).  The rank
     of Delta X_g is decided against ||Delta||_2, not its own norm, which
     would read the roundoff left by a cluster that Delta misses as rank;
-    the stack starts from the orthonormal rows above that cutoff.
+    the stack starts from the orthonormal rows above that cutoff, and a
+    cluster of rank 0 is kept whole without one.  X_g^H Phi X_g is read
+    from ``base``, which keeps it for the next variation.
     """
     _check_pair(phi, phibar)
     delta = phi.phi - phibar.phi
@@ -68,12 +72,14 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     base = modal_decomposition(phi, tol) if base is None else base
     cutoff = tol * float(np.linalg.norm(delta, 2))
     parts = [np.zeros((phi.dim, 0))]
-    for X in base.clusters:
+    for g, X in enumerate(base.clusters):
         _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
         rank = int(np.sum(s > cutoff))
-        if rank < X.shape[1]:
-            restricted = X.conj().T @ (phi.phi @ X)
-            parts.append(X @ unobservable_subspace(vh[:rank], restricted, tol).basis)
+        if rank == 0:
+            parts.append(X)
+        elif rank < X.shape[1]:
+            stack = unobservable_subspace(vh[:rank], base.restricted(g), tol)
+            parts.append(X @ stack.basis)
     return realify(Subspace.from_spanning(np.hstack(parts), tol))
 
 
@@ -189,7 +195,10 @@ class AnalyzeOptions:
 
 @dataclass(frozen=True)
 class DiscernibilityReport:
-    """Everything the analysis produces for one (L, Lbar) pair."""
+    """Everything the analysis produces for one (L, Lbar) pair.
+
+    ``shared_modal`` is computed from ``base``, ``varied_laplacian`` and
+    ``rank_tol`` on first read and kept; ``enumerate`` rows never read it."""
 
     node_count: int
     node_dim: int
@@ -197,15 +206,23 @@ class DiscernibilityReport:
     sync: Subspace
     sync_overlap_dim: int
     extra_dim: int
-    shared_modal: Subspace
     invariant_modes: tuple[NetworkInvariantMode, ...]
     corrected: CorrectedConditionResult
     verdict: str
+    base: ModalDecomposition = field(repr=False, compare=False)
+    varied_laplacian: np.ndarray = field(repr=False, compare=False)
+    rank_tol: float
     oracle_summary: ValidationSummary | None = None
 
     @property
     def ambient_dim(self) -> int:
         return self.node_count * self.node_dim
+
+    @cached_property
+    def shared_modal(self) -> Subspace:
+        sys = self.base.system
+        return shared_modal_subspace(sys.dynamics, sys.laplacian, self.varied_laplacian,
+                                     self.rank_tol, self.base)
 
 
 VERDICT_NO_VARIATION = "no variation"
@@ -223,9 +240,10 @@ def analyze(
     """Full discernibility analysis of a topology variation.
 
     Computes the indiscernible subspace (modal method), its overlap with the
-    synchronous manifold, the shared modal span, the network-invariant
-    modes, and the spectral-disjointness verdict; when ``opts.validate`` is
-    set the computed subspace is checked against the trajectory oracle.
+    synchronous manifold, the network-invariant modes, and the
+    spectral-disjointness verdict; the shared modal span waits for the
+    first read of ``report.shared_modal``.  When ``opts.validate`` is set
+    the computed subspace is checked against the trajectory oracle.
     ``base``, the modal decomposition of (dyn, L), is computed when not
     given; ``enumerate`` passes one for all variations of a base graph.
     """
@@ -245,7 +263,6 @@ def analyze(
     sync = sync_manifold(sys.node_count, sys.node_dim, opts.rank_tol)
     overlap = subspace_intersect(ind, sync)
     extra = ind.dim - overlap.dim
-    shared = shared_modal_subspace(dyn, L, Lbar, opts.rank_tol, base)
     corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol)
 
     if np.array_equal(sys.phi, sysbar.phi):
@@ -266,9 +283,11 @@ def analyze(
         sync=sync,
         sync_overlap_dim=overlap.dim,
         extra_dim=extra,
-        shared_modal=shared,
         invariant_modes=base.modes,
         corrected=corrected,
         verdict=verdict,
+        base=base,
+        varied_laplacian=Lbar,
+        rank_tol=opts.rank_tol,
         oracle_summary=summary,
     )

@@ -91,33 +91,41 @@ class Spectrum:
 
 
 def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Single-linkage clustering of complex values at absolute tolerance."""
-    n = len(values)
-    parent = list(range(n))
+    """Single-linkage clustering of complex values at absolute tolerance:
+    two values link when strictly less than ``tol`` apart (a NaN links to
+    nothing).  Clusters are ordered by their smallest index, members
+    ascending.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    Label propagation over the link matrix: each label becomes the
+    smallest label among its links and itself, then jumps to that label's
+    own label, until nothing changes; every label is then the smallest
+    index of its connected component."""
     values = np.asarray(values)
+    n = len(values)
     close = np.abs(values[:, None] - values[None, :]) < tol
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[ri] = rj
+    np.fill_diagonal(close, True)
+    labels = np.arange(n)
+    while True:
+        # initial: NumPy refuses a min over the empty matrix of an empty input
+        new = np.where(close, labels, n).min(axis=1, initial=n)
+        new = new[new]
+        if (new == labels).all():
+            break
+        labels = new
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
     return list(groups.values())
 
 
 def distinct_values(values, tol: float) -> list[float]:
     """Distinct representatives of a real value set at absolute tolerance,
-    ascending: the mean of each single-linkage cluster."""
+    ascending: the mean of each single-linkage cluster, which on the
+    sorted reals is a run split wherever neighbours are not less than
+    ``tol`` apart."""
     v = np.sort(np.asarray(values, dtype=float))
-    return [float(np.mean(v[idx])) for idx in cluster_indices(v, tol)]
+    cuts = [0, *(np.flatnonzero(~(np.diff(v) < tol)) + 1).tolist(), len(v)]
+    return [float(np.mean(v[a:b])) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
 are decomposed, read by the indiscernible subspace and the shared modal
-span.  ``network_invariant_modes`` finds the modes (A v = lambda v with
+span; it keeps the block spectra and the restricted operators X_g^H Phi X_g
+it computes, so the variations of one base graph share them.
+``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
 ``unobservable_subspace`` is the one power stack, the largest A-invariant
@@ -28,6 +30,7 @@ never load SciPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +76,9 @@ class NodeDynamics:
 @dataclass(frozen=True)
 class NetworkSystem:
     """The assembled N*n-state network: phi = I_N (x) A - L (x) B, kept
-    together with its ingredients so it can be reconstructed exactly."""
+    together with its ingredients so it can be reconstructed exactly.
+    ``norm2``, ||phi||_2, is computed on first use and kept, so every
+    ``enumerate`` row reads the one shared base value."""
 
     dynamics: NodeDynamics
     laplacian: np.ndarray
@@ -90,6 +95,10 @@ class NetworkSystem:
     @property
     def dim(self) -> int:
         return self.node_count * self.node_dim
+
+    @cached_property
+    def norm2(self) -> float:
+        return float(np.linalg.norm(self.phi, 2))
 
 
 def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
@@ -202,8 +211,9 @@ class ModalDecomposition:
     ||Phi||_2): merging clusters is exact, splitting one is not, and the
     copies of a defective eigenvalue differ by about sqrt(eps) * ||block||.
 
-    ``block_spectrum(i)`` is computed on first use and kept, so every
-    ``enumerate`` row reads the same clustered base spectra.
+    ``block_spectrum(i)`` and ``restricted(g)``, X_g^H Phi X_g, are
+    computed on first use and kept, so every ``enumerate`` row reads the
+    same clustered base spectra and restricted operators.
     """
 
     system: NetworkSystem
@@ -217,6 +227,8 @@ class ModalDecomposition:
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
     _spectra: dict[int, Spectrum] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _restricted: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def block_spectrum(self, i: int) -> Spectrum:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a
@@ -226,6 +238,13 @@ class ModalDecomposition:
             self._spectra[i] = clustered_spectrum(
                 self.blocks[i], w[i], W[i], self.cluster_tol)
         return self._spectra[i]
+
+    def restricted(self, g: int) -> np.ndarray:
+        """X_g^H Phi X_g, Phi on cluster g's generalized eigenspace."""
+        if g not in self._restricted:
+            X = self.clusters[g]
+            self._restricted[g] = X.conj().T @ (self.system.phi @ X)
+        return self._restricted[g]
 
 
 def modal_decomposition(sys: NetworkSystem,
@@ -240,7 +259,7 @@ def modal_decomposition(sys: NetworkSystem,
     blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
     w, W = np.linalg.eig(blocks)
     flat = w.reshape(-1)
-    ctol = 1e-6 * max(1.0, float(np.linalg.norm(sys.phi, 2)))
+    ctol = 1e-6 * max(1.0, sys.norm2)
     # column i*n + j: v_i (x) w_ij, the Kronecker eigenvectors of Phi
     kron = np.einsum("pi,iqj->pqij", V, W).reshape(N * n, N * n)
     clusters = []

@@ -173,17 +173,17 @@ def _continuous_gap_table(
 
 
 def _discrete_gaps(
-    phi: np.ndarray, phibar: np.ndarray, X: np.ndarray, power_range: int
+    sys: NetworkSystem, sysbar: NetworkSystem, X: np.ndarray, power_range: int
 ) -> np.ndarray:
     """Per-sample max over k <= power_range of ||(Phi^k - Phibar^k) x||
-    / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2).  The powers of
-    F = Phi / nu have 2-norm at most 1, so they cannot overflow.
+    / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2), the 2-norms kept on
+    the systems.  The powers of F = Phi / nu have 2-norm at most 1, so
+    they cannot overflow.
 
     One block of powers F^1 .. F^B is built by doubling (log2 B batched
     products); each later block is the previous one times F^B."""
-    nu = max(
-        1.0, float(np.linalg.norm(phi, 2)), float(np.linalg.norm(phibar, 2))
-    )
+    phi, phibar = sys.phi, sysbar.phi
+    nu = max(1.0, sys.norm2, sysbar.norm2)
     m = phi.shape[0]
     block = min(power_range, _block_len(m, X.shape[1]))
     P = np.empty((block, m, m))
@@ -215,7 +215,7 @@ def _gap_columns(
     K = cfg.power_range if cfg.power_range is not None else 2 * m
     table = _continuous_gap_table(phi.phi, phibar.phi, X, cfg.time_grid)
     gaps = np.maximum(
-        table.max(axis=0), _discrete_gaps(phi.phi, phibar.phi, X, K)
+        table.max(axis=0), _discrete_gaps(phi, phibar, X, K)
     )
     return gaps, table.max(axis=1)
 

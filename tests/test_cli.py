@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from netdiscern import (
+    analyze,
     assemble_transition,
+    discernibility,
+    enumerate_single_link_variations,
     laplacian,
     modal_decomposition,
     network,
@@ -564,26 +567,42 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
 
 
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
-    # 66 rows of the 12-node ring with chords: every row reads the base
-    # block spectra of one shared decomposition, clustered on first use
+    # 66 rows of the 12-node ring with chords: the rows never compute the
+    # shared modal span, so they cluster no block spectrum; reading the
+    # span of every row clusters each base block at most once
     graph = ring_with_chords(12)
     config = enumerate_config(["remove_edge", "add_edge"])
     config["base_graph"] = {
         "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
-    dec = modal_decomposition(assemble_transition(example_dynamics(), laplacian(graph)))
+    dyn = example_dynamics()
+    L = laplacian(graph)
+    dec = modal_decomposition(assemble_transition(dyn, L))
 
-    calls = []
+    calls = {"clustered_spectrum": 0, "shared_modal_subspace": 0}
     original = network.clustered_spectrum
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def count_calls(module, name):
+        wrapped = getattr(module, name)
 
-    monkeypatch.setattr(network, "clustered_spectrum", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count_calls(network, "clustered_spectrum")
+    count_calls(discernibility, "shared_modal_subspace")
     assert run_enumerate(config, str(tmp_path)) == 0
     rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
     assert len(rows) == 66
-    assert 0 < len(calls) <= len(dec.alpha_groups)
+    assert calls == {"clustered_spectrum": 0, "shared_modal_subspace": 0}
+
+    entries = enumerate_single_link_variations(graph, ["remove_edge", "add_edge"])
+    assert len(entries) == 66
+    for _, _, Lvar in entries:
+        analyze(dyn, L, Lvar, base=dec).shared_modal
+    assert calls["shared_modal_subspace"] == 66
+    assert 0 < calls["clustered_spectrum"] <= len(dec.alpha_groups)
 
     monkeypatch.undo()
     assert dec.block_spectrum(3) is dec.block_spectrum(3)
@@ -596,11 +615,34 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     assert_same(pickle.loads(pickle.dumps(dec)).block_spectrum(3), dec.block_spectrum(3))
     # the kept spectra are the ones clustered from the decomposition directly
     w, W = dec.block_eig
-    fresh = modal_decomposition(assemble_transition(example_dynamics(), laplacian(graph)))
+    fresh = modal_decomposition(assemble_transition(dyn, L))
     for group in dec.alpha_groups:
         i = int(group[0])
         assert_same(fresh.block_spectrum(i),
                     original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
+
+
+def test_enumerate_validate_takes_one_norm_of_the_base(tmp_path, monkeypatch):
+    # the decomposition and every row's oracle read the 2-norm kept on the
+    # one shared base system
+    graph = ring_with_chords(8)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 8, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    phi = assemble_transition(example_dynamics(), laplacian(graph)).phi
+    base_norms = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.shape(x) == phi.shape and np.array_equal(x, phi):
+            base_norms.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert run_enumerate(config, str(tmp_path), cli_validate=True) == 0
+    rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
+    assert len(rows) == 28 and all(row["oracle_passed"] for row in rows)
+    assert len(base_norms) == 1
 
 
 def test_enumerate_requires_enumerate_variation(tmp_path, capsys):

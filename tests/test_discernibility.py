@@ -1,6 +1,9 @@
 """Indiscernible subspaces: the modal algorithm against the stacked reference,
 decompositions, verdicts."""
 
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from netdiscern import (
     analyze,
     assemble_transition,
     corrected_condition,
+    enumerate_single_link_variations,
     indiscernible_subspace,
     laplacian,
     max_principal_angle,
@@ -29,6 +33,7 @@ from netdiscern import (
 
 from netdiscern.cli import canonical_json, report_to_dict
 from netdiscern.example import example_dynamics
+from netdiscern.linalg import RANK_TOL
 from netdiscern.network import unobservable_subspace
 
 from conftest import (
@@ -467,6 +472,60 @@ def test_analyze_reports_each_collision_once(demo):
     assert len(corrected["collisions"]) == 3
     assert "sync" not in report and "reading" not in corrected
     assert report["sync_overlap_dim"] == 3
+
+
+def test_shared_modal_is_computed_on_first_read(demo):
+    g = ring_with_chords(12)
+    L, Lbar = laplacian(g), laplacian(without_first_edge(g))
+    reports = [analyze(demo.dyn, demo.L, demo.Lbar),
+               analyze(demo.dyn, L, Lbar,
+                       base=modal_decomposition(assemble_transition(demo.dyn, L)))]
+    for report, (L, Lbar) in zip(reports, [(demo.L, demo.Lbar), (L, Lbar)]):
+        assert "shared_modal" not in vars(report)
+        shared = report.shared_modal
+        want = shared_modal_subspace(demo.dyn, L, Lbar, RANK_TOL, report.base)
+        assert shared.basis.dtype == want.basis.dtype
+        assert shared.basis.tobytes() == want.basis.tobytes()
+        assert report.shared_modal is shared
+
+
+def test_restricted_operators_are_kept_per_cluster(demo):
+    # 66 rows of the 12-node ring with chords fill X_g^H Phi X_g once per
+    # cluster they need; the kept values pickle with the decomposition
+    g = ring_with_chords(12)
+    L = laplacian(g)
+    dec = modal_decomposition(assemble_transition(demo.dyn, L))
+    fills = Counter()
+
+    class CountingDict(dict):
+        def __setitem__(self, key, value):
+            fills[key] += 1
+            super().__setitem__(key, value)
+
+    object.__setattr__(dec, "_restricted", CountingDict())
+    entries = enumerate_single_link_variations(g, ["remove_edge", "add_edge"])
+    assert len(entries) == 66
+    reports = [analyze(demo.dyn, L, Lvar, base=dec) for _, _, Lvar in entries]
+    assert fills and set(fills.values()) == {1}
+    for key, M in dec._restricted.items():
+        X = dec.clusters[key]
+        assert np.array_equal(M, X.conj().T @ (dec.system.phi @ X))
+
+    object.__setattr__(dec, "_restricted", dict(dec._restricted))
+    for report in reports[:3]:
+        report.shared_modal  # fills the block spectra
+    assert dec._spectra
+    copy = pickle.loads(pickle.dumps(dec))
+    assert copy._restricted.keys() == dec._restricted.keys()
+    for key, M in dec._restricted.items():
+        assert np.array_equal(copy.restricted(key), M)
+    assert copy._spectra.keys() == dec._spectra.keys()
+    for i, spectrum in dec._spectra.items():
+        for p1, p2 in zip(copy.block_spectrum(i).eigenpairs, spectrum.eigenpairs,
+                          strict=True):
+            assert p1.value == p2.value
+            assert np.array_equal(p1.vectors, p2.vectors)
+    assert copy.system.norm2 == dec.system.norm2
 
 
 def test_analyze_no_variation(demo):

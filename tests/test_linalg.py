@@ -16,7 +16,7 @@ from netdiscern import (
     subspaces_equal,
 )
 from netdiscern.example import EXAMPLE_B
-from netdiscern.linalg import distinct_values
+from netdiscern.linalg import cluster_indices, distinct_values
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,81 @@ def test_distinct_values_chains_and_sorts():
     assert reps[0] == -1.0 and reps[2] == 1.0
     assert reps[1] == pytest.approx(0.6e-8, rel=1e-12)
     assert reps == sorted(reps)
+
+
+def union_find_clusters(values, tol):
+    """Reference single linkage: union-find over every pair of values
+    strictly closer than tol, clusters in order of their smallest index."""
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    values = np.asarray(values)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) < tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def reference_distinct_values(values, tol):
+    v = np.sort(np.asarray(values, dtype=float))
+    return [float(np.mean(v[idx])) for idx in union_find_clusters(v, tol)]
+
+
+def clustering_cases():
+    """(values, tol) pairs: dense equal clusters, scattered complex values,
+    chains linked only through intermediate values, gaps of exactly tol,
+    NaN entries and empty input, each seeded."""
+    rng = np.random.default_rng(20)
+    cases = [(np.array([]), 1e-8), (np.array([], dtype=complex), 1e-8)]
+    for _ in range(4):
+        # dense clusters of equal values (lambda = 1 in every block), with
+        # and without roundoff, beside a few singletons
+        dense = np.r_[np.ones(int(rng.integers(12, 21))),
+                      1.0 + 1e-12 * rng.standard_normal(5),
+                      np.full(4, 2.5), rng.uniform(3, 9, 6)]
+        cases.append((rng.permutation(dense + 1j * (dense > 5) * dense), 1e-8))
+        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        cases.append((z, 0.3))
+        # a chain 0, 0.9, 1.8, ... links end to end only through its
+        # middle; the complex one runs along a diagonal
+        chain = 0.9 * np.arange(8)
+        cases.append((rng.permutation(np.r_[chain, 20 + chain]), 1.0))
+        cases.append((rng.permutation(chain * (1 + 1j) / np.sqrt(2)), 1.0))
+    # gaps of exactly tol do not link; a hair less does
+    cases.append((np.array([0.0, 0.5, 1.0, 1.5 - 2 ** -40]), 0.5))
+    cases.append((np.array([0.0, 0.5j, 0.5 + 0.5j, 3.0]), 0.5))
+    # each NaN is its own cluster
+    cases.append((np.array([1.0, np.nan, 1.0, np.nan, 2.0, np.nan]), 1e-8))
+    cases.append((np.array([np.nan, 1j, np.nan + 1j, 1j]), 1e-8))
+    return cases
+
+
+def test_cluster_indices_matches_union_find():
+    for values, tol in clustering_cases():
+        got = cluster_indices(values, tol)
+        assert got == union_find_clusters(values, tol)
+        assert all(type(i) is int for group in got for i in group)
+
+
+def test_distinct_values_matches_union_find_means_bitwise():
+    cases = [(v.real, tol) for v, tol in clustering_cases()]
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        # Laplacian-like spectra: repeated values up to roundoff
+        values = rng.integers(0, 6, 30) + 1e-12 * rng.standard_normal(30)
+        cases.append((values, 1e-8))
+    for values, tol in cases:
+        got = np.array(distinct_values(values, tol))
+        want = np.array(reference_distinct_values(values, tol))
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

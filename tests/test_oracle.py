@@ -150,9 +150,10 @@ def sequential_gap_table(phi, phibar, X, grid):
     return out
 
 
-def sequential_discrete_gaps(phi, phibar, X, power_range):
+def sequential_discrete_gaps(system, systembar, X, power_range):
     """Reference for the blocked power check: one normalized iterate per
-    power."""
+    power, with nu from its own 2-norms of the two systems' matrices."""
+    phi, phibar = system.phi, systembar.phi
     nu = max(1.0, np.linalg.norm(phi, 2), np.linalg.norm(phibar, 2))
     gaps = np.zeros(X.shape[1])
     P, Pb = X.copy(), X.copy()
@@ -160,6 +161,11 @@ def sequential_discrete_gaps(phi, phibar, X, power_range):
         P, Pb = phi @ P / nu, phibar @ Pb / nu
         gaps = np.maximum(gaps, np.linalg.norm(P - Pb, axis=0))
     return gaps
+
+
+def as_system(phi):
+    """A one-node network whose transition matrix is exactly ``phi``."""
+    return assemble_transition(NodeDynamics(phi, np.zeros_like(phi)), np.zeros((1, 1)))
 
 
 def pair_and_samples(demo, case, samples=200):
@@ -197,8 +203,10 @@ def test_blocked_table_matches_sequential_across_blocks(demo, case):
 def test_blocked_powers_match_sequential_across_blocks(demo, case, blocks, extra):
     phi, phibar, X = pair_and_samples(demo, case)
     power_range = blocks * oracle._block_len(phi.shape[0], X.shape[1]) + extra
-    got = oracle._discrete_gaps(phi, phibar, X, power_range)
-    want = sequential_discrete_gaps(phi, phibar, X, power_range)
+    system, systembar = as_system(phi), as_system(phibar)
+    assert np.array_equal(system.phi, phi) and np.array_equal(systembar.phi, phibar)
+    got = oracle._discrete_gaps(system, systembar, X, power_range)
+    want = sequential_discrete_gaps(system, systembar, X, power_range)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
