@@ -13,6 +13,10 @@ explains the result through common eigenstructure; a report computes it
 on its first read, so an ``enumerate`` row, which does not report it,
 never does.  The corrected condition reports each cross-block collision
 once, as one cluster of the block spectra from ``linalg.cluster_indices``.
+
+A cluster of one eigenvalue, or an alpha group of one Laplacian vector,
+has rank 0 or 1, so a vector norm decides it: only clusters and groups of
+two or more take an SVD, a block spectrum or a collision scan.
 """
 
 from __future__ import annotations
@@ -62,8 +66,10 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     of Delta X_g is decided against ||Delta||_2, not its own norm, which
     would read the roundoff left by a cluster that Delta misses as rank;
     the stack starts from the orthonormal rows above that cutoff, and a
-    cluster of rank 0 is kept whole without one.  X_g^H Phi X_g is read
-    from ``base``, which keeps it for the next variation.
+    cluster of rank 0 is kept whole without one.  A one-column cluster
+    has rank 0 or 1, so the norm of Delta X_g decides it without an SVD.
+    X_g^H Phi X_g is read from ``base``, which keeps it for the next
+    variation.
     """
     _check_pair(phi, phibar)
     delta = phi.phi - phibar.phi
@@ -73,6 +79,10 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     cutoff = tol * float(np.linalg.norm(delta, 2))
     parts = [np.zeros((phi.dim, 0))]
     for g, X in enumerate(base.clusters):
+        if X.shape[1] == 1:
+            if np.linalg.norm(delta @ X) <= cutoff:
+                parts.append(X)
+            continue
         _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
         rank = int(np.sum(s > cutoff))
         if rank == 0:
@@ -93,8 +103,14 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
 
     A common eigenvector is an eigenvector v of L with (L - Lbar) v = 0:
     per distinct alpha of L, V_alpha times the kernel of (L - Lbar)
-    V_alpha, decided against ||L - Lbar||_2.  ``base`` is the modal
-    decomposition of (dyn, L), computed when not given."""
+    V_alpha, decided against ||L - Lbar||_2 (for one vector, by the norm
+    of its image).  A block whose eigenvalues are pairwise at least
+    ``base.cluster_tol`` apart has n independent eigenvectors, so its
+    common vectors contribute common (x) I_n; only a block with a repeated
+    eigenvalue reads its eigenvectors from ``base.block_spectrum``.  The
+    basis is an orthonormal basis of the span, not a canonical one.
+    ``base`` is the modal decomposition of (dyn, L), computed when not
+    given."""
     L = np.asarray(L, dtype=float)
     Lbar = np.asarray(Lbar, dtype=float)
     if L.shape != Lbar.shape:
@@ -104,20 +120,34 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
             raise ValueError("shared modal analysis requires symmetric Laplacians")
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
-    N = L.shape[0]
+    N, n = L.shape[0], dyn.n
+    V = base.laplacian_vectors
     diff = L - Lbar
+    diff_v = diff @ V
     cutoff = rank_tol * float(np.linalg.norm(diff, 2))
+    w = base.block_eig[0]
+    # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
+    gaps = np.where(np.eye(n, dtype=bool), np.inf,
+                    np.abs(w[:, :, None] - w[:, None, :]))
+    simple = gaps.min(axis=(1, 2), initial=np.inf) >= base.cluster_tol
 
     # v (x) w over all common v and eigenvectors w, one Kronecker product
     # per alpha; then a (x) v over all coefficient vectors a: I_N (x) v
-    cols = [np.zeros((N * dyn.n, 0))]
+    cols = [np.zeros((N * n, 0))]
     for group in base.alpha_groups:
-        Va = base.laplacian_vectors[:, group]
-        _, s, vh = np.linalg.svd(diff @ Va)
-        common = Va @ vh[int(np.sum(s > cutoff)):].T
+        if len(group) == 1:
+            keep = np.linalg.norm(diff_v[:, group[0]]) <= cutoff
+            common = V[:, group] if keep else V[:, :0]
+        else:
+            _, s, vh = np.linalg.svd(diff_v[:, group])
+            common = V[:, group] @ vh[int(np.sum(s > cutoff)):].T
         if common.shape[1]:
-            modal = base.block_spectrum(int(group[0]))
-            eigvecs = np.hstack([mp.vectors for mp in modal.eigenpairs])
+            i = int(group[0])
+            if simple[i]:
+                eigvecs = np.eye(n)
+            else:
+                modal = base.block_spectrum(i)
+                eigvecs = np.hstack([mp.vectors for mp in modal.eigenpairs])
             cols.append(np.kron(common, eigvecs))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
     return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
@@ -151,7 +181,8 @@ def corrected_condition(
     union of the block spectra is clustered by single linkage, two values
     linked when at most ``tol`` apart; a cluster with members of two or
     more alphas is one collision, and the condition holds when there is
-    none, i.e. when the minimum cross-block gap exceeds ``tol``."""
+    none, i.e. when the minimum cross-block gap exceeds ``tol``.  So the
+    clusters are formed only when it is violated."""
     L = validate_laplacian(L)
     Lbar = validate_laplacian(Lbar)
     if L.shape != Lbar.shape:
@@ -163,19 +194,27 @@ def corrected_condition(
     owner = np.repeat(np.arange(len(alphas)), dyn.n)
     cross = owner[:, None] != owner[None, :]
     min_gap = float(np.abs(flat[:, None] - flat[None, :])[cross].min(initial=np.inf))
+    holds = min_gap > tol
     collisions = []
-    # cluster_indices links strictly below its width: a gap of exactly tol links
-    for idx in map(np.asarray, cluster_indices(flat, np.nextafter(tol, np.inf))):
-        members = np.unique(owner[idx])
-        if len(members) > 1:
+    # only a violated condition has a collision, since a cluster over two
+    # alphas holds a cross link of length <= tol; cluster_indices links
+    # strictly below its width: a gap of exactly tol links
+    clusters = [] if holds else cluster_indices(flat, np.nextafter(tol, np.inf))
+    for idx in clusters:
+        if len(idx) > 1 and len(members := np.unique(owner[idx])) > 1:
             collisions.append((complex(np.mean(flat[idx])), tuple(alphas[members].tolist())))
     collisions.sort(key=lambda c: (c[0].real, c[0].imag))
     return CorrectedConditionResult(
-        holds=min_gap > tol,
+        holds=holds,
         collisions=tuple(collisions),
         min_cross_gap=min_gap,
         tol=float(tol),
     )
+
+
+# The smallest rank_tol accepted: a cutoff near roundoff (about 1e-16
+# relative) reads the roundoff of a rank-deficient product as rank.
+MIN_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,6 +228,9 @@ class AnalyzeOptions:
         # a relative singular-value cutoff >= 1 makes every matrix rank 0
         if not 0 < self.rank_tol < 1:
             raise ValueError(f"rank_tol must be in (0, 1), got {self.rank_tol!r}")
+        if self.rank_tol < MIN_RANK_TOL:
+            raise ValueError(f"rank_tol must be at least {MIN_RANK_TOL:g}, since a smaller "
+                             f"cutoff reads roundoff as rank; got {self.rank_tol!r}")
         if not 0 < self.eig_tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.eig_tol!r}")
 

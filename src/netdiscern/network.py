@@ -11,8 +11,9 @@ products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
 are decomposed, read by the indiscernible subspace and the shared modal
-span; it keeps the block spectra and the restricted operators X_g^H Phi X_g
-it computes, so the variations of one base graph share them.
+span; it keeps the block spectra (of blocks with a repeated eigenvalue)
+and the restricted operators X_g^H Phi X_g it computes, so the variations
+of one base graph share them.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
@@ -61,6 +62,8 @@ class NodeDynamics:
         B = np.asarray(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
+        if A.size == 0:
+            raise ValueError("A must have at least one entry (n >= 1)")
         if B.shape != A.shape:
             raise ValueError(f"B must match A's shape {A.shape}, got {B.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
@@ -213,7 +216,9 @@ class ModalDecomposition:
 
     ``block_spectrum(i)`` and ``restricted(g)``, X_g^H Phi X_g, are
     computed on first use and kept, so every ``enumerate`` row reads the
-    same clustered base spectra and restricted operators.
+    same clustered base spectra and restricted operators.  Only a block
+    with a repeated eigenvalue needs its spectrum clustered: the shared
+    modal span takes all of C^n for any other block.
     """
 
     system: NetworkSystem
@@ -232,7 +237,8 @@ class ModalDecomposition:
 
     def block_spectrum(self, i: int) -> Spectrum:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a
-        defective eigenvalue stays one cluster."""
+        defective eigenvalue stays one cluster; the shared modal span reads
+        it only for a block with a repeated eigenvalue."""
         if i not in self._spectra:
             w, W = self.block_eig
             self._spectra[i] = clustered_spectrum(
@@ -263,7 +269,12 @@ def modal_decomposition(sys: NetworkSystem,
     # column i*n + j: v_i (x) w_ij, the Kronecker eigenvectors of Phi
     kron = np.einsum("pi,iqj->pqij", V, W).reshape(N * n, N * n)
     clusters = []
-    for idx in map(np.asarray, cluster_indices(flat, ctol)):
+    for idx in cluster_indices(flat, ctol):
+        if len(idx) == 1:  # one simple eigenvalue: its Kronecker eigenvector
+            if flat[idx[0]].imag >= -ctol / 4:
+                clusters.append(kron[:, idx])
+            continue
+        idx = np.asarray(idx)
         if np.mean(flat[idx].imag) < -ctol / 4:
             continue  # the conjugate of a kept cluster
         owner = idx // n

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from netdiscern import (
+    AnalyzeOptions,
     analyze,
     assemble_transition,
     discernibility,
@@ -21,6 +22,7 @@ from netdiscern import (
 from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
                             run_enumerate)
 from netdiscern.example import example_config, example_dynamics
+from netdiscern.linalg import cluster_indices
 
 from conftest import ring_with_chords
 
@@ -247,6 +249,52 @@ def test_unconvertible_numbers_are_config_errors(tmp_path, capsys, where, litera
     assert err.startswith("error: invalid config") and message in err
     assert "shorten" not in err
     assert not out.exists()
+
+
+def test_empty_node_dynamics_is_a_config_error(tmp_path, capsys):
+    # n = 0 with empty A and B parses; the dynamics reject it before any
+    # stage runs, so nothing is written
+    config = two_node_config()
+    config["node_dynamics"] = {"n": 0, "A": [], "B": []}
+    out = tmp_path / "out"
+    assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid config: A must have at least one entry (n >= 1)\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("rank_tol", ["1e-16", "1e-14", "1e-13", "9.9e-13"])
+def test_rank_tol_below_1e12_is_a_config_error(tmp_path, capsys, rank_tol):
+    # a cutoff near roundoff reads it as rank: at 1e-16 the two-node case
+    # shows extra indiscernible states, and at 1e-14 the 12-node ring's
+    # first row loses a dimension of the synchronous manifold
+    config = two_node_config()
+    config["options"]["rank_tol"] = float(rank_tol)
+    out = tmp_path / "out"
+    assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config: rank_tol must be at least 1e-12")
+    assert captured.out == "" and not out.exists()
+
+
+def test_rank_tol_at_its_floor_gives_the_default_answers(tmp_path, capsys):
+    outputs = []
+    for rank_tol in (None, 1e-12):
+        config = two_node_config()
+        if rank_tol is not None:
+            config["options"]["rank_tol"] = rank_tol
+        out = tmp_path / f"out-{rank_tol}"
+        assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "indiscernible dim 2 (sync 2, extra 0)" in outputs[0]
+    graph = ring_with_chords(12)
+    L = laplacian(graph)
+    Lbar = laplacian(graph.with_edge_removed(*graph.edges[0][:2]))
+    dyn = example_dynamics()
+    for opts in (AnalyzeOptions(), AnalyzeOptions(rank_tol=1e-12)):
+        report = analyze(dyn, L, Lbar, opts)
+        assert (report.indiscernible.dim, report.sync_overlap_dim) == (24, 3)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
@@ -569,7 +617,8 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     # 66 rows of the 12-node ring with chords: the rows never compute the
     # shared modal span, so they cluster no block spectrum; reading the
-    # span of every row clusters each base block at most once
+    # span of every row clusters at most once each base block with a
+    # repeated eigenvalue, and no other block
     graph = ring_with_chords(12)
     config = enumerate_config(["remove_edge", "add_edge"])
     config["base_graph"] = {
@@ -602,7 +651,10 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     for _, _, Lvar in entries:
         analyze(dyn, L, Lvar, base=dec).shared_modal
     assert calls["shared_modal_subspace"] == 66
-    assert 0 < calls["clustered_spectrum"] <= len(dec.alpha_groups)
+    w, _ = dec.block_eig
+    repeated = sum(len(cluster_indices(w[int(group[0])], dec.cluster_tol)) < dyn.n
+                   for group in dec.alpha_groups)
+    assert calls["clustered_spectrum"] <= repeated
 
     monkeypatch.undo()
     assert dec.block_spectrum(3) is dec.block_spectrum(3)

@@ -33,7 +33,13 @@ from netdiscern import (
 
 from netdiscern.cli import canonical_json, report_to_dict
 from netdiscern.example import example_dynamics
-from netdiscern.linalg import RANK_TOL
+from netdiscern.linalg import (
+    RANK_TOL,
+    cluster_indices,
+    clustered_spectrum,
+    distinct_values,
+    realify,
+)
 from netdiscern.network import unobservable_subspace
 
 from conftest import (
@@ -357,6 +363,117 @@ def test_modal_checks_reject_a_nearly_symmetric_laplacian():
 
 
 # ---------------------------------------------------------------------------
+# one-member clusters and groups, decided without the general path
+# ---------------------------------------------------------------------------
+
+C4 = Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)))
+# A - 0*B = A is a Jordan block; A - alpha*B is simple for alpha = 2 and 4
+JORDAN_DYN = NodeDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                          np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
+    """The general construction for every alpha group and block: one SVD
+    per group, then every eigenvector of the block's clustered spectrum,
+    clustered here without the decomposition's kept spectra."""
+    N = L.shape[0]
+    diff = L - Lbar
+    cutoff = rank_tol * np.linalg.norm(diff, 2)
+    w, W = base.block_eig
+    cols = [np.zeros((N * dyn.n, 0))]
+    for group in base.alpha_groups:
+        Va = base.laplacian_vectors[:, group]
+        _, s, vh = np.linalg.svd(diff @ Va)
+        common = Va @ vh[int(np.sum(s > cutoff)):].T
+        if common.shape[1]:
+            i = int(group[0])
+            spectrum = clustered_spectrum(base.blocks[i], w[i], W[i], base.cluster_tol)
+            cols.append(np.kron(common, np.hstack([p.vectors for p in spectrum.eigenpairs])))
+    cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
+    return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
+
+
+def reference_indiscernible(s1, s2, base, tol=RANK_TOL) -> Subspace:
+    """The per-cluster solve with an SVD for every cluster, one-column
+    clusters included."""
+    delta = s1.phi - s2.phi
+    cutoff = tol * np.linalg.norm(delta, 2)
+    parts = [np.zeros((s1.dim, 0))]
+    for g, X in enumerate(base.clusters):
+        _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
+        rank = int(np.sum(s > cutoff))
+        if rank == 0:
+            parts.append(X)
+        elif rank < X.shape[1]:
+            parts.append(X @ unobservable_subspace(vh[:rank], base.restricted(g), tol).basis)
+    return realify(Subspace.from_spanning(np.hstack(parts), tol))
+
+
+def uniform_dynamics(rng) -> NodeDynamics:
+    return NodeDynamics(rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3)))
+
+
+def fast_path_cases(demo):
+    """(name, dynamics, L, Lbar): the paper example, random dynamics on
+    rings of 5 and 6 nodes under each kind of variation, the defective
+    case and the 66 rows of the 12-node ring."""
+    yield "paper-example", demo.dyn, demo.L, demo.Lbar
+    rng = np.random.default_rng(15)
+    for N in (5, 6):
+        g = ring_with_chords(N)
+        i, j = g.absent_pairs()[0]
+        for kind, gbar in (("remove", without_first_edge(g)),
+                           ("add", g.with_edge_added(i, j, 0.75)),
+                           ("reweight", g.with_edge_reweighted(*g.edges[1][:2], 1.5)),
+                           ("disconnect", g.with_node_disconnected(2))):
+            yield f"random-{N}-{kind}", uniform_dynamics(rng), laplacian(g), laplacian(gbar)
+    yield "jordan", JORDAN_DYN, laplacian(C4), laplacian(C4.with_edge_removed(1, 4))
+    g = ring_with_chords(12)
+    for label, _, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+        yield f"ring-12-{label}", example_dynamics(), laplacian(g), Lvar
+
+
+def test_one_member_fast_paths_match_the_general_path(demo):
+    # the shared span: same dimension, same span up to roundoff; the
+    # indiscernible basis: the same bytes
+    cases = list(fast_path_cases(demo))
+    assert len(cases) == 1 + 8 + 1 + 66
+    ring = modal_decomposition(assemble_transition(example_dynamics(),
+                                                   laplacian(ring_with_chords(12))))
+    for name, dyn, L, Lbar in cases:
+        if name.startswith("ring-12"):
+            dec = ring
+        else:
+            dec = modal_decomposition(assemble_transition(dyn, L))
+        got = shared_modal_subspace(dyn, L, Lbar, RANK_TOL, dec)
+        want = reference_shared_modal(dyn, L, Lbar, RANK_TOL, dec)
+        assert got.dim == want.dim, name
+        assert np.sin(max_principal_angle(got, want)) <= 1e-12, name
+        s1, s2 = dec.system, assemble_transition(dyn, Lbar)
+        fast = indiscernible_subspace(s1, s2, RANK_TOL, dec).basis
+        general = reference_indiscernible(s1, s2, dec).basis
+        assert fast.dtype == general.dtype and np.array_equal(fast, general), name
+    # the ring's blocks have no repeated eigenvalue: no block was clustered
+    assert not ring._spectra
+
+
+def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
+    # the constant vector is common to L and Lbar, and its block A is a
+    # Jordan block: one eigenvector, so the span stays at 3 (counting both
+    # of A's directions would give 4)
+    L, Lbar = laplacian(C4), laplacian(C4.with_edge_removed(1, 4))
+    dec = modal_decomposition(assemble_transition(JORDAN_DYN, L))
+    assert dec.alpha_groups[0].tolist() == [0]
+    assert len(dec.block_spectrum(0).eigenpairs) == 1
+    assert dec.block_spectrum(0).eigenpairs[0].vectors.shape[1] == 1
+    shared = shared_modal_subspace(JORDAN_DYN, L, Lbar)
+    assert shared.dim == 3
+    V = indiscernible_subspace(assemble_transition(JORDAN_DYN, L),
+                               assemble_transition(JORDAN_DYN, Lbar))
+    assert subspace_contains(V, shared, angle_tol=1e-7)
+
+
+# ---------------------------------------------------------------------------
 # corrected condition
 # ---------------------------------------------------------------------------
 
@@ -408,6 +525,40 @@ def test_corrected_condition_matches_pairwise_reference(demo, case, count):
                        and all(abs(lam - end) <= tol for end in ends)
                        for lam, cluster in result.collisions)
     assert len(result.collisions) == count
+
+
+def reference_collisions(dyn, L, Lbar, tol):
+    """Every cluster of the block spectra scanned, with no shortcut on the
+    minimum cross gap and none for one-member clusters."""
+    alphas = np.array(distinct_values(
+        np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol))
+    flat = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B)).reshape(-1)
+    owner = np.repeat(np.arange(len(alphas)), dyn.n)
+    collisions = []
+    for idx in map(np.asarray, cluster_indices(flat, np.nextafter(tol, np.inf))):
+        members = np.unique(owner[idx])
+        if len(members) > 1:
+            collisions.append((complex(np.mean(flat[idx])), tuple(alphas[members].tolist())))
+    collisions.sort(key=lambda c: (c[0].real, c[0].imag))
+    return tuple(collisions)
+
+
+def test_corrected_condition_shortcut_changes_no_result():
+    # random dynamics hold (the scan is skipped), the paper's are violated
+    rng = np.random.default_rng(7)
+    verdicts = Counter()
+    for N in (5, 6, 8, 12):
+        g = ring_with_chords(N)
+        variations = enumerate_single_link_variations(g, ["remove_edge", "add_edge"])
+        for dyn in (uniform_dynamics(rng), example_dynamics()):
+            for _, _, Lbar in variations[::3]:
+                L = laplacian(g)
+                result = corrected_condition(dyn, L, Lbar)
+                want = reference_collisions(dyn, L, Lbar, result.tol)
+                assert result.collisions == want
+                assert result.holds == (not want)
+                verdicts[result.verdict] += 1
+    assert verdicts["holds"] > 0 and verdicts["violated"] > 0
 
 
 def test_corrected_condition_holds_on_shifted_diagonal():
@@ -512,9 +663,9 @@ def test_restricted_operators_are_kept_per_cluster(demo):
         assert np.array_equal(M, X.conj().T @ (dec.system.phi @ X))
 
     object.__setattr__(dec, "_restricted", dict(dec._restricted))
-    for report in reports[:3]:
-        report.shared_modal  # fills the block spectra
-    assert dec._spectra
+    for group in dec.alpha_groups[:3]:
+        dec.block_spectrum(int(group[0]))
+    assert len(dec._spectra) == 3
     copy = pickle.loads(pickle.dumps(dec))
     assert copy._restricted.keys() == dec._restricted.keys()
     for key, M in dec._restricted.items():

@@ -91,6 +91,12 @@ def test_assembly_rejects_mismatched_dims():
         assemble_transition(NodeDynamics(EXAMPLE_A, EXAMPLE_B), np.ones((2, 3)))
 
 
+def test_dynamics_reject_an_empty_pair():
+    # n = 0 would pass every shape check and fail later, in sync_manifold
+    with pytest.raises(ValueError, match="at least one entry"):
+        NodeDynamics(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # modal matrices
 # ---------------------------------------------------------------------------
