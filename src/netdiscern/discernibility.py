@@ -4,19 +4,26 @@ An initial state x is indiscernible for (Phi, Phibar) when the natural
 responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
-Phibar.  The one algorithm is modal: each generalized eigenspace of Phi
-from ``network.modal_decomposition`` is solved on its own by a small
-``network.unobservable_subspace`` stack.  That stack over the whole network
-computes the same subspace without the modal split, but loses rank as N
-grows; it is the tests' desk-scale reference.  The shared modal span
-explains the result through common eigenstructure; a report computes it
-on its first read, so an ``enumerate`` row, which does not report it,
-never does.  The corrected condition reports each cross-block collision
-once, as one cluster of the block spectra from ``linalg.cluster_indices``.
+Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  The one
+algorithm is modal, over the eigenvalue clusters of Phi from
+``network.modal_decomposition``.  The common eigenvectors of L and Lbar
+are decided once per distinct alpha of L (``common_laplacian_vectors``),
+and that graph-side decision settles every single-alpha cluster: its
+indiscernible part is the common vectors (x) the block's vectors for it
+(the PBH test of the output matrix (L - Lbar) (x) B).  Only a collision
+cluster, whose eigenvalue the blocks of two or more alphas share, takes a
+small ``network.unobservable_subspace`` stack; these clusters add the
+states beyond the shared eigenvectors that the paper's corrected condition
+is about.  That stack over the whole network computes the same subspace
+without the modal split, but loses rank as N grows; it is the tests'
+desk-scale reference.  The shared modal span reads the same graph-side
+decision; a report computes it on its first read, so an ``enumerate``
+row, which does not report it, never does.  The corrected condition
+reports each cross-block collision once, as one cluster of the block
+spectra from ``linalg.cluster_indices``.
 
-A cluster of one eigenvalue, or an alpha group of one Laplacian vector,
-has rank 0 or 1, so a vector norm decides it: only clusters and groups of
-two or more take an SVD, a block spectrum or a collision scan.
+An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
+image decides it: only groups of two or more take an SVD.
 """
 
 from __future__ import annotations
@@ -51,44 +58,77 @@ from .network import (
 from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
 
 
+def common_laplacian_vectors(base: ModalDecomposition, groups, diff: np.ndarray,
+                             rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray], float]:
+    """The eigenvectors of L that Lbar = L - ``diff`` shares, per alpha group
+    G in ``groups`` (from ``base.alpha_groups``, ``base`` the modal
+    decomposition of L): V_G times the kernel of diff V_G, decided against
+    ``rank_tol`` * ||diff||_2.  A group of one vector has rank 0 or 1, so
+    the norm of its image decides it without an SVD.  Returns the bases, in
+    the order of ``groups``, and ||diff||_2."""
+    V = base.laplacian_vectors
+    diff_v = diff @ V
+    diff_norm = float(np.linalg.norm(diff, 2))
+    cutoff = rank_tol * diff_norm
+    keep = np.linalg.norm(diff_v, axis=0) <= cutoff  # decides a group of one vector
+    common = []
+    for group in groups:
+        if len(group) == 1:
+            common.append(V[:, group] if keep[group[0]] else V[:, :0])
+        else:
+            _, s, vh = np.linalg.svd(diff_v[:, group])
+            common.append(V[:, group] @ vh[int(np.sum(s > cutoff)):].T)
+    return common, diff_norm
+
+
 def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
                            tol: float = RANK_TOL,
                            base: ModalDecomposition | None = None) -> Subspace:
     """The exact subspace of initial states whose responses under the two
     systems coincide for all time: the largest Phi-invariant subspace
-    inside kernel(Delta), one eigenvalue cluster of Phi at a time.
+    inside kernel(Delta), one eigenvalue cluster of Phi at a time.  The two
+    systems must share their node dynamics (A, B), so that Delta =
+    -(L - Lbar) (x) B.
 
     An invariant subspace is the direct sum of its parts in Phi's
-    generalized eigenspaces, so with X_g an orthonormal basis of the one
-    for cluster g (from ``base``, the modal decomposition of ``phi``,
-    computed when not given) the answer is the sum over g of
-    X_g * ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g).  The rank
-    of Delta X_g is decided against ||Delta||_2, not its own norm, which
-    would read the roundoff left by a cluster that Delta misses as rank;
-    the stack starts from the orthonormal rows above that cutoff, and a
-    cluster of rank 0 is kept whole without one.  A one-column cluster
-    has rank 0 or 1, so the norm of Delta X_g decides it without an SVD.
-    X_g^H Phi X_g is read from ``base``, which keeps it for the next
-    variation.
+    generalized eigenspaces (from ``base``, the modal decomposition of
+    ``phi``, computed when not given).  On the space V_G (x) Z of a
+    single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and
+    no invariant part of Z lies in kernel(B) (it would hold a
+    network-invariant mode, whose eigenvalue is a collision), so the
+    indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
+    group (``common_laplacian_vectors``, taken only for the groups that
+    have a single-alpha cluster): the PBH test of the output matrix
+    (L - Lbar) (x) B, decided on the graph side alone.  Only a collision
+    cluster X_g takes X_g * ``unobservable_subspace``(Delta X_g,
+    X_g^H Phi X_g).  Its rank is decided against ||Delta||_2 =
+    ||L - Lbar||_2 ||B||_2, not its own norm, which would read the roundoff
+    left by a cluster that Delta misses as rank; the stack starts from the
+    orthonormal rows above that cutoff, and a cluster of rank 0 is kept
+    whole without one.
     """
     _check_pair(phi, phibar)
-    delta = phi.phi - phibar.phi
-    if not delta.any():
+    dyn = phi.dynamics
+    if not all(map(np.array_equal, (dyn.A, dyn.B), (phibar.dynamics.A, phibar.dynamics.B))):
+        raise ValueError("the two systems must share their node dynamics (A, B)")
+    diff = phi.laplacian - phibar.laplacian
+    if not diff.any():
         return Subspace.full(phi.dim, tol)
     base = modal_decomposition(phi, tol) if base is None else base
-    cutoff = tol * float(np.linalg.norm(delta, 2))
+    common, diff_norm = common_laplacian_vectors(base, [G for G, _ in base.group_vectors],
+                                                 diff, tol)
     parts = [np.zeros((phi.dim, 0))]
-    for g, X in enumerate(base.clusters):
-        if X.shape[1] == 1:
-            if np.linalg.norm(delta @ X) <= cutoff:
-                parts.append(X)
-            continue
+    parts += [(C[:, None, :, None] * Z[:, None]).reshape(phi.dim, -1)  # np.kron(C, Z)
+              for C, (_, Z) in zip(common, base.group_vectors) if C.size]
+    # cutoff = tol * ||Delta||_2
+    delta, cutoff = phi.phi - phibar.phi, tol * diff_norm * np.linalg.norm(dyn.B, 2)
+    for X in base.clusters:
         _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
         rank = int(np.sum(s > cutoff))
         if rank == 0:
             parts.append(X)
         elif rank < X.shape[1]:
-            stack = unobservable_subspace(vh[:rank], base.restricted(g), tol)
+            stack = unobservable_subspace(vh[:rank], X.conj().T @ (phi.phi @ X), tol)
             parts.append(X @ stack.basis)
     return realify(Subspace.from_spanning(np.hstack(parts), tol))
 
@@ -101,14 +141,12 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     coefficient vectors a for each network-invariant mode (lambda, v).
     Always contained in the indiscernible subspace.
 
-    A common eigenvector is an eigenvector v of L with (L - Lbar) v = 0:
-    per distinct alpha of L, V_alpha times the kernel of (L - Lbar)
-    V_alpha, decided against ||L - Lbar||_2 (for one vector, by the norm
-    of its image).  A block whose eigenvalues are pairwise at least
-    ``base.cluster_tol`` apart has n independent eigenvectors, so its
-    common vectors contribute common (x) I_n; only a block with a repeated
-    eigenvalue reads its eigenvectors from ``base.block_spectrum``.  The
-    basis is an orthonormal basis of the span, not a canonical one.
+    The common eigenvectors of each distinct alpha of L are those of
+    ``common_laplacian_vectors``.  A block whose eigenvalues are pairwise
+    at least ``base.cluster_tol`` apart has n independent eigenvectors, so
+    its common vectors contribute common (x) I_n; only a block with a
+    repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
+    The basis is an orthonormal basis of the span, not a canonical one.
     ``base`` is the modal decomposition of (dyn, L), computed when not
     given."""
     L = np.asarray(L, dtype=float)
@@ -121,10 +159,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
     N, n = L.shape[0], dyn.n
-    V = base.laplacian_vectors
-    diff = L - Lbar
-    diff_v = diff @ V
-    cutoff = rank_tol * float(np.linalg.norm(diff, 2))
+    common, _ = common_laplacian_vectors(base, base.alpha_groups, L - Lbar, rank_tol)
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -134,21 +169,12 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     # v (x) w over all common v and eigenvectors w, one Kronecker product
     # per alpha; then a (x) v over all coefficient vectors a: I_N (x) v
     cols = [np.zeros((N * n, 0))]
-    for group in base.alpha_groups:
-        if len(group) == 1:
-            keep = np.linalg.norm(diff_v[:, group[0]]) <= cutoff
-            common = V[:, group] if keep else V[:, :0]
-        else:
-            _, s, vh = np.linalg.svd(diff_v[:, group])
-            common = V[:, group] @ vh[int(np.sum(s > cutoff)):].T
-        if common.shape[1]:
+    for group, C in zip(base.alpha_groups, common):
+        if C.size:
             i = int(group[0])
-            if simple[i]:
-                eigvecs = np.eye(n)
-            else:
-                modal = base.block_spectrum(i)
-                eigvecs = np.hstack([mp.vectors for mp in modal.eigenpairs])
-            cols.append(np.kron(common, eigvecs))
+            eigvecs = np.eye(n) if simple[i] else np.hstack(
+                [p.vectors for p in base.block_spectrum(i).eigenpairs])
+            cols.append(np.kron(C, eigvecs))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
     return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
 

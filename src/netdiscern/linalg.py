@@ -24,11 +24,8 @@ import numpy as np
 RANK_TOL = 1e-10    # relative singular-value cutoff for rank decisions
 ANGLE_TOL = 1e-8    # radians, for subspace containment/equality
 RESID_TOL = 1e-8    # eigenpair residual, relative to ||M||_2
+CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to max(1, ||M||_2)
 
-
-def default_cluster_tol(M: np.ndarray) -> float:
-    """Eigenvalue clustering width used when none is given."""
-    return 1e-8 * max(1.0, float(np.linalg.norm(M, 2)))
 
 
 def is_symmetric(M: np.ndarray, tol: float = 1e-12) -> bool:
@@ -151,7 +148,8 @@ def eig(M, cluster_tol: float | None = None) -> Spectrum:
     fabricating generalized eigenvectors.
     """
     M = _as_square(M)
-    tol = default_cluster_tol(M) if cluster_tol is None else float(cluster_tol)
+    tol = (CLUSTER_TOL * max(1.0, float(np.linalg.norm(M, 2))) if cluster_tol is None
+           else float(cluster_tol))
     solver = np.linalg.eigh if np.array_equal(M, M.conj().T) else np.linalg.eig
     return clustered_spectrum(M, *solver(M), tol)
 

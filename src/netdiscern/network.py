@@ -11,16 +11,21 @@ products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
 are decomposed, read by the indiscernible subspace and the shared modal
-span; it keeps the block spectra (of blocks with a repeated eigenvalue)
-and the restricted operators X_g^H Phi X_g it computes, so the variations
-of one base graph share them.
+span.  It sorts the eigenvalue clusters of Phi in two: a single-alpha
+cluster, whose eigenvalue is in the blocks of one distinct alpha only,
+is kept as the block's vectors Z for it (Phi's eigenspace is V_alpha (x)
+Z), so its indiscernible part is decided on the graph side alone; a
+collision cluster, whose eigenvalue is in the blocks of two or more, keeps
+an orthonormal basis X_g of Phi's generalized eigenspace.  The block
+spectra it clusters (of blocks with a repeated eigenvalue) are kept, so
+the variations of one base graph share them.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
 ``unobservable_subspace`` is the one power stack, the largest A-invariant
-subspace inside kernel(C): the invariant-mode core (C = B), the per-cluster
-solve of the indiscernible subspace, and, for the whole network (C = Delta,
-A = Phi), the tests' desk-scale reference.
+subspace inside kernel(C): the invariant-mode core (C = B), the solve of
+each collision cluster of the indiscernible subspace, and, for the whole
+network (C = Delta, A = Phi), the tests' desk-scale reference.
 
 The only SciPy call, the ordered complex Schur form of a block that owns
 several members of one eigenvalue cluster, imports ``scipy.linalg`` when
@@ -36,6 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    CLUSTER_TOL,
     RANK_TOL,
     RESID_TOL,
     Spectrum,
@@ -43,7 +49,6 @@ from .linalg import (
     canonical_sign,
     cluster_indices,
     clustered_spectrum,
-    default_cluster_tol,
     eig,
     is_symmetric,
     kernel,
@@ -205,18 +210,30 @@ class ModalDecomposition:
     V^T, Phi is orthogonally similar to the block diagonal of the blocks
     A - alpha_i*B, decomposed by one batched ``np.linalg.eig``.
 
-    ``clusters`` holds, per cluster g of the union of the block spectra
-    with imaginary part >= 0 (a conjugate cluster's basis is the complex
-    conjugate), an orthonormal basis X_g of Phi's generalized eigenspace:
-    columns v_i (x) z, z the block's unit eigenvector when it owns one
-    member of g, else its ordered Schur vectors for its members, which is
-    exact for defective blocks.  The clustering width is 1e-6 * max(1,
-    ||Phi||_2): merging clusters is exact, splitting one is not, and the
-    copies of a defective eigenvalue differ by about sqrt(eps) * ||block||.
+    The union of the block spectra is clustered at 1e-6 * max(1, ||Phi||_2):
+    merging clusters is exact, splitting one is not, and the copies of a
+    defective eigenvalue differ by about sqrt(eps) * ||block||.  Only the
+    clusters with imaginary part >= 0 are kept; a conjugate cluster's basis
+    is the complex conjugate.  Per block, a cluster takes the block's unit
+    eigenvector when the block owns one of its members, else the block's
+    ordered Schur vectors for its members, which is exact for defective
+    blocks.
 
-    ``block_spectrum(i)`` and ``restricted(g)``, X_g^H Phi X_g, are
-    computed on first use and kept, so every ``enumerate`` row reads the
-    same clustered base spectra and restricted operators.  Only a block
+    A cluster whose members all come from the blocks of one alpha group G
+    (the indices of one distinct eigenvalue of L) is single-alpha: Phi's
+    generalized eigenspace for it is V_G (x) Z, with Z the block G[0]'s
+    vectors for it.  ``group_vectors`` holds a pair (G, Z) for each group
+    with a single-alpha cluster, Z all of its clusters' vectors side by
+    side, columns of unit norm but not orthonormal.  Every other
+    cluster is a collision, its eigenvalue in the blocks of two or more
+    alphas, and ``clusters`` holds an orthonormal basis X_g of its
+    generalized eigenspace, columns v_i (x) z.  A network-invariant mode
+    puts its eigenvalue in every block, so it is a collision when L has two
+    or more distinct eigenvalues; with one, every cluster is kept as a
+    collision.
+
+    ``block_spectrum(i)`` is computed on first use and kept, so every
+    ``enumerate`` row reads the same clustered base spectra.  Only a block
     with a repeated eigenvalue needs its spectrum clustered: the shared
     modal span takes all of C^n for any other block.
     """
@@ -228,11 +245,10 @@ class ModalDecomposition:
     blocks: np.ndarray                    # (N, n, n): A - alphas[i]*B
     block_eig: tuple[np.ndarray, np.ndarray]  # np.linalg.eig(blocks)
     cluster_tol: float                    # 1e-6 * max(1, ||Phi||_2)
-    clusters: tuple[np.ndarray, ...]      # the X_g
+    group_vectors: tuple[tuple[np.ndarray, np.ndarray], ...]  # (G, Z), Z not empty
+    clusters: tuple[np.ndarray, ...]      # the X_g of the collisions
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
     _spectra: dict[int, Spectrum] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _restricted: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def block_spectrum(self, i: int) -> Spectrum:
@@ -245,13 +261,6 @@ class ModalDecomposition:
                 self.blocks[i], w[i], W[i], self.cluster_tol)
         return self._spectra[i]
 
-    def restricted(self, g: int) -> np.ndarray:
-        """X_g^H Phi X_g, Phi on cluster g's generalized eigenspace."""
-        if g not in self._restricted:
-            X = self.clusters[g]
-            self._restricted[g] = X.conj().T @ (self.system.phi @ X)
-        return self._restricted[g]
-
 
 def modal_decomposition(sys: NetworkSystem,
                         tol: float = RANK_TOL) -> ModalDecomposition:
@@ -261,38 +270,42 @@ def modal_decomposition(sys: NetworkSystem,
     if not is_symmetric(L):
         raise ValueError("modal analysis requires a symmetric Laplacian")
     alphas, V = np.linalg.eigh(L)
-    N = len(alphas)
     blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
     w, W = np.linalg.eig(blocks)
-    flat = w.reshape(-1)
     ctol = 1e-6 * max(1.0, sys.norm2)
-    # column i*n + j: v_i (x) w_ij, the Kronecker eigenvectors of Phi
-    kron = np.einsum("pi,iqj->pqij", V, W).reshape(N * n, N * n)
+    # ||L||_2 = max |alpha| for a symmetric L; each group is a run of the ascending alphas
+    groups = tuple(map(np.asarray, cluster_indices(
+        alphas, CLUSTER_TOL * max(1.0, float(np.abs(alphas).max(initial=0.0))))))
+    group_of = [k for k, group in enumerate(groups) for _ in group]
+
+    def block_basis(i: int, idx: list[int]) -> np.ndarray:
+        """Block i's vectors for its members of the cluster idx: its unit
+        eigenvector for one member, else the leading vectors of its ordered
+        complex Schur form, which is exact for defective blocks."""
+        member = [j % n for j in idx if j // n == i]
+        if len(member) < 2:
+            return W[i][:, member]
+        import scipy.linalg  # on first use: see the module docstring
+
+        _, Z, sdim = scipy.linalg.schur(blocks[i], output="complex",
+                                        sort=lambda x: np.argmin(np.abs(w[i] - x)) in member)
+        if sdim != len(member):
+            raise RuntimeError(f"ordered Schur form kept {sdim} of {len(member)}")
+        return Z[:, :sdim]
+
+    zs: list[list[np.ndarray]] = [[] for _ in groups]
     clusters = []
-    for idx in cluster_indices(flat, ctol):
-        if len(idx) == 1:  # one simple eigenvalue: its Kronecker eigenvector
-            if flat[idx[0]].imag >= -ctol / 4:
-                clusters.append(kron[:, idx])
-            continue
-        idx = np.asarray(idx)
-        if np.mean(flat[idx].imag) < -ctol / 4:
+    for idx in cluster_indices(w.reshape(-1), ctol):
+        if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
             continue  # the conjugate of a kept cluster
-        owner = idx // n
-        single = np.bincount(owner, minlength=N)[owner] == 1
-        cols = [kron[:, idx[single]]]
-        for i in np.unique(owner[~single]):
-            import scipy.linalg  # on first use: see the module docstring
-
-            member = np.isin(np.arange(n), idx[owner == i] % n)
-            _, Z, sdim = scipy.linalg.schur(
-                blocks[i], output="complex",
-                sort=lambda x: bool(member[np.argmin(np.abs(w[i] - x))]))
-            if sdim != member.sum():
-                raise RuntimeError(f"ordered Schur form kept {sdim} of {member.sum()}")
-            cols.append((V[:, i, None, None] * Z[:, :sdim]).reshape(N * n, -1))
-        clusters.append(np.hstack(cols))
-    groups = tuple(map(np.asarray, cluster_indices(alphas, default_cluster_tol(L))))
-    modes = tuple(network_invariant_modes(dyn, tol))
-    return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol,
-                              tuple(clusters), modes)
-
+        owners = sorted({j // n for j in idx})
+        k = group_of[owners[0]]
+        if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
+            zs[k].append(block_basis(groups[k][0], idx))
+        else:
+            cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(sys.dim, -1)
+                    for i in owners]
+            clusters.append(np.hstack(cols))
+    group_vectors = tuple((G, np.hstack(z)) for G, z in zip(groups, zs) if z)
+    return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol, group_vectors,
+                              tuple(clusters), tuple(network_invariant_modes(dyn, tol)))

@@ -287,27 +287,46 @@ def test_kronecker_eigenvector_identity():
 
 
 def test_modal_decomposition_bases_are_generalized_eigenspaces():
-    # random dynamics (complex pairs), the demo's shared eigenvalue 1, and
-    # a Jordan block: each X_g is orthonormal and Phi-invariant, and with
-    # the conjugates of the complex clusters they span the whole space
+    # random dynamics (complex pairs, no collision), the demo's shared
+    # eigenvalue 1, a Jordan block at a collision and one inside a single
+    # alpha group: each collision X_g is orthonormal, and each X_g and each
+    # V_G (x) Z_G is Phi-invariant; with the conjugates of their complex
+    # eigenvalues they span the whole space
     rng = np.random.default_rng(37)
+    ring = 2 * np.eye(4) - np.roll(np.eye(4), 1, axis=0) - np.roll(np.eye(4), -1, axis=0)
     cases = [
         (NodeDynamics(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))),
          laplacian(random_graph(rng, 5))),
         (NodeDynamics(EXAMPLE_A, EXAMPLE_B), laplacian(random_graph(rng, 4))),
         (NodeDynamics(np.array([[1.0, 1.0], [0.0, 4.0]]), np.diag([0.0, 1.0])),
          3 * np.eye(3) - np.ones((3, 3))),
+        (NodeDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])),
+         ring),
     ]
+    collisions = []
     for dyn, L in cases:
         dec = modal_decomposition(assemble_transition(dyn, L))
         phi = dec.system.phi
-        total = 0
+        V = dec.laplacian_vectors
+        parts = [np.kron(V[:, group], Z) for group, Z in dec.group_vectors]
+        assert all(Z.shape[1] for _, Z in dec.group_vectors)
         for X in dec.clusters:
-            H = X.conj().T @ phi @ X
             assert np.allclose(X.conj().T @ X, np.eye(X.shape[1]), atol=1e-12)
-            assert np.linalg.norm(phi @ X - X @ H, 2) <= 1e-12 * np.linalg.norm(phi, 2)
-            total += X.shape[1] * (2 if abs(np.trace(H).imag) > 1e-9 else 1)
+        total = 0
+        for X in parts + list(dec.clusters):
+            Q, _ = np.linalg.qr(X)
+            H = Q.conj().T @ phi @ Q
+            assert np.linalg.norm(phi @ Q - Q @ H, 2) <= 1e-12 * np.linalg.norm(phi, 2)
+            total += sum(2 if abs(lam.imag) > 1e-9 else 1 for lam in np.linalg.eigvals(H))
         assert total == phi.shape[0]
+        everything = np.hstack(parts + list(dec.clusters))
+        assert np.linalg.matrix_rank(np.hstack([everything, everything.conj()])) == phi.shape[0]
+        collisions.append(len(dec.clusters))
+    assert collisions[0] == 0 and min(collisions[1:3]) > 0
+    # the 4-cycle's alpha = 0 block is the Jordan block, its double
+    # eigenvalue 1 in no other block: two Schur vectors, no collision
+    group, Z = dec.group_vectors[0]
+    assert collisions[3] == 0 and group.tolist() == [0] and Z.shape[1] == 2
 
 
 def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
