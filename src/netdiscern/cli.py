@@ -228,7 +228,9 @@ def _parse_graph(data, context: str) -> Graph:
         raise ConfigError(f"invalid config: {context}: {exc}") from exc
 
 
-def _parse_link(data: dict) -> LinkVariation:
+def _parse_link(data) -> LinkVariation:
+    if not isinstance(data, dict):
+        raise ConfigError("invalid config: link variation must be an object")
     try:
         kind = data["kind"]
     except KeyError as exc:

@@ -17,13 +17,19 @@ states beyond the shared eigenvectors that the paper's corrected condition
 is about.  That stack over the whole network computes the same subspace
 without the modal split, but loses rank as N grows; it is the tests'
 desk-scale reference.  The shared modal span reads the same graph-side
-decision; a report computes it on its first read, so an ``enumerate``
-row, which does not report it, never does.  The corrected condition
-reports each cross-block collision once, as one cluster of the block
-spectra from ``linalg.cluster_indices``.
+decision, (L - Lbar) V and ||L - Lbar||_2, which the report keeps from
+its indiscernible subspace; a report computes the span on its first read,
+so an ``enumerate`` row, which does not report it, never does.  The
+corrected condition reports each cross-block collision once, as one
+cluster of the block spectra from ``linalg.cluster_indices``, formed on
+the first read of its ``collisions``: a row reports only the verdict.
 
 An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
-image decides it: only groups of two or more take an SVD.
+image decides it: only groups of two or more take an SVD, one batched SVD
+per group size.  Everything that depends on the base network alone, its
+Laplacian spectrum, ||B||_2, I_N (x) A and the synchronous manifold, is
+kept on the ``network.ModalDecomposition`` that ``enumerate`` shares, so a
+row computes only what depends on Lbar.
 """
 
 from __future__ import annotations
@@ -52,38 +58,52 @@ from .network import (
     NodeDynamics,
     assemble_transition,
     modal_decomposition,
-    sync_manifold,
     unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
 
 
-def common_laplacian_vectors(base: ModalDecomposition, groups, diff: np.ndarray,
-                             rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray], float]:
-    """The eigenvectors of L that Lbar = L - ``diff`` shares, per alpha group
-    G in ``groups`` (from ``base.alpha_groups``, ``base`` the modal
-    decomposition of L): V_G times the kernel of diff V_G, decided against
-    ``rank_tol`` * ||diff||_2.  A group of one vector has rank 0 or 1, so
-    the norm of its image decides it without an SVD.  Returns the bases, in
-    the order of ``groups``, and ||diff||_2."""
+def graph_difference(base: ModalDecomposition, diff: np.ndarray) -> tuple[np.ndarray, float]:
+    """What ``common_laplacian_vectors`` reads of diff = L - Lbar: its image
+    diff V of the Laplacian vectors of ``base`` (the modal decomposition of
+    L) and ||diff||_2.  A report keeps the pair its indiscernible subspace
+    was decided from, so the shared modal span reuses it."""
+    return diff @ base.laplacian_vectors, float(np.linalg.norm(diff, 2))
+
+
+def common_laplacian_vectors(base: ModalDecomposition, groups,
+                             graph: tuple[np.ndarray, float],
+                             rank_tol: float = RANK_TOL) -> list[np.ndarray]:
+    """The eigenvectors of L that Lbar shares, per alpha group G in
+    ``groups`` (from ``base.alpha_groups``, ``base`` the modal
+    decomposition of L): V_G times the kernel of (L - Lbar) V_G, decided
+    against ``rank_tol`` * ||L - Lbar||_2, with ``graph`` the pair
+    ((L - Lbar) V, ||L - Lbar||_2) of ``graph_difference``.  A group of one
+    vector has rank 0 or 1, so the norm of its image decides it without an
+    SVD; the groups of each larger size share one batched SVD.  Returns the
+    bases in the order of ``groups``."""
     V = base.laplacian_vectors
-    diff_v = diff @ V
-    diff_norm = float(np.linalg.norm(diff, 2))
+    diff_v, diff_norm = graph
     cutoff = rank_tol * diff_norm
     keep = np.linalg.norm(diff_v, axis=0) <= cutoff  # decides a group of one vector
-    common = []
-    for group in groups:
-        if len(group) == 1:
-            common.append(V[:, group] if keep[group[0]] else V[:, :0])
-        else:
-            _, s, vh = np.linalg.svd(diff_v[:, group])
-            common.append(V[:, group] @ vh[int(np.sum(s > cutoff)):].T)
-    return common, diff_norm
+    # a group of two or more vectors is replaced below
+    common = [V[:, group] if keep[group[0]] else V[:, :0] for group in groups]
+    by_size: dict[int, list[int]] = {}
+    for k, group in enumerate(groups):
+        if len(group) > 1:
+            by_size.setdefault(len(group), []).append(k)
+    for ks in by_size.values():
+        idx = np.array([groups[k] for k in ks])
+        _, s, vh = np.linalg.svd(diff_v[:, idx].transpose(1, 0, 2))
+        for k, sk, vhk in zip(ks, s, vh):
+            common[k] = V[:, groups[k]] @ vhk[int(np.sum(sk > cutoff)):].T
+    return common
 
 
 def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
                            tol: float = RANK_TOL,
-                           base: ModalDecomposition | None = None) -> Subspace:
+                           base: ModalDecomposition | None = None,
+                           graph: tuple[np.ndarray, float] | None = None) -> Subspace:
     """The exact subspace of initial states whose responses under the two
     systems coincide for all time: the largest Phi-invariant subspace
     inside kernel(Delta), one eigenvalue cluster of Phi at a time.  The two
@@ -105,7 +125,8 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     ||L - Lbar||_2 ||B||_2, not its own norm, which would read the roundoff
     left by a cluster that Delta misses as rank; the stack starts from the
     orthonormal rows above that cutoff, and a cluster of rank 0 is kept
-    whole without one.
+    whole without one.  ``graph`` is ``graph_difference(base, L - Lbar)``,
+    computed when not given.
     """
     _check_pair(phi, phibar)
     dyn = phi.dynamics
@@ -115,13 +136,13 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     if not diff.any():
         return Subspace.full(phi.dim, tol)
     base = modal_decomposition(phi, tol) if base is None else base
-    common, diff_norm = common_laplacian_vectors(base, [G for G, _ in base.group_vectors],
-                                                 diff, tol)
+    graph = graph_difference(base, diff) if graph is None else graph
+    common = common_laplacian_vectors(base, [G for G, _ in base.group_vectors], graph, tol)
     parts = [np.zeros((phi.dim, 0))]
     parts += [(C[:, None, :, None] * Z[:, None]).reshape(phi.dim, -1)  # np.kron(C, Z)
               for C, (_, Z) in zip(common, base.group_vectors) if C.size]
     # cutoff = tol * ||Delta||_2
-    delta, cutoff = phi.phi - phibar.phi, tol * diff_norm * np.linalg.norm(dyn.B, 2)
+    delta, cutoff = phi.phi - phibar.phi, tol * graph[1] * base.b_norm
     for X in base.clusters:
         _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
         rank = int(np.sum(s > cutoff))
@@ -134,7 +155,8 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
-                          base: ModalDecomposition | None = None) -> Subspace:
+                          base: ModalDecomposition | None = None,
+                          graph: tuple[np.ndarray, float] | None = None) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
     v (x) w for every common eigenpair (alpha, v) of L and Lbar with
     (lambda, w) an eigenpair of A - alpha*B, plus a (x) v over all
@@ -147,7 +169,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     its common vectors contribute common (x) I_n; only a block with a
     repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
     The basis is an orthonormal basis of the span, not a canonical one.
-    ``base`` is the modal decomposition of (dyn, L), computed when not
+    ``base`` is the modal decomposition of (dyn, L), and ``graph`` is
+    ``graph_difference(base, L - Lbar)``; each is computed when not
     given."""
     L = np.asarray(L, dtype=float)
     Lbar = np.asarray(Lbar, dtype=float)
@@ -159,7 +182,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
     N, n = L.shape[0], dyn.n
-    common, _ = common_laplacian_vectors(base, base.alpha_groups, L - Lbar, rank_tol)
+    graph = graph_difference(base, L - Lbar) if graph is None else graph
+    common = common_laplacian_vectors(base, base.alpha_groups, graph, rank_tol)
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -179,26 +203,58 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectedConditionResult:
     """Verdict of the spectral-disjointness requirement: the spectra of
     A - alpha_i*B for distinct alpha_i (drawn from the union of both
     Laplacian spectra) must not intersect.  Each collision is one
     (lambda, alphas) pair: a cluster of the block spectra at mean lambda
-    whose members come from the ascending alphas, two or more."""
+    whose members come from the ascending alphas, two or more.
+
+    ``holds`` and ``min_cross_gap`` are decided when the result is made;
+    ``collisions`` are formed from the kept ``alphas`` and block
+    ``spectra`` on first read, and kept, so an ``enumerate`` row, which
+    reports only the verdict, never clusters.  Two results are equal when
+    their verdicts, gaps, tolerances and collisions are."""
 
     holds: bool
-    collisions: tuple[tuple[complex, tuple[float, ...]], ...]
     min_cross_gap: float
     tol: float
+    alphas: np.ndarray = field(repr=False)   # the distinct alphas, ascending
+    spectra: np.ndarray = field(repr=False)  # row i: eigenvalues of A - alphas[i]*B
 
     @property
     def verdict(self) -> str:
         return "holds" if self.holds else "violated"
 
+    @cached_property
+    def collisions(self) -> tuple[tuple[complex, tuple[float, ...]], ...]:
+        if self.holds:  # a cluster over two alphas holds a cross link of length <= tol
+            return ()
+        flat = self.spectra.reshape(-1)
+        owner = np.repeat(np.arange(len(self.alphas)), self.spectra.shape[1])
+        collisions = []
+        # cluster_indices links strictly below its width: a gap of exactly tol links
+        for idx in cluster_indices(flat, np.nextafter(self.tol, np.inf)):
+            if len(idx) > 1 and len(members := np.unique(owner[idx])) > 1:
+                collisions.append((complex(np.mean(flat[idx])),
+                                   tuple(self.alphas[members].tolist())))
+        collisions.sort(key=lambda c: (c[0].real, c[0].imag))
+        return tuple(collisions)
+
+    def __eq__(self, other):
+        if not isinstance(other, CorrectedConditionResult):
+            return NotImplemented
+        return ((self.holds, self.min_cross_gap, self.tol, self.collisions)
+                == (other.holds, other.min_cross_gap, other.tol, other.collisions))
+
+    def __hash__(self):
+        return hash((self.holds, self.min_cross_gap, self.tol))
+
 
 def corrected_condition(
-    dyn: NodeDynamics, L, Lbar, tol: float = 1e-8
+    dyn: NodeDynamics, L, Lbar, tol: float = 1e-8,
+    base: ModalDecomposition | None = None,
 ) -> CorrectedConditionResult:
     """Check that modal spectra across distinct Laplacian eigenvalues are
     pairwise disjoint at tolerance ``tol``.
@@ -207,35 +263,29 @@ def corrected_condition(
     union of the block spectra is clustered by single linkage, two values
     linked when at most ``tol`` apart; a cluster with members of two or
     more alphas is one collision, and the condition holds when there is
-    none, i.e. when the minimum cross-block gap exceeds ``tol``.  So the
-    clusters are formed only when it is violated."""
-    L = validate_laplacian(L)
-    Lbar = validate_laplacian(Lbar)
-    if L.shape != Lbar.shape:
-        raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-    alphas = np.array(distinct_values(
-        np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol
-    ))
-    flat = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B)).reshape(-1)
+    none, i.e. when the minimum cross-block gap exceeds ``tol``.  The
+    clusters are formed on the first read of ``collisions``, and only when
+    the condition is violated.
+
+    Without ``base`` both Laplacians are validated.  ``base``, the modal
+    decomposition of (dyn, L), is what ``analyze`` passes once it has
+    validated L and Lbar and matched ``base`` to them: spec(L) is then its
+    kept ``laplacian_values``, and neither Laplacian is checked again."""
+    if base is None:
+        L = validate_laplacian(L)
+        Lbar = validate_laplacian(Lbar)
+        if L.shape != Lbar.shape:
+            raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
+        spec = np.linalg.eigvalsh(L)
+    else:
+        spec = base.laplacian_values
+    alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
+    spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
+    flat = spectra.reshape(-1)
     owner = np.repeat(np.arange(len(alphas)), dyn.n)
     cross = owner[:, None] != owner[None, :]
     min_gap = float(np.abs(flat[:, None] - flat[None, :])[cross].min(initial=np.inf))
-    holds = min_gap > tol
-    collisions = []
-    # only a violated condition has a collision, since a cluster over two
-    # alphas holds a cross link of length <= tol; cluster_indices links
-    # strictly below its width: a gap of exactly tol links
-    clusters = [] if holds else cluster_indices(flat, np.nextafter(tol, np.inf))
-    for idx in clusters:
-        if len(idx) > 1 and len(members := np.unique(owner[idx])) > 1:
-            collisions.append((complex(np.mean(flat[idx])), tuple(alphas[members].tolist())))
-    collisions.sort(key=lambda c: (c[0].real, c[0].imag))
-    return CorrectedConditionResult(
-        holds=holds,
-        collisions=tuple(collisions),
-        min_cross_gap=min_gap,
-        tol=float(tol),
-    )
+    return CorrectedConditionResult(min_gap > tol, min_gap, float(tol), alphas, spectra)
 
 
 # The smallest rank_tol accepted: a cutoff near roundoff (about 1e-16
@@ -265,8 +315,10 @@ class AnalyzeOptions:
 class DiscernibilityReport:
     """Everything the analysis produces for one (L, Lbar) pair.
 
-    ``shared_modal`` is computed from ``base``, ``varied_laplacian`` and
-    ``rank_tol`` on first read and kept; ``enumerate`` rows never read it."""
+    ``shared_modal`` is computed on first read and kept, from ``base``,
+    ``varied_laplacian``, ``rank_tol`` and ``graph``, the pair
+    ((L - Lbar) V, ||L - Lbar||_2) the indiscernible subspace was decided
+    from; ``enumerate`` rows never read it."""
 
     node_count: int
     node_dim: int
@@ -279,6 +331,7 @@ class DiscernibilityReport:
     verdict: str
     base: ModalDecomposition = field(repr=False, compare=False)
     varied_laplacian: np.ndarray = field(repr=False, compare=False)
+    graph: tuple[np.ndarray, float] = field(repr=False, compare=False)
     rank_tol: float
     oracle_summary: ValidationSummary | None = None
 
@@ -290,7 +343,7 @@ class DiscernibilityReport:
     def shared_modal(self) -> Subspace:
         sys = self.base.system
         return shared_modal_subspace(sys.dynamics, sys.laplacian, self.varied_laplacian,
-                                     self.rank_tol, self.base)
+                                     self.rank_tol, self.base, self.graph)
 
 
 VERDICT_NO_VARIATION = "no variation"
@@ -310,10 +363,14 @@ def analyze(
     Computes the indiscernible subspace (modal method), its overlap with the
     synchronous manifold, the network-invariant modes, and the
     spectral-disjointness verdict; the shared modal span waits for the
-    first read of ``report.shared_modal``.  When ``opts.validate`` is set
-    the computed subspace is checked against the trajectory oracle.
+    first read of ``report.shared_modal``, and the collision list for the
+    first read of ``report.corrected.collisions``.  When ``opts.validate``
+    is set the computed subspace is checked against the trajectory oracle.
     ``base``, the modal decomposition of (dyn, L), is computed when not
-    given; ``enumerate`` passes one for all variations of a base graph.
+    given; ``enumerate`` passes one for all variations of a base graph,
+    and every row reads the base-side constants it keeps: spec(L) for the
+    corrected condition, ||B||_2, I_N (x) A for assembling Phibar, and the
+    synchronous manifold.  Both Laplacians are validated here, once.
     """
     opts = opts or AnalyzeOptions()
     L = validate_laplacian(L)
@@ -326,12 +383,13 @@ def analyze(
             base.system.laplacian, base.system.dynamics.A, base.system.dynamics.B))):
         raise ValueError("base decomposition belongs to another network")
     sys = base.system
-    sysbar = assemble_transition(dyn, Lbar)
-    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base)
-    sync = sync_manifold(sys.node_count, sys.node_dim, opts.rank_tol)
+    sysbar = assemble_transition(dyn, Lbar, base.uncoupled)
+    graph = graph_difference(base, L - Lbar)
+    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base, graph)
+    sync = base.sync(opts.rank_tol)
     overlap = subspace_intersect(ind, sync)
     extra = ind.dim - overlap.dim
-    corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol)
+    corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol, base)
 
     if np.array_equal(sys.phi, sysbar.phi):
         verdict = VERDICT_NO_VARIATION
@@ -356,6 +414,7 @@ def analyze(
         verdict=verdict,
         base=base,
         varied_laplacian=Lbar,
+        graph=graph,
         rank_tol=opts.rank_tol,
         oracle_summary=summary,
     )

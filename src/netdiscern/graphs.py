@@ -183,6 +183,8 @@ def enumerate_single_link_variations(
     order (kind, then node indices).  Added links default to weight 1;
     reweighting needs an explicit ``reweight_to``.  Each entry carries the
     varied graph and its Laplacian."""
+    if not all(isinstance(kind, str) for kind in kinds):
+        raise ValueError(f"variation kinds must be strings, got {list(kinds)!r}")
     kinds = set(kinds)
     unknown = kinds - set(VARIATION_KINDS)
     if unknown:

@@ -119,10 +119,13 @@ def distinct_values(values, tol: float) -> list[float]:
     """Distinct representatives of a real value set at absolute tolerance,
     ascending: the mean of each single-linkage cluster, which on the
     sorted reals is a run split wherever neighbours are not less than
-    ``tol`` apart."""
+    ``tol`` apart.  The mean is np.mean's own sum and division, the same
+    bits without its per-call overhead; a run of one is its value + 0.0,
+    which is that mean (both turn -0.0 into 0.0) without a reduction."""
     v = np.sort(np.asarray(values, dtype=float))
     cuts = [0, *(np.flatnonzero(~(np.diff(v) < tol)) + 1).tolist(), len(v)]
-    return [float(np.mean(v[a:b])) for a, b in zip(cuts, cuts[1:]) if b > a]
+    return [float(v[a] + 0.0) if b == a + 1 else float(np.add.reduce(v[a:b]) / (b - a))
+            for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ Z), so its indiscernible part is decided on the graph side alone; a
 collision cluster, whose eigenvalue is in the blocks of two or more, keeps
 an orthonormal basis X_g of Phi's generalized eigenspace.  The block
 spectra it clusters (of blocks with a repeated eigenvalue) are kept, so
-the variations of one base graph share them.
+the variations of one base graph share them, and so are the other
+constants of the base network a variation reads: the Laplacian spectrum,
+||B||_2, I_N (x) A and the synchronous manifold.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
@@ -109,16 +111,22 @@ class NetworkSystem:
         return float(np.linalg.norm(self.phi, 2))
 
 
-def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
-    """Exact Kronecker assembly of the network transition matrix."""
+def assemble_transition(dyn: NodeDynamics, L, uncoupled: np.ndarray | None = None
+                        ) -> NetworkSystem:
+    """Exact Kronecker assembly of the network transition matrix.
+    ``uncoupled`` is I_N (x) A when already formed (a base decomposition
+    keeps it for the variations of its network); the result has the same
+    bits either way."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise ValueError("Laplacian entries must be finite")
-    N = L.shape[0]
-    phi = np.kron(np.eye(N), dyn.A) - np.kron(L, dyn.B)
-    return NetworkSystem(dyn, L, phi)
+    if uncoupled is None:
+        uncoupled = np.kron(np.eye(L.shape[0]), dyn.A)
+    # np.kron(L, B): one product per entry, without np.kron's call overhead
+    coupling = (L[:, None, :, None] * dyn.B[None, :, None, :]).reshape(uncoupled.shape)
+    return NetworkSystem(dyn, L, uncoupled - coupling)
 
 
 def modal_matrix(dyn: NodeDynamics, alpha: complex) -> np.ndarray:
@@ -235,7 +243,12 @@ class ModalDecomposition:
     ``block_spectrum(i)`` is computed on first use and kept, so every
     ``enumerate`` row reads the same clustered base spectra.  Only a block
     with a repeated eigenvalue needs its spectrum clustered: the shared
-    modal span takes all of C^n for any other block.
+    modal span takes all of C^n for any other block.  The other base-side
+    constants a variation reads are kept the same way, on first use:
+    ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected condition's
+    spectrum of L, whose last bits can differ from ``alphas``, from eigh),
+    ``b_norm`` (||B||_2), ``uncoupled`` (I_N (x) A, from which each varied
+    system is assembled) and ``sync(tol)`` (the synchronous manifold).
     """
 
     system: NetworkSystem
@@ -250,6 +263,26 @@ class ModalDecomposition:
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
     _spectra: dict[int, Spectrum] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _syncs: dict[float, Subspace] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def laplacian_values(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.system.laplacian)
+
+    @cached_property
+    def b_norm(self) -> float:
+        return float(np.linalg.norm(self.system.dynamics.B, 2))
+
+    @cached_property
+    def uncoupled(self) -> np.ndarray:
+        return np.kron(np.eye(self.system.node_count), self.system.dynamics.A)
+
+    def sync(self, tol: float = RANK_TOL) -> Subspace:
+        """``sync_manifold`` of the network at ``tol``, formed once per tol."""
+        if tol not in self._syncs:
+            self._syncs[tol] = sync_manifold(self.system.node_count, self.system.node_dim, tol)
+        return self._syncs[tol]
 
     def block_spectrum(self, i: int) -> Spectrum:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a

@@ -20,7 +20,7 @@ from netdiscern import (
     network,
 )
 from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
-                            run_enumerate)
+                            report_to_dict, run_enumerate)
 from netdiscern.example import example_config, example_dynamics
 from netdiscern.linalg import cluster_indices
 
@@ -674,6 +674,29 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
                     original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
 
 
+def test_enumerate_rows_never_cluster_collisions(tmp_path, monkeypatch):
+    # a row reports only the corrected condition's verdict, so no row
+    # forms its collision list; every one of these rows is violated
+    graph = ring_with_chords(12)
+    config = enumerate_config(["remove_edge", "add_edge", "reweight_edge", "disconnect_node"])
+    config["variation"]["enumerate"]["reweight_to"] = 2.5
+    config["base_graph"] = {
+        "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+
+    def refuse(*args):
+        raise AssertionError("an enumerate row clustered the block spectra")
+
+    monkeypatch.setattr(discernibility, "cluster_indices", refuse)
+    assert run_enumerate(config, str(tmp_path)) == 0
+    rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
+    assert len(rows) == 92 and all(r["corrected_condition"] == "violated" for r in rows)
+    # the reported analysis does read them, through the same name
+    report = analyze(example_dynamics(), laplacian(graph),
+                     laplacian(graph.with_node_disconnected(1)))
+    with pytest.raises(AssertionError, match="clustered"):
+        report_to_dict(report)
+
+
 def test_enumerate_validate_takes_one_norm_of_the_base(tmp_path, monkeypatch):
     # the decomposition and every row's oracle read the 2-norm kept on the
     # one shared base system
@@ -701,6 +724,27 @@ def test_enumerate_requires_enumerate_variation(tmp_path, capsys):
     path = write_config(tmp_path, example_config(validate=False))
     assert main(["enumerate", path]) == 1
     assert "variation.enumerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, variation, message",
+    [
+        ("enumerate", {"enumerate": {"kinds": [["remove_edge"]]}},
+         "variation kinds must be strings"),
+        ("enumerate", {"enumerate": {"kinds": [1, "x"]}}, "variation kinds must be strings"),
+        ("analyze", {"link": ["remove_edge"]}, "link variation must be an object"),
+    ],
+    ids=["unhashable_kind", "mixed_kinds", "link_list"],
+)
+def test_malformed_variations_are_config_errors(tmp_path, capsys, command, variation,
+                                                message):
+    config = example_config(validate=False)
+    config["variation"] = variation
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and message in err, err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from netdiscern import (
 )
 
 from netdiscern.cli import canonical_json, report_to_dict
+from netdiscern import discernibility
+from netdiscern.discernibility import common_laplacian_vectors, graph_difference
 from netdiscern.example import example_dynamics
 from netdiscern.linalg import (
     RANK_TOL,
@@ -319,16 +321,41 @@ def test_scaling_the_dynamics_changes_no_dimension(scale):
 
 
 def test_shared_base_changes_no_report_byte(demo):
-    g = ring_with_chords(12)
-    L = laplacian(g)
-    base = modal_decomposition(assemble_transition(demo.dyn, L))
-    for gbar in (without_first_edge(g), g.with_node_disconnected(1)):
-        Lbar = laplacian(gbar)
-        alone = canonical_json(report_to_dict(analyze(demo.dyn, L, Lbar)))
-        shared = canonical_json(report_to_dict(analyze(demo.dyn, L, Lbar, base=base)))
-        assert shared == alone
+    # every row of the ring with chords under all four kinds: the base-side
+    # constants a shared decomposition keeps (spec(L), ||B||_2, I (x) A,
+    # the synchronous manifold) give the bytes of a fresh analysis, with
+    # the paper's dynamics and with the random (A, B) that bench/inputs.py
+    # draws at seed 0
+    for dyn, N, rows in ((demo.dyn, 12, 92), (random_dynamics(), 6, 28)):
+        g = ring_with_chords(N)
+        L = laplacian(g)
+        base = modal_decomposition(assemble_transition(dyn, L))
+        entries = enumerate_single_link_variations(
+            g, ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5)
+        assert len(entries) == rows
+        for _, _, Lbar in entries:
+            alone = canonical_json(report_to_dict(analyze(dyn, L, Lbar)))
+            report = analyze(dyn, L, Lbar, base=base)
+            assert canonical_json(report_to_dict(report)) == alone
+            # spec(L) kept on the base has the bits of a fresh eigvalsh
+            assert report.corrected == corrected_condition(dyn, L, Lbar)
     with pytest.raises(ValueError):
         analyze(demo.dyn, demo.L, demo.Lbar, base=base)
+
+
+def test_pickled_report_reads_the_same_collisions_and_shared_span(demo):
+    # collisions and the shared modal span are formed on first read, from
+    # what the report keeps; a copy pickled before either read forms the same
+    for read_first in (False, True):
+        report = analyze(demo.dyn, demo.L, demo.Lbar)
+        if read_first:
+            report.corrected.collisions, report.shared_modal
+        copy = pickle.loads(pickle.dumps(report))
+        assert ("collisions" in vars(copy.corrected)) == read_first
+        assert copy.corrected.collisions == report.corrected.collisions
+        assert len(report.corrected.collisions) == 3
+        assert copy.corrected == report.corrected
+        assert copy.shared_modal.basis.tobytes() == report.shared_modal.basis.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +467,23 @@ def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
     return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
 
 
+def reference_common_vectors(dec, L, Lbar, rank_tol):
+    """``common_laplacian_vectors`` over every alpha group, one SVD per
+    group of two or more vectors in a loop."""
+    diff = L - Lbar
+    V, cutoff = dec.laplacian_vectors, rank_tol * np.linalg.norm(diff, 2)
+    diff_v = diff @ V
+    keep = np.linalg.norm(diff_v, axis=0) <= cutoff
+    common = []
+    for group in dec.alpha_groups:
+        if len(group) == 1:
+            common.append(V[:, group] if keep[group[0]] else V[:, :0])
+        else:
+            _, s, vh = np.linalg.svd(diff_v[:, group])
+            common.append(V[:, group] @ vh[int(np.sum(s > cutoff)):].T)
+    return common
+
+
 def uniform_dynamics(rng) -> NodeDynamics:
     return NodeDynamics(rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3)))
 
@@ -467,7 +511,8 @@ def reference_cases(demo):
 def test_graph_side_decision_matches_the_references(demo):
     # the indiscernible subspace against the whole-network stack, the
     # shared span against the general construction: same dimension, same
-    # span up to roundoff
+    # span up to roundoff; the common vectors, one batched SVD per group
+    # size, have the bits of one SVD per group
     cases = list(reference_cases(demo))
     assert len(cases) == 1 + 8 + 1 + 66
     ring = modal_decomposition(assemble_transition(example_dynamics(),
@@ -477,6 +522,11 @@ def test_graph_side_decision_matches_the_references(demo):
             dec = ring
         else:
             dec = modal_decomposition(assemble_transition(dyn, L))
+        common = common_laplacian_vectors(dec, dec.alpha_groups,
+                                          graph_difference(dec, L - Lbar), RANK_TOL)
+        for C, want in zip(common, reference_common_vectors(dec, L, Lbar, RANK_TOL),
+                           strict=True):
+            assert C.shape == want.shape and C.tobytes() == want.tobytes(), name
         got = shared_modal_subspace(dyn, L, Lbar, RANK_TOL, dec)
         want = reference_shared_modal(dyn, L, Lbar, RANK_TOL, dec)
         assert got.dim == want.dim, name
@@ -685,15 +735,24 @@ def test_analyze_reports_each_collision_once(demo):
     assert report["sync_overlap_dim"] == 3
 
 
-def test_shared_modal_is_computed_on_first_read(demo):
+def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
+    # the span reuses the (L - Lbar) V and ||L - Lbar||_2 its report's
+    # indiscernible subspace was decided from: one graph_difference each
+    calls = []
+    counted = discernibility.graph_difference
+    monkeypatch.setattr(discernibility, "graph_difference",
+                        lambda *args: calls.append(1) or counted(*args))
     g = ring_with_chords(12)
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
     reports = [analyze(demo.dyn, demo.L, demo.Lbar),
                analyze(demo.dyn, L, Lbar,
                        base=modal_decomposition(assemble_transition(demo.dyn, L)))]
+    assert len(calls) == 2
     for report, (L, Lbar) in zip(reports, [(demo.L, demo.Lbar), (L, Lbar)]):
         assert "shared_modal" not in vars(report)
+        calls.clear()
         shared = report.shared_modal
+        assert not calls
         want = shared_modal_subspace(demo.dyn, L, Lbar, RANK_TOL, report.base)
         assert shared.basis.dtype == want.basis.dtype
         assert shared.basis.tobytes() == want.basis.tobytes()
