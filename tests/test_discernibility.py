@@ -32,8 +32,8 @@ from netdiscern import (
 )
 
 from netdiscern.cli import canonical_json, report_to_dict
-from netdiscern import discernibility
-from netdiscern.discernibility import common_laplacian_vectors, graph_difference
+from netdiscern import discernibility, network
+from netdiscern.discernibility import common_laplacian_vectors, delta_product
 from netdiscern.example import example_dynamics
 from netdiscern.linalg import (
     RANK_TOL,
@@ -508,22 +508,28 @@ def reference_cases(demo):
         yield f"ring-12-{label}", example_dynamics(), laplacian(g), Lvar
 
 
-def test_graph_side_decision_matches_the_references(demo):
+def test_graph_side_decision_matches_the_references(demo, monkeypatch):
     # the indiscernible subspace against the whole-network stack, the
     # shared span against the general construction: same dimension, same
     # span up to roundoff; the common vectors, one batched SVD per group
     # size, have the bits of one SVD per group
+    clustered = []
+    original = network.clustered_spectrum
+    monkeypatch.setattr(network, "clustered_spectrum",
+                        lambda *args: clustered.append(args) or original(*args))
+    ring_calls = 0
     cases = list(reference_cases(demo))
     assert len(cases) == 1 + 8 + 1 + 66
     ring = modal_decomposition(assemble_transition(example_dynamics(),
                                                    laplacian(ring_with_chords(12))))
     for name, dyn, L, Lbar in cases:
+        before = len(clustered)
         if name.startswith("ring-12"):
             dec = ring
         else:
             dec = modal_decomposition(assemble_transition(dyn, L))
-        common = common_laplacian_vectors(dec, dec.alpha_groups,
-                                          graph_difference(dec, L - Lbar), RANK_TOL)
+        common, diff_norm = common_laplacian_vectors(dec, L - Lbar, RANK_TOL)
+        assert diff_norm == np.linalg.norm(L - Lbar, 2), name
         for C, want in zip(common, reference_common_vectors(dec, L, Lbar, RANK_TOL),
                            strict=True):
             assert C.shape == want.shape and C.tobytes() == want.tobytes(), name
@@ -536,8 +542,29 @@ def test_graph_side_decision_matches_the_references(demo):
         want = stacked(s1, s2)
         assert got.dim == want.dim, name
         assert np.sin(max_principal_angle(got, want)) <= 1e-10, name
+        if dec is ring:
+            ring_calls += len(clustered) - before
     # the ring's blocks have no repeated eigenvalue: no block was clustered
-    assert not ring._spectra
+    assert ring_calls == 0 and clustered  # the Jordan case's block was
+
+
+@pytest.mark.parametrize("N, collisions", [(8, 4), (12, 1)])
+def test_delta_product_matches_the_formed_delta(N, collisions):
+    # on every collision cluster of the ring's rows, the reshaped
+    # -((L - Lbar) (x) B) X_g is the formed (Phi - Phibar) X_g up to roundoff
+    # relative to ||Delta||_2, the scale its rank is decided at (X_g is
+    # orthonormal; a cluster that Delta misses is roundoff on both sides)
+    dyn, g = example_dynamics(), ring_with_chords(N)
+    L = laplacian(g)
+    dec = modal_decomposition(assemble_transition(dyn, L))
+    assert len(dec.clusters) == collisions
+    for _, _, Lbar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+        delta = dec.system.phi - assemble_transition(dyn, Lbar).phi
+        for X in dec.clusters:
+            want = delta @ X
+            got = delta_product(L - Lbar, dyn.B, X)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(delta, 2)
 
 
 def test_one_alpha_group_keeps_every_cluster_as_a_collision(demo):
@@ -736,11 +763,12 @@ def test_analyze_reports_each_collision_once(demo):
 
 
 def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
-    # the span reuses the (L - Lbar) V and ||L - Lbar||_2 its report's
-    # indiscernible subspace was decided from: one graph_difference each
+    # each report decides the graph side once: its indiscernible subspace
+    # and, on first read, its shared modal span read the one
+    # common_laplacian_vectors call analyze makes
     calls = []
-    counted = discernibility.graph_difference
-    monkeypatch.setattr(discernibility, "graph_difference",
+    counted = discernibility.common_laplacian_vectors
+    monkeypatch.setattr(discernibility, "common_laplacian_vectors",
                         lambda *args: calls.append(1) or counted(*args))
     g = ring_with_chords(12)
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
@@ -760,15 +788,13 @@ def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
 
 
 def test_block_spectra_pickle_with_the_decomposition(demo):
-    # the clustered block spectra a decomposition keeps pickle with it
+    # a pickled decomposition clusters the same block spectra and keeps
+    # its system's 2-norm
     dec = modal_decomposition(assemble_transition(demo.dyn, laplacian(ring_with_chords(12))))
-    for group in dec.alpha_groups[:3]:
-        dec.block_spectrum(int(group[0]))
-    assert len(dec._spectra) == 3
     copy = pickle.loads(pickle.dumps(dec))
-    assert copy._spectra.keys() == dec._spectra.keys()
-    for i, spectrum in dec._spectra.items():
-        for p1, p2 in zip(copy.block_spectrum(i).eigenpairs, spectrum.eigenpairs,
+    for group in dec.alpha_groups[:3]:
+        i = int(group[0])
+        for p1, p2 in zip(copy.block_spectrum(i).eigenpairs, dec.block_spectrum(i).eigenpairs,
                           strict=True):
             assert p1.value == p2.value
             assert np.array_equal(p1.vectors, p2.vectors)
@@ -780,6 +806,20 @@ def test_analyze_no_variation(demo):
     assert report.verdict == VERDICT_NO_VARIATION
     assert report.indiscernible.dim == 12
     assert report.extra_dim == 9  # everything beyond sync, trivially
+
+
+def test_zero_b_is_no_variation():
+    # with B = 0, Delta = -(L - Lbar) (x) B = 0 although L != Lbar: every
+    # state is indiscernible, and the oracle agrees
+    dyn = NodeDynamics(DIAG_DYN.A, np.zeros((2, 2)))
+    g = ring_with_chords(5)
+    L, Lbar = laplacian(g), laplacian(without_first_edge(g))
+    report = analyze(dyn, L, Lbar, AnalyzeOptions(validate=True, oracle=OracleConfig(seed=4)))
+    assert report.verdict == VERDICT_NO_VARIATION
+    assert report.indiscernible.dim == report.ambient_dim == 10
+    assert report.oracle_summary.passed and report.oracle_summary.inside_total > 0
+    s1, s2 = assemble_transition(dyn, L), assemble_transition(dyn, Lbar)
+    assert indiscernible_subspace(s1, s2).dim == 10
 
 
 def test_analyze_detectable_instance():

@@ -308,7 +308,7 @@ def test_modal_decomposition_bases_are_generalized_eigenspaces():
         dec = modal_decomposition(assemble_transition(dyn, L))
         phi = dec.system.phi
         V = dec.laplacian_vectors
-        parts = [np.kron(V[:, group], Z) for group, Z in dec.group_vectors]
+        parts = [np.kron(V[:, dec.alpha_groups[k]], Z) for k, Z in dec.group_vectors]
         assert all(Z.shape[1] for _, Z in dec.group_vectors)
         for X in dec.clusters:
             assert np.allclose(X.conj().T @ X, np.eye(X.shape[1]), atol=1e-12)
@@ -325,8 +325,8 @@ def test_modal_decomposition_bases_are_generalized_eigenspaces():
     assert collisions[0] == 0 and min(collisions[1:3]) > 0
     # the 4-cycle's alpha = 0 block is the Jordan block, its double
     # eigenvalue 1 in no other block: two Schur vectors, no collision
-    group, Z = dec.group_vectors[0]
-    assert collisions[3] == 0 and group.tolist() == [0] and Z.shape[1] == 2
+    k, Z = dec.group_vectors[0]
+    assert collisions[3] == 0 and dec.alpha_groups[k].tolist() == [0] and Z.shape[1] == 2
 
 
 def test_modal_eigenstructure_requires_symmetric_laplacian(demo):
