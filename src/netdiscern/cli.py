@@ -79,9 +79,10 @@ def canonical_json(obj) -> str:
     is byte-identical.
 
     A list whose items are all exactly ``float`` (a subspace basis, a
-    complex pair) is formatted in one joined pass; every other value is
-    emitted item by item. Both follow one float rule: ``-0.0`` is written
-    as ``0``, and NaN or infinity raises ValueError."""
+    complex pair), or all ``[re, im]`` lists of two such floats (a mode
+    vector), is formatted by one "%.17g" template applied once; every
+    other value is emitted item by item. Both follow one float rule:
+    ``-0.0`` is written as ``0``, and NaN or infinity raises ValueError."""
     return _dumps(obj, 0) + "\n"
 
 
@@ -100,14 +101,22 @@ def _dumps(obj, level: int) -> str:
         if not obj:
             return "[]"
         inner = "  " * (level + 1)
+        sep = f",\n{inner}"
         if all(type(x) is float for x in obj):
-            # x + 0.0 turns -0.0 into 0.0; a finite float's .17g form has no
-            # "n", while NaN and infinity format as "nan" and "inf"
-            body = f",\n{inner}".join([format(x + 0.0, ".17g") for x in obj])
-            if "n" in body:
-                raise ValueError("non-finite float cannot be serialized")
+            template, values = sep.join(["%.17g"] * len(obj)), obj
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is float
+                 and type(x[1]) is float for x in obj):
+            # [re, im] pairs (a mode vector), one template for all of them
+            pair = f"[\n{inner}  %.17g,\n{inner}  %.17g\n{inner}]"
+            template, values = sep.join([pair] * len(obj)), [y for x in obj for y in x]
         else:
-            body = f",\n{inner}".join([_dumps(x, level + 1) for x in obj])
+            body = sep.join([_dumps(x, level + 1) for x in obj])
+            return f"[\n{inner}{body}\n" + "  " * level + "]"
+        # x + 0.0 turns -0.0 into 0.0; a finite float's %.17g form has no
+        # "n", while NaN and infinity format as "nan" and "inf"
+        body = template % tuple([x + 0.0 for x in values])
+        if "n" in body:
+            raise ValueError("non-finite float cannot be serialized")
         return f"[\n{inner}{body}\n" + "  " * level + "]"
     if isinstance(obj, str):
         return json.dumps(obj)

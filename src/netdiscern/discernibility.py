@@ -288,9 +288,12 @@ def corrected_condition(
     alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
     spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
     flat = spectra.reshape(-1)
-    owner = np.repeat(np.arange(len(alphas)), dyn.n)
-    cross = owner[:, None] != owner[None, :]
-    min_gap = float(np.abs(flat[:, None] - flat[None, :])[cross].min(initial=np.inf))
+    gaps = np.abs(flat[:, None] - flat[None, :])
+    # same-alpha pairs are no cross gap: fill the diagonal blocks of the
+    # (alpha, member, alpha, member) view; one alpha leaves only inf
+    same = np.arange(len(alphas))
+    gaps.reshape(len(alphas), dyn.n, len(alphas), dyn.n)[same, :, same, :] = np.inf
+    min_gap = float(gaps.min(initial=np.inf))
     return CorrectedConditionResult(min_gap > tol, min_gap, float(tol), alphas, spectra)
 
 

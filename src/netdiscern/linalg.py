@@ -2,11 +2,12 @@
 
 Everything here operates on dense matrices.  Operands are small: the state
 dimension m = N*n is a few dozen, and the tall stacks ``kernel`` receives
-are per-eigenvalue-cluster power stacks and the 2m x m projector stack of
-``subspace_intersect``.  The code favors
+are per-eigenvalue-cluster power stacks and the m x min(dim U, dim V)
+principal-angle residual of ``subspace_intersect``.  The code favors
 reproducibility: spectra are clustered at explicit tolerances, subspaces
-carry orthonormal bases, and every rank decision goes through a single
-relative singular-value threshold.
+carry orthonormal bases, and every rank decision goes through one
+singular-value threshold, relative to sigma_max unless the caller names
+the reference magnitude.
 
 NumPy does all of it but ``expm``, which imports ``scipy.linalg`` on its
 first call: SciPy would more than double the package's import time, and
@@ -254,9 +255,13 @@ def _check_same_ambient(U: Subspace, V: Subspace) -> None:
         )
 
 
-def kernel(M, tol: float = RANK_TOL) -> Subspace:
-    """Orthonormal basis of the null space at relative singular-value
-    threshold ``tol * sigma_max``.
+def kernel(M, tol: float = RANK_TOL, scale: float | None = None) -> Subspace:
+    """Orthonormal basis of the null space: the right singular vectors
+    whose singular values are at most ``tol * scale``, with ``scale``
+    sigma_max unless given (a relative threshold).  A caller that knows
+    the magnitude a nonzero singular value must reach, such as the sines
+    of ``subspace_intersect``, passes it, so a matrix of pure roundoff
+    has no rank.
 
     The basis is the trailing rows of V^H from the SVD M = U S V^H; U is
     never read.  For a tall or square M the thin factors already hold all
@@ -271,7 +276,7 @@ def kernel(M, tol: float = RANK_TOL) -> Subspace:
     _, s, vh = np.linalg.svd(M, full_matrices=rows < ambient)
     if s.size == 0 or s[0] == 0:
         return Subspace.full(ambient, tol)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > tol * (s[0] if scale is None else scale)))
     basis = vh[rank:].conj().T
     if np.iscomplexobj(basis) and np.max(np.abs(basis.imag), initial=0.0) < 1e-14:
         basis = basis.real.copy()
@@ -292,36 +297,42 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 
 
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
-    """U ∩ V via the kernel of stacked complement projectors."""
+    """U ∩ V by principal angles (Björck & Golub, Math. Comp. 27, 1973).
+
+    With A the basis of the operand of smaller dimension and B the other,
+    the singular values of the m x dim A residual R = A - B(B^H A) are the
+    sines of the principal angles, and U ∩ V is A·kernel(R), the sines cut
+    at an absolute 2·tol.  That is the relative cutoff of the stacked
+    complement projectors [I - P_U; I - P_V] whenever some direction lies
+    outside U + V: the stack then has sigma_max = sqrt(2) and singular
+    values sqrt(2)·sin(θ/2), so it keeps sin(θ/2) <= tol, i.e.
+    sin θ <~ 2·tol.  Being absolute, the cutoff also reads the roundoff
+    residual of a full or equal operand as no angle."""
     _check_same_ambient(U, V)
     tol = max(U.tol, V.tol)
-    m = U.ambient_dim
     if U.dim == 0 or V.dim == 0:
-        return Subspace.zero(m, tol)
-    # full-space operands make the complement projector a pure-roundoff
-    # matrix, which a relative rank threshold would misread
-    if U.dim == m:
-        return Subspace(V.basis, tol)
-    if V.dim == m:
-        return Subspace(U.basis, tol)
-    dtype = np.result_type(U.basis.dtype, V.basis.dtype, float)
-    eye = np.eye(m, dtype=dtype)
-    pu = eye - U.basis @ U.basis.conj().T
-    pv = eye - V.basis @ V.basis.conj().T
-    return kernel(np.vstack([pu, pv]), tol)
+        return Subspace.zero(U.ambient_dim, tol)
+    a, b = (U, V) if U.dim <= V.dim else (V, U)
+    return Subspace(a.basis @ kernel(_residual(b, a.basis), tol, 2.0).basis, tol)
+
+
+def _residual(container: Subspace, probe: np.ndarray) -> np.ndarray:
+    """(I - QQ^H) applied to the probe columns, Q the container's basis;
+    for orthonormal probe columns its singular values are the sines of
+    the principal angles between the two spans."""
+    q = container.basis
+    return probe - q @ (q.conj().T @ probe)
 
 
 def _residual_sine(container: Subspace, probe: np.ndarray) -> float:
-    """Spectral norm of (I - QQ^H) applied to orthonormal probe columns,
-    i.e. the sine of the largest principal angle.  Sine-based, so it stays
-    accurate for angles far below arccos resolution."""
+    """Spectral norm of ``_residual``, i.e. the sine of the largest
+    principal angle.  Sine-based, so it stays accurate for angles far
+    below arccos resolution."""
     if container.dim == 0:
         return 1.0 if probe.shape[1] else 0.0
-    q = container.basis
-    resid = probe - q @ (q.conj().T @ probe)
-    if resid.shape[1] == 0:
+    if probe.shape[1] == 0:
         return 0.0
-    return float(min(1.0, np.linalg.norm(resid, 2)))
+    return float(min(1.0, np.linalg.norm(_residual(container, probe), 2)))
 
 
 def max_principal_angle(U: Subspace, V: Subspace) -> float:

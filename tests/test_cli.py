@@ -1,6 +1,7 @@
 """CLI: config ingestion, report emission, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -131,6 +132,9 @@ def test_canonical_json_matches_json_dumps_without_floats(doc):
         [float("inf")],
         [-0.0, float("-inf")],
         [1, float("nan")],  # mixed list: item by item
+        [[0.5, 1e308], [5e-324, float("nan")]],  # [re, im] pairs: one template
+        [[float("inf"), -0.0]],
+        [1, [float("-inf"), 0.0]],  # a pair inside a mixed list
     ],
 )
 def test_canonical_json_rejects_nonfinite_in_lists(items):
@@ -153,6 +157,68 @@ def test_canonical_json_numpy_floats_match_python_floats():
     values = [0.1, -0.0, 1e-7, 3.0, -2.5e300]
     as_numpy = {"list": [np.float64(x) for x in values], "one": np.float64(0.1)}
     assert canonical_json(as_numpy) == canonical_json({"list": values, "one": 0.1})
+
+
+def reference_dumps(obj, level: int = 0) -> str:
+    """The per-item serializer the float templates replaced: one format()
+    per float, one call per [re, im] pair."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = "  " * (level + 1)
+        items = [f"{inner}{json.dumps(key)}: {reference_dumps(obj[key], level + 1)}"
+                 for key in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = "  " * (level + 1)
+        if all(type(x) is float for x in obj):
+            body = f",\n{inner}".join([format(x + 0.0, ".17g") for x in obj])
+            if "n" in body:
+                raise ValueError("non-finite float cannot be serialized")
+        else:
+            body = f",\n{inner}".join([reference_dumps(x, level + 1) for x in obj])
+        return f"[\n{inner}{body}\n" + "  " * level + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError("non-finite float cannot be serialized")
+        return format(0.0 if obj == 0.0 else obj, ".17g")
+    raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3, 2.5e-300]
+
+
+def test_canonical_json_float_templates_match_the_reference():
+    rng = np.random.default_rng(23)
+    pairs = [[float(x), float(y)] for x, y in rng.standard_normal((12, 2))]
+    g = ring_with_chords(12)
+    report = report_to_dict(analyze(example_dynamics(), laplacian(g),
+                                     laplacian(g.with_edge_removed(*g.edges[0][:2]))))
+    docs = [
+        EDGE_FLOATS,
+        {"basis": EDGE_FLOATS + rng.standard_normal(50).tolist(), "value": [-0.0, 5e-324]},
+        {"vector": [[x, y] for x in EDGE_FLOATS for y in EDGE_FLOATS]},
+        {"nested": [pairs, [pairs, [pairs]]], "pairs": pairs},
+        [1, 2.5, True, -0.0, None],              # ints and bools inside float lists
+        [[1.0, 2.0], [3.0, 4]],                  # a pair with an int: item by item
+        [[1.0, 2.0], [3.0, 4.0, 5.0], [6.0]],    # not all pairs
+        [[1.0, True], (2.0, 3.0)],               # a bool, a tuple pair
+        [np.float64(0.5), [np.float64(-0.0), 1.0]],
+        [[-0.0, -0.0]],
+        report,
+    ]
+    for doc in docs:
+        assert canonical_json(doc) == reference_dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

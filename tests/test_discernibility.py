@@ -32,7 +32,7 @@ from netdiscern import (
 )
 
 from netdiscern.cli import canonical_json, report_to_dict
-from netdiscern import discernibility, network
+from netdiscern import discernibility, linalg, network
 from netdiscern.discernibility import common_laplacian_vectors, delta_product
 from netdiscern.example import example_dynamics
 from netdiscern.linalg import (
@@ -666,18 +666,21 @@ def test_corrected_condition_matches_pairwise_reference(demo, case, count):
 
 def reference_collisions(dyn, L, Lbar, tol):
     """Every cluster of the block spectra scanned, with no shortcut on the
-    minimum cross gap and none for one-member clusters."""
+    minimum cross gap and none for one-member clusters; and that minimum
+    over the pairs a boolean owner mask selects."""
     alphas = np.array(distinct_values(
         np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol))
     flat = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B)).reshape(-1)
     owner = np.repeat(np.arange(len(alphas)), dyn.n)
+    cross = owner[:, None] != owner[None, :]
+    min_gap = np.abs(flat[:, None] - flat[None, :])[cross].min(initial=np.inf)
     collisions = []
     for idx in map(np.asarray, cluster_indices(flat, np.nextafter(tol, np.inf))):
         members = np.unique(owner[idx])
         if len(members) > 1:
             collisions.append((complex(np.mean(flat[idx])), tuple(alphas[members].tolist())))
     collisions.sort(key=lambda c: (c[0].real, c[0].imag))
-    return tuple(collisions)
+    return tuple(collisions), float(min_gap)
 
 
 def test_corrected_condition_shortcut_changes_no_result():
@@ -691,11 +694,18 @@ def test_corrected_condition_shortcut_changes_no_result():
             for _, _, Lbar in variations[::3]:
                 L = laplacian(g)
                 result = corrected_condition(dyn, L, Lbar)
-                want = reference_collisions(dyn, L, Lbar, result.tol)
+                want, min_gap = reference_collisions(dyn, L, Lbar, result.tol)
                 assert result.collisions == want
+                assert np.float64(result.min_cross_gap).tobytes() == np.float64(min_gap).tobytes()
                 assert result.holds == (not want)
                 verdicts[result.verdict] += 1
     assert verdicts["holds"] > 0 and verdicts["violated"] > 0
+
+
+def test_corrected_condition_one_alpha_has_no_cross_gap():
+    # one node: spec(L) ∪ spec(Lbar) = {0}, so there is no pair of blocks
+    result = corrected_condition(example_dynamics(), np.zeros((1, 1)), np.zeros((1, 1)))
+    assert result.holds and result.min_cross_gap == np.inf and result.collisions == ()
 
 
 def test_corrected_condition_holds_on_shifted_diagonal():
@@ -760,6 +770,37 @@ def test_analyze_reports_each_collision_once(demo):
     assert len(corrected["collisions"]) == 3
     assert "sync" not in report and "reading" not in corrected
     assert report["sync_overlap_dim"] == 3
+
+
+@pytest.mark.parametrize("N", [4, 12, 20, 40])
+def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
+    # L 1 = Lbar 1 = 0, so Delta annihilates the synchronous manifold and
+    # Phi keeps it invariant: it lies in the indiscernible subspace, and
+    # the computed overlap is n on every remove_edge row, with the paper's
+    # dynamics and with random (A, B)
+    g = ring_with_chords(N)
+    L = laplacian(g)
+    for dyn in (example_dynamics(), random_dynamics()):
+        base = modal_decomposition(assemble_transition(dyn, L))
+        for _, _, Lbar in enumerate_single_link_variations(g, ["remove_edge"]):
+            report = analyze(dyn, L, Lbar, base=base)
+            assert report.sync_overlap_dim == dyn.n
+
+
+def test_sync_overlap_factors_an_m_by_min_dim_residual(demo, monkeypatch):
+    # the intersection hands kernel the m x min(dim Q, n) principal-angle
+    # residual, not a 2m x m projector stack
+    shapes = []
+    original = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel",
+                        lambda M, *args: shapes.append(M.shape) or original(M, *args))
+    g = ring_with_chords(12)
+    for dyn, L, Lbar in ((demo.dyn, demo.L, demo.Lbar),
+                         (demo.dyn, laplacian(g), laplacian(without_first_edge(g))),
+                         (random_dynamics(), laplacian(g), laplacian(without_first_edge(g)))):
+        shapes.clear()
+        report = analyze(dyn, L, Lbar)
+        assert shapes == [(report.ambient_dim, min(report.indiscernible.dim, dyn.n))]
 
 
 def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):

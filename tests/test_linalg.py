@@ -15,6 +15,7 @@ from netdiscern import (
     subspace_sum,
     subspaces_equal,
 )
+from netdiscern import linalg
 from netdiscern.example import EXAMPLE_B
 from netdiscern.linalg import cluster_indices, distinct_values
 
@@ -315,6 +316,67 @@ def test_dimension_identity_on_random_subspaces():
         # generic position cross-check
         assert subspace_sum(U, V).dim == min(m, p + q)
         assert subspace_intersect(U, V).dim == max(0, p + q - m)
+
+
+def stacked_intersect(U: Subspace, V: Subspace) -> Subspace:
+    """The reference: the kernel of the stacked complement projectors
+    [I - P_U; I - P_V], a 2m x m matrix, at the relative cutoff; a full
+    operand, whose projector is pure roundoff, is decided directly."""
+    tol, m = max(U.tol, V.tol), U.ambient_dim
+    if U.dim == 0 or V.dim == 0:
+        return Subspace.zero(m, tol)
+    if U.dim == m or V.dim == m:
+        return V if U.dim == m else U
+    eye = np.eye(m)
+    return kernel(np.vstack([eye - U.basis @ U.basis.conj().T,
+                             eye - V.basis @ V.basis.conj().T]), tol)
+
+
+def planted_pairs():
+    """(U, V, k): subspaces of C^m or R^m, m up to 40, sharing a planted
+    k-dimensional part: generic pairs, nested and equal pairs, full and
+    zero operands, real and complex bases."""
+    rng = np.random.default_rng(19)
+
+    def draw(m, cols, complex_):
+        x = rng.standard_normal((m, cols))
+        return x + 1j * rng.standard_normal((m, cols)) if complex_ else x
+
+    for trial in range(300):
+        m = int(rng.integers(2, 41))
+        complex_ = trial % 3 == 0
+        k = int(rng.integers(0, m + 1))
+        p, q = (int(rng.integers(k, m + 1)) for _ in range(2))
+        common = draw(m, k, complex_)
+        U = Subspace.from_spanning(np.hstack([common, draw(m, p - k, complex_)]))
+        V = Subspace.from_spanning(np.hstack([common, draw(m, q - k, complex_)]))
+        yield U, V, max(k, p + q - m) if U.dim and V.dim else 0
+        if U.dim:
+            nested = Subspace.from_spanning(U.basis @ draw(U.dim, max(1, U.dim // 2), complex_))
+            yield nested, U, nested.dim
+            yield U, U, U.dim
+            yield U, Subspace.full(m), U.dim
+            yield Subspace.zero(m), U, 0
+    yield Subspace.full(40), Subspace.full(40), 40
+
+
+def test_intersect_matches_the_stacked_projectors_on_planted_pairs(monkeypatch):
+    # dim(U ∩ V) is the planted dimension (generic otherwise), equal to the
+    # stacked reference's in either argument order, and the span lies in
+    # both operands; kernel receives the m x min(dim U, dim V) residual,
+    # never a 2m x m stack
+    shapes = []
+    original = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda M, *a: shapes.append(M.shape) or original(M, *a))
+    count = 0
+    for U, V, dim in planted_pairs():
+        shapes.clear()
+        inter = subspace_intersect(U, V)
+        assert shapes == ([(U.ambient_dim, min(U.dim, V.dim))] if U.dim and V.dim else [])
+        assert inter.dim == subspace_intersect(V, U).dim == stacked_intersect(U, V).dim == dim
+        assert subspace_contains(U, inter, 1e-8) and subspace_contains(V, inter, 1e-8)
+        count += 1
+    assert count > 1000
 
 
 def test_contains_zero_vector():
