@@ -931,25 +931,34 @@ code = netdiscern.cli.main(["enumerate", sys.argv[1], "--out", sys.argv[2]])
 loaded["enumerate"] = [code, "scipy" in sys.modules]
 code = netdiscern.cli.main(["paper-example", "--out", sys.argv[3]])
 loaded["paper-example"] = [code, "scipy" in sys.modules]
+code = netdiscern.cli.main(["enumerate", sys.argv[4], "--validate", "--out", sys.argv[5]])
+loaded["enumerate --validate"] = [code, "scipy" in sys.modules]
 print(json.dumps(loaded))
 """
 
 
 def test_scipy_loads_only_when_a_computation_needs_it(tmp_path):
-    # SciPy serves only the oracle's expm and the ordered Schur form of a
-    # block with a repeated eigenvalue: importing the CLI and screening the
-    # link variations of a 12-node ring with chords never load it
+    # SciPy serves only the ordered Schur form of a block with a repeated
+    # eigenvalue: importing the CLI, screening the link variations of a
+    # 12-node ring with chords, the paper example and validating every
+    # single-link variation of the example never load it
     config = enumerate_config(["remove_edge", "add_edge"])
     ring = ring_with_chords(12)
     config["base_graph"] = {"nodes": ring.node_count,
                             "edges": [{"i": i, "j": j, "w": w} for i, j, w in ring.edges]}
-    path = write_config(tmp_path, config)
+    ring_path = write_config(tmp_path, config, "ring.json")
+    config = enumerate_config(["remove_edge", "add_edge", "reweight_edge", "disconnect_node"])
+    config["variation"]["enumerate"]["reweight_to"] = 2.5
+    example_path = write_config(tmp_path, config, "example.json")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(network.__file__)))
     probe = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, path, str(tmp_path / "enumerate"),
-         str(tmp_path / "paper")],
+        [sys.executable, "-c", SCIPY_PROBE, ring_path, str(tmp_path / "enumerate"),
+         str(tmp_path / "paper"), example_path, str(tmp_path / "validated")],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     loaded = json.loads(probe.stdout.splitlines()[-1])
-    assert loaded == {"import": False, "enumerate": [0, False], "paper-example": [0, True]}
+    assert loaded == {"import": False, "enumerate": [0, False], "paper-example": [0, False],
+                      "enumerate --validate": [0, False]}
     rows = json.loads((tmp_path / "enumerate" / "variations.json").read_text())["rows"]
     assert len(rows) == 12 * 11 // 2
+    rows = json.loads((tmp_path / "validated" / "variations.json").read_text())["rows"]
+    assert len(rows) == 14 and all(row["oracle_passed"] for row in rows)

@@ -1,5 +1,7 @@
 """Kernels: clustered spectra, subspace arithmetic, matrix exponential."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,9 +17,11 @@ from netdiscern import (
     subspace_sum,
     subspaces_equal,
 )
-from netdiscern import linalg
-from netdiscern.example import EXAMPLE_B
+from netdiscern import assemble_transition, laplacian, linalg
+from netdiscern.example import EXAMPLE_B, example_dynamics
 from netdiscern.linalg import cluster_indices, distinct_values
+
+from conftest import ring_with_chords, without_first_edge
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +425,20 @@ def _with_inner_product(c: complex) -> np.ndarray:
     return np.array([[1.0, c], [0.0, 1.0], [0.0, 0.0]])
 
 
+def _stretched(c: complex) -> np.ndarray:
+    """``_with_inner_product(c)`` with gram entry (0, 0) at 1 + 5e-6."""
+    basis = _with_inner_product(c)
+    basis[:, 0] *= np.sqrt(1 + 5e-6)
+    return basis
+
+
 @pytest.mark.parametrize("basis, ok", [
     # a diagonal gram entry passes within 1e-8 + 1e-5 of one
     (np.sqrt(1 + 5e-6) * np.eye(3, 1), True),
     (np.sqrt(1 + 2e-5) * np.eye(3, 1), False),
+    # ... while every off-diagonal one still has to be within 1e-8 of zero
+    (_stretched(5e-9), True),
+    (_stretched(2e-8), False),
     # an off-diagonal one within 1e-8 of zero
     (_with_inner_product(5e-9), True),
     (_with_inner_product(2e-8), False),
@@ -459,6 +473,12 @@ def test_principal_angles():
 
 def test_expm_zero_matrix():
     assert np.array_equal(expm(np.zeros((4, 4)), 2.0), np.eye(4))
+    assert np.array_equal(expm(np.ones((3, 3)), 0.0), np.eye(3))
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_expm_subnormal_norm_needs_no_logarithm():
+    assert np.array_equal(expm(np.array([[5e-324]])), np.ones((1, 1)))
 
 
 def test_expm_diagonal():
@@ -489,6 +509,54 @@ def test_expm_eigenvector_action(demo):
     assert np.allclose(result, np.exp(0.5) * x, rtol=1e-10)
 
 
+def expm_overflows_quietly(M, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match=r"overflowed for \|\|M t\|\|_1"):
+            expm(M, t)
+
+
 def test_expm_overflow_reported():
-    with pytest.raises(OverflowError):
-        expm(np.array([[800.0]]), 1.0)
+    expm_overflows_quietly(np.array([[800.0]]), 1.0)  # the squarings overflow
+
+
+@pytest.mark.parametrize("M, t", [
+    (np.array([[1.0, 2.0], [3.0, -1.0]]), 1e3),  # a non-normal matrix
+    (np.array([[1e308, 0.0], [1e308, 0.0]]), 1.0),  # ||M t||_1 is infinite
+    (np.array([[1e300]]), 1e10),  # M t itself overflows
+], ids=["general", "infinite_norm", "product"])
+def test_expm_overflow_raises_without_warning(M, t):
+    expm_overflows_quietly(M, t)
+
+
+def relative_gap(E, R):
+    return np.linalg.norm(E - R, 1) / np.linalg.norm(R, 1)
+
+
+def test_expm_matches_scipy_across_norms_and_sizes():
+    # ||M||_1 from 1e-4 to 300 on both sides of theta_13: no scaling below
+    # it, up to 6 squarings above; every third matrix upper triangular.
+    # The relative condition number of e^M is at least ||M||_2, so two
+    # stable methods may differ by about ||M|| u: the bound is 1e-12 up to
+    # ||M||_1 = 1 and grows with the norm above it.  (On the 2 x 2 draw at
+    # norm 300 SciPy's own relative error is 3.7e-11 against a 60-digit
+    # reference; this expm's is 1.9e-13.)
+    rng = np.random.default_rng(23)
+    norms = np.geomspace(1e-4, 300.0, 9)
+    assert norms.min() < linalg._THETA13 < norms.max()
+    for n in range(1, 41):
+        for k, target in enumerate(norms):
+            M = rng.standard_normal((n, n))
+            if (n + k) % 3 == 0:
+                M = np.triu(M)
+            M *= target / np.abs(M).sum(axis=0).max()
+            gap = relative_gap(expm(M), scipy.linalg.expm(M))
+            assert gap <= 1e-12 * max(1.0, target), (n, target)
+
+
+@pytest.mark.parametrize("t", [0.1, 5.0])
+def test_expm_matches_scipy_on_the_ring_transitions(t):
+    dyn, g = example_dynamics(), ring_with_chords(8)
+    for L in (laplacian(g), laplacian(without_first_edge(g))):
+        phi = assemble_transition(dyn, L).phi
+        assert relative_gap(expm(phi, t), scipy.linalg.expm(phi * t)) <= 1e-12

@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netdiscern import (
     NodeDynamics,
     OracleConfig,
+    analyze,
     assemble_transition,
+    enumerate_single_link_variations,
     indiscernible_subspace,
     laplacian,
+    modal_decomposition,
     trajectory_gap,
     validate_subspace,
     sync_manifold,
@@ -314,6 +318,40 @@ def test_overflowing_fast_mode_raises_without_warning():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(OverflowError):
             trajectory_gap(s1, s2, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def scipy_expm(M, t=1.0):
+    return scipy.linalg.expm(np.asarray(M) * float(t))
+
+
+def validation_cases(demo):
+    """(Phi, Phibar, computed subspace) for the paper example and for
+    every remove_edge and add_edge row of the 8-node ring with chords."""
+    cases = [(demo.phi, demo.phibar, indiscernible_subspace(demo.phi, demo.phibar))]
+    dyn, g = example_dynamics(), ring_with_chords(8)
+    base = modal_decomposition(assemble_transition(dyn, laplacian(g)))
+    for _, _, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+        report = analyze(dyn, base.system.laplacian, Lvar, base=base)
+        cases.append((base.system, assemble_transition(dyn, Lvar), report.indiscernible))
+    return cases
+
+
+def test_verdicts_match_scipy_exponentials(demo, monkeypatch):
+    cases = validation_cases(demo)
+    assert len(cases) == 1 + 28
+    runs = []
+    for step_expm in (expm, scipy_expm):
+        monkeypatch.setattr(oracle, "expm", step_expm)
+        runs.append([validate_subspace(phi, phibar, V, OracleConfig(seed=seed))
+                     for phi, phibar, V in cases for seed in range(3)])
+    for ours, ref in zip(*runs):
+        assert (ours.inside_total, ours.inside_pass, ours.outside_total, ours.outside_pass) \
+            == (ref.inside_total, ref.inside_pass, ref.outside_total, ref.outside_pass)
+        assert abs(ours.inside_worst_gap - ref.inside_worst_gap) <= 1e-12
+        if ref.outside_worst_gap is None:
+            assert ours.outside_worst_gap is None
+        else:
+            assert abs(ours.outside_worst_gap - ref.outside_worst_gap) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
