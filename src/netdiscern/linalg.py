@@ -9,9 +9,10 @@ carry orthonormal bases, and every rank decision goes through one
 singular-value threshold, relative to sigma_max unless the caller names
 the reference magnitude.
 
-NumPy does all of it, ``expm`` included: a SciPy call would wake the
-separate OpenBLAS thread pool that SciPy ships, whose worker then spins on
-a second core after every burst of tiny calls.
+NumPy does all of it, ``expm`` and ``schur_basis`` included: a SciPy call
+would wake the separate OpenBLAS thread pool that SciPy ships, whose worker
+then spins on a second core after every burst of tiny calls, and importing
+SciPy's linear algebra alone adds about 28 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -191,6 +192,25 @@ def clustered_spectrum(M: np.ndarray, w, V: np.ndarray, tol: float) -> Spectrum:
 
     pairs.sort(key=lambda p: (p.value.real, p.value.imag))
     return Spectrum(tuple(pairs), tol)
+
+
+def schur_basis(M: np.ndarray, values) -> np.ndarray:
+    """An orthonormal basis of M's invariant subspace for ``values``, its
+    computed eigenvalues counted with multiplicity: the leading vectors of a
+    Schur basis of M ordered to put them first, built by deflation.  For
+    each value lambda in turn, C is an orthonormal complement of the
+    columns found so far (all of C^n at the start); the next column is C y,
+    y the smallest right singular vector of C^H (M - lambda I) C, and the
+    other right singular vectors give the next C.  Each step deflates by an
+    eigenvector of the remaining part, so a defective eigenvalue stays
+    exact, and the basis has one column per value."""
+    n = M.shape[0]
+    cols, C = [], np.eye(n)
+    for lam in values:
+        H = C @ np.linalg.svd(C.conj().T @ (M - lam * np.eye(n)) @ C)[2].conj().T
+        cols.append(H[:, -1])
+        C = H[:, :-1]
+    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)

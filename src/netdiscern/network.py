@@ -29,11 +29,6 @@ B v = 0) that put an eigenvalue in Phi for every topology.
 subspace inside kernel(C): the invariant-mode core (C = B), the solve of
 each collision cluster of the indiscernible subspace, and, for the whole
 network (C = Delta, A = Phi), the tests' desk-scale reference.
-
-The only SciPy call, the ordered complex Schur form of a block that owns
-several members of one eigenvalue cluster, imports ``scipy.linalg`` when
-it is first reached, so networks without a repeated block eigenvalue
-never load SciPy.
 """
 
 from __future__ import annotations
@@ -55,6 +50,7 @@ from .linalg import (
     eig,
     is_symmetric,
     kernel,
+    schur_basis,
 )
 
 
@@ -227,8 +223,8 @@ class ModalDecomposition:
     clusters with imaginary part >= 0 are kept; a conjugate cluster's basis
     is the complex conjugate.  Per block, a cluster takes the block's unit
     eigenvector when the block owns one of its members, else the block's
-    ordered Schur vectors for its members, which is exact for defective
-    blocks.
+    ordered Schur vectors for its members (``schur_basis``), which are
+    exact for defective blocks.
 
     A cluster whose members all come from the blocks of one alpha group G
     (the indices of one distinct eigenvalue of L) is single-alpha: Phi's
@@ -305,18 +301,12 @@ def modal_decomposition(sys: NetworkSystem,
 
     def block_basis(i: int, idx: list[int]) -> np.ndarray:
         """Block i's vectors for its members of the cluster idx: its unit
-        eigenvector for one member, else the leading vectors of its ordered
-        complex Schur form, which is exact for defective blocks."""
+        eigenvector for one member, else its ordered Schur vectors for
+        them, which are exact for defective blocks."""
         member = [j % n for j in idx if j // n == i]
         if len(member) < 2:
             return W[i][:, member]
-        import scipy.linalg  # on first use: see the module docstring
-
-        _, Z, sdim = scipy.linalg.schur(blocks[i], output="complex",
-                                        sort=lambda x: np.argmin(np.abs(w[i] - x)) in member)
-        if sdim != len(member):
-            raise RuntimeError(f"ordered Schur form kept {sdim} of {len(member)}")
-        return Z[:, :sdim]
+        return schur_basis(blocks[i], w[i][member])
 
     zs: list[list[np.ndarray]] = [[] for _ in groups]
     clusters = []

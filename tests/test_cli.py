@@ -926,39 +926,50 @@ def test_time_grid_spec_forms(tmp_path):
 SCIPY_PROBE = """
 import json, sys
 import netdiscern, netdiscern.cli
-loaded = {"import": "scipy" in sys.modules}
-code = netdiscern.cli.main(["enumerate", sys.argv[1], "--out", sys.argv[2]])
-loaded["enumerate"] = [code, "scipy" in sys.modules]
-code = netdiscern.cli.main(["paper-example", "--out", sys.argv[3]])
-loaded["paper-example"] = [code, "scipy" in sys.modules]
-code = netdiscern.cli.main(["enumerate", sys.argv[4], "--validate", "--out", sys.argv[5]])
-loaded["enumerate --validate"] = [code, "scipy" in sys.modules]
+loaded = [["import", "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    loaded.append([netdiscern.cli.main(argv), "scipy" in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_when_a_computation_needs_it(tmp_path):
-    # SciPy serves only the ordered Schur form of a block with a repeated
-    # eigenvalue: importing the CLI, screening the link variations of a
-    # 12-node ring with chords, the paper example and validating every
-    # single-link variation of the example never load it
-    config = enumerate_config(["remove_edge", "add_edge"])
-    ring = ring_with_chords(12)
-    config["base_graph"] = {"nodes": ring.node_count,
-                            "edges": [{"i": i, "j": j, "w": w} for i, j, w in ring.edges]}
-    ring_path = write_config(tmp_path, config, "ring.json")
+def test_no_command_imports_scipy(tmp_path):
+    # NumPy is the only numerical dependency: importing the CLI, screening
+    # the link variations of a 12-node ring with chords, the paper example,
+    # validating every single-link variation of the example and of the
+    # 8-node ring with chords (whose blocks at alpha = 3 -+ sqrt(3) hold a
+    # defective eigenvalue 1, the case schur_basis serves) and one
+    # analysis of random dynamics all run in one process without SciPy
+    def ring_config(N, kinds):
+        config = enumerate_config(kinds)
+        ring = ring_with_chords(N)
+        config["base_graph"] = {"nodes": ring.node_count,
+                                "edges": [{"i": i, "j": j, "w": w} for i, j, w in ring.edges]}
+        return config
+
+    ring_path = write_config(tmp_path, ring_config(12, ["remove_edge", "add_edge"]), "ring.json")
     config = enumerate_config(["remove_edge", "add_edge", "reweight_edge", "disconnect_node"])
     config["variation"]["enumerate"]["reweight_to"] = 2.5
     example_path = write_config(tmp_path, config, "example.json")
+    ring8_path = write_config(tmp_path, ring_config(8, ["remove_edge", "add_edge"]), "ring8.json")
+    rng = np.random.default_rng(41)
+    config = two_node_config()
+    config["node_dynamics"] = {"n": 3, "A": rng.uniform(-1, 1, 9).tolist(),
+                               "B": rng.uniform(-1, 1, 9).tolist()}
+    random_path = write_config(tmp_path, config, "random.json")
+    commands = [["enumerate", ring_path, "--out", str(tmp_path / "enumerate")],
+                ["paper-example", "--out", str(tmp_path / "paper")],
+                ["enumerate", example_path, "--validate", "--out", str(tmp_path / "validated")],
+                ["enumerate", ring8_path, "--validate", "--out", str(tmp_path / "ring8")],
+                ["analyze", random_path, "--out", str(tmp_path / "random")]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(network.__file__)))
-    probe = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, ring_path, str(tmp_path / "enumerate"),
-         str(tmp_path / "paper"), example_path, str(tmp_path / "validated")],
-        env=env, capture_output=True, text=True, timeout=300, check=True)
+    probe = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                           env=env, capture_output=True, text=True, timeout=300, check=True)
     loaded = json.loads(probe.stdout.splitlines()[-1])
-    assert loaded == {"import": False, "enumerate": [0, False], "paper-example": [0, False],
-                      "enumerate --validate": [0, False]}
+    assert loaded == [["import", False]] + [[0, False]] * len(commands)
     rows = json.loads((tmp_path / "enumerate" / "variations.json").read_text())["rows"]
     assert len(rows) == 12 * 11 // 2
     rows = json.loads((tmp_path / "validated" / "variations.json").read_text())["rows"]
     assert len(rows) == 14 and all(row["oracle_passed"] for row in rows)
+    rows = json.loads((tmp_path / "ring8" / "variations.json").read_text())["rows"]
+    assert len(rows) == 8 * 7 // 2 and all(row["oracle_passed"] for row in rows)

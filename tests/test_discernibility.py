@@ -286,7 +286,7 @@ def test_defective_block():
 
 def test_defective_pair_beside_a_simple_eigenvalue():
     # A - 3B has the Jordan pair at 1 and a simple 9: the cluster at 1
-    # takes two of the block's three ordered Schur vectors
+    # takes the block's two deflation vectors for the pair (schur_basis)
     A = np.array([[1.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 9.0]])
     dyn = NodeDynamics(A, np.diag([0.0, 1.0, 0.0]))
     gbar = TRIANGLE.with_edge_reweighted(2, 3, 2.0)

@@ -109,6 +109,63 @@ def test_eig_rejects_bad_input():
         eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+# ---------------------------------------------------------------------------
+# schur_basis
+# ---------------------------------------------------------------------------
+
+
+def _similar(T, seed):
+    S = np.random.default_rng(seed).standard_normal(T.shape)
+    return S @ T @ np.linalg.inv(S)
+
+
+def _jordan(lam, k):
+    return lam * np.eye(k) + np.eye(k, k=1)
+
+
+# (M, the eigenvalue the cluster sits at, its member count, the largest sine
+# of the angle allowed between the basis and SciPy's ordered Schur vectors)
+SCHUR_CASES = {
+    "jordan pair": (_similar(scipy.linalg.block_diag(_jordan(1.0, 2), np.diag([-2.0, 3.5])), 1),
+                    1.0, 2, 1e-12),
+    "jordan triple": (_similar(scipy.linalg.block_diag(_jordan(2.0, 3), np.diag([-1.0, 0.5])), 2),
+                      2.0, 3, 1e-12),
+    # the pair's invariant subspace is conditioned by 5e-6 squared over the
+    # Jordan coupling, so both spans are exact only to about 1e-5
+    "pair 5e-6 from a third": (
+        _similar(scipy.linalg.block_diag(_jordan(1.0, 2), np.diag([1.0 + 5e-6, 4.0])), 3),
+        1.0, 2, 1e-4),
+    "nearly defective": (
+        _similar(scipy.linalg.block_diag([[1.0, 1.0], [1e-14, 1.0]], np.diag([2.0, -3.0])), 4),
+        1.0, 2, 1e-12),
+    "complex pair": (
+        _similar(scipy.linalg.block_diag(
+            np.kron(np.eye(2), [[1.0, 2.0], [-2.0, 1.0]]) + np.eye(4, k=2), [[0.5]]), 5),
+        1.0 + 2.0j, 2, 1e-12),
+    "paper block at 3 - sqrt 3": (example_dynamics().A - (3 - np.sqrt(3)) * EXAMPLE_B,
+                                  1.0, 2, 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", SCHUR_CASES)
+def test_schur_basis_is_an_exact_invariant_basis(name):
+    # one column per member, orthonormal, invariant to roundoff, and the
+    # span of SciPy's ordered Schur vectors for the same members
+    M, centre, count, span_tol = SCHUR_CASES[name]
+    w = np.linalg.eigvals(M)
+    member = np.argsort(np.abs(w - centre))[:count]
+    X = linalg.schur_basis(M, w[member])
+    assert X.shape == (M.shape[0], count)
+    assert np.linalg.norm(X.conj().T @ X - np.eye(count), 2) <= 1e-14
+    norm = np.linalg.norm(M, 2)
+    assert np.linalg.norm(M @ X - X @ (X.conj().T @ M @ X), 2) <= 1e-13 * norm
+    _, Z, sdim = scipy.linalg.schur(M, output="complex",
+                                    sort=lambda x: np.argmin(np.abs(w - x)) in member)
+    assert sdim == count
+    Z = Z[:, :sdim]
+    assert np.linalg.norm(X - Z @ (Z.conj().T @ X), 2) <= span_tol
+
+
 def test_distinct_values_chains_and_sorts():
     # 0 and 1.2e-8 are farther apart than tol, but 0.6e-8 links them
     reps = distinct_values([1.0, 1.2e-8, -1.0, 0.0, 0.6e-8], 1e-8)
