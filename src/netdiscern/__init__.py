@@ -19,7 +19,6 @@ from .graphs import (
     LinkVariation,
     enumerate_single_link_variations,
     laplacian,
-    laplacian_spectrum,
     validate_laplacian,
 )
 from .linalg import (
@@ -29,11 +28,7 @@ from .linalg import (
     eig,
     expm,
     kernel,
-    max_principal_angle,
-    subspace_contains,
     subspace_intersect,
-    subspace_sum,
-    subspaces_equal,
 )
 from .network import (
     NetworkInvariantMode,
@@ -41,11 +36,10 @@ from .network import (
     NodeDynamics,
     assemble_transition,
     modal_decomposition,
-    modal_matrix,
     network_invariant_modes,
     sync_manifold,
 )
-from .oracle import OracleConfig, ValidationSummary, trajectory_gap, validate_subspace
+from .oracle import OracleConfig, ValidationSummary, validate_subspace
 
 __version__ = "0.1.0"
 
@@ -75,18 +69,11 @@ __all__ = [
     "indiscernible_subspace",
     "kernel",
     "laplacian",
-    "laplacian_spectrum",
-    "max_principal_angle",
     "modal_decomposition",
-    "modal_matrix",
     "network_invariant_modes",
     "shared_modal_subspace",
-    "subspace_contains",
     "subspace_intersect",
-    "subspace_sum",
-    "subspaces_equal",
     "sync_manifold",
-    "trajectory_gap",
     "validate_laplacian",
     "validate_subspace",
 ]

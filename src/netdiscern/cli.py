@@ -359,15 +359,11 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _subspace_dict(S: Subspace) -> dict:
-    basis = np.asarray(S.basis)
-    if np.iscomplexobj(basis):
-        basis = basis.real if np.max(np.abs(basis.imag), initial=0.0) < 1e-12 else None
-    if basis is None:
-        raise ValueError("cannot serialize a complex subspace basis")
+    """A reported subspace, whose basis is real."""
     return {
         "ambient_dim": int(S.ambient_dim),
         "dim": int(S.dim),
-        "basis": basis.reshape(-1).tolist(),  # row-major ambient x dim
+        "basis": S.basis.reshape(-1).tolist(),  # row-major ambient x dim
     }
 
 
@@ -489,7 +485,7 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     print(f"verdict: {report.verdict}")
     print(
         f"indiscernible dim {report.indiscernible.dim} "
-        f"(sync {report.sync.dim}, extra {report.extra_dim}); "
+        f"(sync {report.node_dim}, extra {report.extra_dim}); "
         f"corrected condition {report.corrected.verdict}"
     )
     if report.oracle_summary is not None:

@@ -51,7 +51,6 @@ from .linalg import (
     distinct_values,
     is_symmetric,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
-    realify,
     subspace_intersect,
 )
 from .network import (
@@ -64,6 +63,26 @@ from .network import (
     unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, validate_subspace
+
+
+def check_base(base: ModalDecomposition, dyn: NodeDynamics, L) -> None:
+    """Raise unless ``base`` is the modal decomposition of (dyn, L).  The
+    arrays a row passes are the base's own, so identity settles them."""
+    sys = base.system
+    if not all(x is y or np.array_equal(x, y) for x, y in (
+            (L, sys.laplacian), (dyn.A, sys.dynamics.A), (dyn.B, sys.dynamics.B))):
+        raise ValueError("base decomposition belongs to another network")
+
+
+def real_span(parts: list[np.ndarray], tol: float) -> Subspace:
+    """The real subspace spanned by the columns of the parts and their
+    complex conjugates, for parts that hold one cluster of each conjugate
+    pair: one real SVD of [Re P, Im P], P the parts side by side (a column
+    with no imaginary part adds none), cut at ``tol * sigma_max``."""
+    P = np.hstack(parts)
+    if np.iscomplexobj(P):
+        P = np.hstack([P.real, P.imag[:, P.imag.any(axis=0)]])
+    return Subspace.from_spanning(P, tol)
 
 
 def common_laplacian_vectors(base: ModalDecomposition, diff: np.ndarray,
@@ -118,9 +137,10 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
 
     An invariant subspace is the direct sum of its parts in Phi's
     generalized eigenspaces (from ``base``, the modal decomposition of
-    ``phi``, computed when not given).  On the space V_G (x) Z of a
-    single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and
-    no invariant part of Z lies in kernel(B) (it would hold a
+    ``phi``, computed when not given and matched to ``phi`` by
+    ``check_base`` when given).  On the space V_G (x) Z of a single-alpha
+    cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and no
+    invariant part of Z lies in kernel(B) (it would hold a
     network-invariant mode, whose eigenvalue is a collision), so the
     indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
     group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
@@ -132,8 +152,9 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     ||L - Lbar||_2 ||B||_2, not its own norm, which would read the roundoff
     left by a cluster that Delta misses as rank; the stack starts from the
     orthonormal rows above that cutoff, and a cluster of rank 0 is kept
-    whole without one.  Neither system's ``phi`` is formed here beyond
-    the one ``base`` reads.
+    whole without one.  The parts hold one cluster of each conjugate pair,
+    and ``real_span`` turns them into a real basis with one SVD.  Neither
+    system's ``phi`` is formed here beyond the one ``base`` reads.
     """
     dyn = phi.dynamics
     if phi.node_count != phibar.node_count:
@@ -141,8 +162,10 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     if not all(map(np.array_equal, (dyn.A, dyn.B), (phibar.dynamics.A, phibar.dynamics.B))):
         raise ValueError("the two systems must share their node dynamics (A, B)")
     diff = phi.laplacian - phibar.laplacian
+    if base is not None:
+        check_base(base, dyn, phi.laplacian)
     if not (diff.any() and dyn.B.any()):  # Delta = 0
-        return Subspace.full(phi.dim, tol)
+        return Subspace.full(phi.dim)
     base = modal_decomposition(phi, tol) if base is None else base
     bases, diff_norm = common_laplacian_vectors(base, diff, tol) if common is None else common
     parts = [np.zeros((phi.dim, 0))]
@@ -157,7 +180,7 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
         elif rank < X.shape[1]:
             stack = unobservable_subspace(vh[:rank], X.conj().T @ (phi.phi @ X), tol)
             parts.append(X @ stack.basis)
-    return realify(Subspace.from_spanning(np.hstack(parts), tol))
+    return real_span(parts, tol)
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
@@ -175,8 +198,9 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     at least ``base.cluster_tol`` apart has n independent eigenvectors, so
     its common vectors contribute common (x) I_n; only a block with a
     repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
-    The basis is an orthonormal basis of the span, not a canonical one.
-    ``base`` is the modal decomposition of (dyn, L), and ``common`` is
+    The basis is a real orthonormal basis of the span (``real_span``), not
+    a canonical one.  ``base`` is the modal decomposition of (dyn, L),
+    checked by ``check_base``, and ``common`` is
     ``common_laplacian_vectors(base, L - Lbar, rank_tol)``; each is
     computed when not given."""
     L = np.asarray(L, dtype=float)
@@ -188,6 +212,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
             raise ValueError("shared modal analysis requires symmetric Laplacians")
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
+    else:
+        check_base(base, dyn, L)
     N, n = L.shape[0], dyn.n
     bases, _ = common_laplacian_vectors(base, L - Lbar, rank_tol) if common is None else common
     w = base.block_eig[0]
@@ -206,7 +232,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
                 [p.vectors for p in base.block_spectrum(i).eigenpairs])
             cols.append(np.kron(C, eigvecs))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
-    return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
+    return real_span(cols, rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +301,9 @@ def corrected_condition(
 
     Without ``base`` both Laplacians are validated.  ``base``, the modal
     decomposition of (dyn, L), is what ``analyze`` passes once it has
-    validated L and Lbar and matched ``base`` to them: spec(L) is then its
-    kept ``laplacian_values``, and neither Laplacian is checked again."""
+    validated L and Lbar: it is matched to (dyn, L) by ``check_base``,
+    spec(L) is then its kept ``laplacian_values``, and neither Laplacian
+    is checked again."""
     if base is None:
         L = validate_laplacian(L)
         Lbar = validate_laplacian(Lbar)
@@ -284,6 +311,7 @@ def corrected_condition(
             raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
         spec = np.linalg.eigvalsh(L)
     else:
+        check_base(base, dyn, L)
         spec = base.laplacian_values
     alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
     spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
@@ -332,7 +360,6 @@ class DiscernibilityReport:
     node_count: int
     node_dim: int
     indiscernible: Subspace
-    sync: Subspace
     sync_overlap_dim: int
     extra_dim: int
     invariant_modes: tuple[NetworkInvariantMode, ...]
@@ -376,7 +403,8 @@ def analyze(
     first read of ``report.corrected.collisions``.  When ``opts.validate``
     is set the computed subspace is checked against the trajectory oracle.
     ``base``, the modal decomposition of (dyn, L), is computed when not
-    given; ``enumerate`` passes one for all variations of a base graph,
+    given and matched to (dyn, L) by ``check_base`` when given;
+    ``enumerate`` passes one for all variations of a base graph,
     and every row reads the base-side constants it keeps: spec(L) for the
     corrected condition, ||B||_2 and the synchronous manifold.  The
     variation enters only as L - Lbar, decided on the graph side once
@@ -392,15 +420,13 @@ def analyze(
         raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
     if base is None:
         base = modal_decomposition(assemble_transition(dyn, L), opts.rank_tol)
-    elif not all(map(np.array_equal, (L, dyn.A, dyn.B), (
-            base.system.laplacian, base.system.dynamics.A, base.system.dynamics.B))):
-        raise ValueError("base decomposition belongs to another network")
+    else:
+        check_base(base, dyn, L)
     sys = base.system
     sysbar = assemble_transition(dyn, Lbar)
     common = common_laplacian_vectors(base, L - Lbar, opts.rank_tol)
     ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base, common)
-    sync = base.sync(opts.rank_tol)
-    overlap = subspace_intersect(ind, sync)
+    overlap = subspace_intersect(ind, base.sync, opts.rank_tol)
     extra = ind.dim - overlap.dim
     corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol, base)
 
@@ -419,7 +445,6 @@ def analyze(
         node_count=sys.node_count,
         node_dim=sys.node_dim,
         indiscernible=ind,
-        sync=sync,
         sync_overlap_dim=overlap.dim,
         extra_dim=extra,
         invariant_modes=base.modes,

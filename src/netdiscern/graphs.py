@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig, is_symmetric
+from .linalg import is_symmetric
 
 VARIATION_KINDS = ("remove_edge", "add_edge", "reweight_edge", "disconnect_node")
 
@@ -212,10 +212,3 @@ def enumerate_single_link_variations(
         varied = var.apply(g)
         out.append((var, varied, laplacian(varied)))
     return out
-
-
-def laplacian_spectrum(L) -> Spectrum:
-    """Spectrum of a Laplacian: real, sorted ascending; eigenvalue 0 is
-    present (with the all-ones eigenvector for a connected graph)."""
-    L = validate_laplacian(L)
-    return eig(L)

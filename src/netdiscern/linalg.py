@@ -1,13 +1,17 @@
-"""Dense linear-algebra kernels and tolerance-aware subspace arithmetic.
+"""Dense linear-algebra kernels: clustered spectra, null spaces, the
+intersection of two subspaces and the matrix exponential.
 
-Everything here operates on dense matrices.  Operands are small: the state
-dimension m = N*n is a few dozen, and the tall stacks ``kernel`` receives
-are per-eigenvalue-cluster power stacks and the m x min(dim U, dim V)
-principal-angle residual of ``subspace_intersect``.  The code favors
-reproducibility: spectra are clustered at explicit tolerances, subspaces
-carry orthonormal bases, and every rank decision goes through one
-singular-value threshold, relative to sigma_max unless the caller names
-the reference magnitude.
+The package runs all of it.  ``eig`` and ``clustered_spectrum`` cluster
+spectra at explicit tolerances; ``kernel`` and ``subspace_intersect`` are
+the subspace arithmetic the analysis needs; ``expm`` serves the trajectory
+oracle and ``schur_basis`` the modal decomposition.  Operands are small:
+the state dimension m = N*n is a few dozen, and the tall stacks
+``kernel`` receives are per-eigenvalue-cluster power stacks and the
+m x min(dim U, dim V) principal-angle residual of ``subspace_intersect``.
+A ``Subspace`` is an orthonormal basis and nothing else; every rank
+decision goes through one singular-value threshold that the caller
+passes, relative to sigma_max unless the caller names the reference
+magnitude.
 
 NumPy does all of it, ``expm`` and ``schur_basis`` included: a SciPy call
 would wake the separate OpenBLAS thread pool that SciPy ships, whose worker
@@ -25,7 +29,6 @@ import numpy as np
 # Default tolerances.  Matrices in this problem domain are tiny and well
 # conditioned, so conservative fixed relative tolerances are reproducible.
 RANK_TOL = 1e-10    # relative singular-value cutoff for rank decisions
-ANGLE_TOL = 1e-8    # radians, for subspace containment/equality
 RESID_TOL = 1e-8    # eigenpair residual, relative to ||M||_2
 CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to max(1, ||M||_2)
 
@@ -215,10 +218,12 @@ def schur_basis(M: np.ndarray, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace represented by an orthonormal column basis."""
+    """A linear subspace, held as nothing but an orthonormal column basis.
+    It keeps no tolerance: the functions that decide a rank
+    (``from_spanning``, ``kernel`` and ``subspace_intersect``) take theirs
+    as an argument."""
 
     basis: np.ndarray
-    tol: float = RANK_TOL
 
     def __post_init__(self):
         b = np.asarray(self.basis)
@@ -253,35 +258,26 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def zero(cls, ambient_dim: int, tol: float = RANK_TOL) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0)), tol)
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls(np.zeros((ambient_dim, 0)))
 
     @classmethod
-    def full(cls, ambient_dim: int, tol: float = RANK_TOL) -> "Subspace":
-        return cls(np.eye(ambient_dim), tol)
+    def full(cls, ambient_dim: int) -> "Subspace":
+        return cls(np.eye(ambient_dim))
 
     @classmethod
     def from_spanning(cls, columns: np.ndarray, tol: float = RANK_TOL) -> "Subspace":
-        """Orthonormalize an arbitrary spanning set (rank-truncated SVD)."""
+        """Orthonormalize an arbitrary spanning set: the left singular
+        vectors whose singular values exceed ``tol * sigma_max``."""
         cols = np.asarray(columns)
         if cols.ndim == 1:
             cols = cols[:, None]
         if cols.shape[1] == 0:
-            return cls.zero(cols.shape[0], tol)
+            return cls.zero(cols.shape[0])
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         if s.size == 0 or s[0] <= 0:
-            return cls.zero(cols.shape[0], tol)
-        basis = u[:, s > tol * s[0]]
-        if np.iscomplexobj(basis) and np.max(np.abs(basis.imag), initial=0.0) < 1e-14:
-            basis = basis.real.copy()
-        return cls(basis, tol)
-
-
-def _check_same_ambient(U: Subspace, V: Subspace) -> None:
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {U.ambient_dim} vs {V.ambient_dim}"
-        )
+            return cls.zero(cols.shape[0])
+        return cls(u[:, s > tol * s[0]])
 
 
 def kernel(M, tol: float = RANK_TOL, scale: float | None = None) -> Subspace:
@@ -301,31 +297,18 @@ def kernel(M, tol: float = RANK_TOL, scale: float | None = None) -> Subspace:
     M = _as_matrix(M)
     rows, ambient = M.shape
     if rows == 0:
-        return Subspace.full(ambient, tol)
+        return Subspace.full(ambient)
     _, s, vh = np.linalg.svd(M, full_matrices=rows < ambient)
     if s.size == 0 or s[0] == 0:
-        return Subspace.full(ambient, tol)
+        return Subspace.full(ambient)
     rank = int(np.sum(s > tol * (s[0] if scale is None else scale)))
     basis = vh[rank:].conj().T
     if np.iscomplexobj(basis) and np.max(np.abs(basis.imag), initial=0.0) < 1e-14:
         basis = basis.real.copy()
-    return Subspace(basis, tol)
+    return Subspace(basis)
 
 
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    """Orthonormal basis of span(U ∪ V)."""
-    _check_same_ambient(U, V)
-    tol = max(U.tol, V.tol)
-    if U.dim == 0:
-        return Subspace(V.basis, tol)
-    if V.dim == 0:
-        return Subspace(U.basis, tol)
-    dtype = np.result_type(U.basis.dtype, V.basis.dtype)
-    cols = np.hstack([U.basis.astype(dtype), V.basis.astype(dtype)])
-    return Subspace.from_spanning(cols, tol)
-
-
-def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
+def subspace_intersect(U: Subspace, V: Subspace, tol: float = RANK_TOL) -> Subspace:
     """U ∩ V by principal angles (Björck & Golub, Math. Comp. 27, 1973).
 
     With A the basis of the operand of smaller dimension and B the other,
@@ -337,73 +320,12 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     values sqrt(2)·sin(θ/2), so it keeps sin(θ/2) <= tol, i.e.
     sin θ <~ 2·tol.  Being absolute, the cutoff also reads the roundoff
     residual of a full or equal operand as no angle."""
-    _check_same_ambient(U, V)
-    tol = max(U.tol, V.tol)
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError(f"ambient dimension mismatch: {U.ambient_dim} vs {V.ambient_dim}")
     if U.dim == 0 or V.dim == 0:
-        return Subspace.zero(U.ambient_dim, tol)
-    a, b = (U, V) if U.dim <= V.dim else (V, U)
-    return Subspace(a.basis @ kernel(_residual(b, a.basis), tol, 2.0).basis, tol)
-
-
-def _residual(container: Subspace, probe: np.ndarray) -> np.ndarray:
-    """(I - QQ^H) applied to the probe columns, Q the container's basis;
-    for orthonormal probe columns its singular values are the sines of
-    the principal angles between the two spans."""
-    q = container.basis
-    return probe - q @ (q.conj().T @ probe)
-
-
-def _residual_sine(container: Subspace, probe: np.ndarray) -> float:
-    """Spectral norm of ``_residual``, i.e. the sine of the largest
-    principal angle.  Sine-based, so it stays accurate for angles far
-    below arccos resolution."""
-    if container.dim == 0:
-        return 1.0 if probe.shape[1] else 0.0
-    if probe.shape[1] == 0:
-        return 0.0
-    return float(min(1.0, np.linalg.norm(_residual(container, probe), 2)))
-
-
-def max_principal_angle(U: Subspace, V: Subspace) -> float:
-    """Largest canonical angle between two subspaces (the smaller one is
-    measured against its projection onto the other; for equal dimensions
-    both directions are taken)."""
-    _check_same_ambient(U, V)
-    if U.dim == 0 or V.dim == 0:
-        return 0.0
-    if U.dim == V.dim:
-        s = max(_residual_sine(U, V.basis), _residual_sine(V, U.basis))
-    elif U.dim < V.dim:
-        s = _residual_sine(V, U.basis)
-    else:
-        s = _residual_sine(U, V.basis)
-    return float(np.arcsin(s))
-
-
-def subspaces_equal(U: Subspace, V: Subspace, angle_tol: float = ANGLE_TOL) -> bool:
-    _check_same_ambient(U, V)
-    return U.dim == V.dim and max_principal_angle(U, V) <= angle_tol
-
-
-def subspace_contains(U: Subspace, other, angle_tol: float = ANGLE_TOL) -> bool:
-    """True iff ``other`` (a Subspace or a single vector) lies within U up
-    to ``angle_tol`` radians.  Every subspace contains the zero vector."""
-    if isinstance(other, Subspace):
-        _check_same_ambient(U, other)
-        if other.dim == 0:
-            return True
-        if other.dim > U.dim:
-            return False
-        return _residual_sine(U, other.basis) <= angle_tol
-    v = np.asarray(other).reshape(-1)
-    if v.shape[0] != U.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {U.ambient_dim} vs {v.shape[0]}"
-        )
-    nv = np.linalg.norm(v)
-    if nv <= 1e-300:
-        return True
-    return _residual_sine(U, (v / nv)[:, None]) <= angle_tol
+        return Subspace.zero(U.ambient_dim)
+    a, b = (U.basis, V.basis) if U.dim <= V.dim else (V.basis, U.basis)
+    return Subspace(a @ kernel(a - b @ (b.conj().T @ a), tol, 2.0).basis)
 
 
 # Coefficients b_0 .. b_13 of the [13/13] Padé approximant to e^x, and the
@@ -448,12 +370,3 @@ def expm(M, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(E).all():
         raise OverflowError(f"matrix exponential overflowed for ||M t||_1 = {norm:.3e}")
     return E
-
-
-def realify(S: Subspace) -> Subspace:
-    """Real form of a conjugation-closed complex subspace: the span of the
-    real and imaginary parts of its basis.  Real subspaces pass through."""
-    if not np.iscomplexobj(S.basis):
-        return S
-    cols = np.hstack([S.basis.real, S.basis.imag])
-    return Subspace.from_spanning(cols, S.tol)

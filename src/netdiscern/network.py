@@ -33,7 +33,7 @@ network (C = Delta, A = Phi), the tests' desk-scale reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -128,13 +128,6 @@ def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
     return NetworkSystem(dyn, L)
 
 
-def modal_matrix(dyn: NodeDynamics, alpha: complex) -> np.ndarray:
-    """The per-eigenvalue modal matrix A - alpha*B."""
-    if isinstance(alpha, complex) and alpha.imag != 0:
-        return dyn.A - alpha * dyn.B.astype(complex)
-    return dyn.A - float(np.real(alpha)) * dyn.B
-
-
 @dataclass(frozen=True)
 class NetworkInvariantMode:
     """A pair (lambda, v) with A v = lambda v and B v = 0.  Such a mode is
@@ -167,7 +160,7 @@ def unobservable_subspace(C, A, tol: float = RANK_TOL) -> Subspace:
         blocks.append(R)
         R = R @ A
     if not blocks:  # C == 0: the whole space qualifies
-        return Subspace.full(m, tol)
+        return Subspace.full(m)
     return kernel(np.vstack(blocks), tol)
 
 
@@ -203,12 +196,12 @@ def network_invariant_modes(
     return modes
 
 
-def sync_manifold(N: int, n: int, tol: float = RANK_TOL) -> Subspace:
+def sync_manifold(N: int, n: int) -> Subspace:
     """States with all nodes identical: span{1 (x) e_k}, dimension n."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
     ones = np.ones((N, 1)) / np.sqrt(N)
-    return Subspace(np.kron(ones, np.eye(n)), tol)
+    return Subspace(np.kron(ones, np.eye(n)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +237,7 @@ class ModalDecomposition:
     C^n for any other block.  The base-side constants a variation reads
     are kept on first use: ``laplacian_values`` (np.linalg.eigvalsh(L), the
     corrected condition's spectrum of L, whose last bits can differ from
-    ``alphas``, from eigh), ``b_norm`` (||B||_2) and ``sync(tol)`` (the
+    ``alphas``, from eigh), ``b_norm`` (||B||_2) and ``sync`` (the
     synchronous manifold).
     """
 
@@ -258,8 +251,6 @@ class ModalDecomposition:
     group_vectors: tuple[tuple[int, np.ndarray], ...]  # (k, Z), Z not empty
     clusters: tuple[np.ndarray, ...]      # the X_g of the collisions
     modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
-    _syncs: dict[float, Subspace] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:
@@ -269,11 +260,9 @@ class ModalDecomposition:
     def b_norm(self) -> float:
         return float(np.linalg.norm(self.system.dynamics.B, 2))
 
-    def sync(self, tol: float = RANK_TOL) -> Subspace:
-        """``sync_manifold`` of the network at ``tol``, formed once per tol."""
-        if tol not in self._syncs:
-            self._syncs[tol] = sync_manifold(self.system.node_count, self.system.node_dim, tol)
-        return self._syncs[tol]
+    @cached_property
+    def sync(self) -> Subspace:
+        return sync_manifold(self.system.node_count, self.system.node_dim)
 
     def block_spectrum(self, i: int) -> Spectrum:
         """Spectrum of block i, clustered at ``cluster_tol`` so that a

@@ -220,30 +220,6 @@ def _gap_columns(
     return gaps, table.max(axis=1)
 
 
-def trajectory_gap(
-    phi: NetworkSystem,
-    phibar: NetworkSystem,
-    x0,
-    cfg: OracleConfig | None = None,
-) -> float:
-    """Worst normalized divergence of the two natural responses from x0:
-    the larger of the time-grid exponential check and the matrix-power
-    check.  Zero (up to roundoff) exactly on indiscernible states."""
-    cfg = cfg or OracleConfig()
-    _check_pair(phi, phibar)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != phi.phi.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state has {x0.shape[0]} entries, "
-            f"system has {phi.phi.shape[0]}"
-        )
-    nx = np.linalg.norm(x0)
-    if nx == 0:
-        raise ValueError("x0 must be nonzero")
-    gaps, _ = _gap_columns(phi, phibar, (x0 / nx)[:, None], cfg)
-    return float(gaps[0])
-
-
 @dataclass(frozen=True)
 class ValidationSummary:
     """Outcome of sampling a candidate indiscernible subspace against the

@@ -1,4 +1,6 @@
-"""Shared fixtures: the bundled four-node case and random-instance generators.
+"""Shared fixtures: the bundled four-node case, random-instance generators,
+and the comparisons the tests make between subspaces and of one state's
+trajectory gap.
 
 Random graphs use dyadic edge weights (multiples of 1/16 in [0.5, 2]) so
 Laplacian row sums cancel exactly in floating point; that keeps the exactness
@@ -12,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from netdiscern import NodeDynamics, assemble_transition, laplacian
+from netdiscern import NodeDynamics, OracleConfig, Subspace, assemble_transition, laplacian
 from netdiscern.example import (
     example_dynamics,
     example_graph,
     example_modified_graph,
 )
 from netdiscern.graphs import Graph
+from netdiscern.oracle import _gap_columns
 
 DYADIC_WEIGHTS = np.arange(8, 33) / 16.0  # 0.5 .. 2.0, exactly representable
 
@@ -127,3 +130,65 @@ def component_count(g: Graph) -> int:
         if ri != rj:
             parent[ri] = rj
     return len({find(i) for i in range(1, g.node_count + 1)})
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+
+def _residual_sine(container: Subspace, probe: np.ndarray) -> float:
+    """||(I - QQ^H) probe||_2 for Q the container's basis: for orthonormal
+    probe columns, the sine of the largest principal angle between the two
+    spans.  Sine-based, so it resolves angles far below arccos resolution."""
+    q = container.basis
+    return float(min(1.0, np.linalg.norm(probe - q @ (q.conj().T @ probe), 2)))
+
+
+def max_sine(U: Subspace, V: Subspace) -> float:
+    """Sine of the largest principal angle between two subspaces: the
+    smaller one measured against the larger, both ways for equal
+    dimensions; 0 when either is zero-dimensional."""
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError(f"ambient dimension mismatch: {U.ambient_dim} vs {V.ambient_dim}")
+    if U.dim == 0 or V.dim == 0:
+        return 0.0
+    if U.dim == V.dim:
+        return max(_residual_sine(U, V.basis), _residual_sine(V, U.basis))
+    small, big = (U, V) if U.dim < V.dim else (V, U)
+    return _residual_sine(big, small.basis)
+
+
+def max_angle(U: Subspace, V: Subspace) -> float:
+    """The largest principal angle between two subspaces, in radians."""
+    return float(np.arcsin(max_sine(U, V)))
+
+
+def contains(U: Subspace, other, tol: float = 1e-8) -> bool:
+    """True iff ``other`` (a Subspace or one vector) lies in U up to a
+    sine of ``tol``.  Every subspace contains the zero vector and the zero
+    subspace."""
+    if isinstance(other, Subspace):
+        if other.ambient_dim != U.ambient_dim:
+            raise ValueError(f"ambient dimension mismatch: {U.ambient_dim} vs {other.ambient_dim}")
+        probe = other.basis
+    else:
+        v = np.asarray(other).reshape(-1)
+        if v.shape[0] != U.ambient_dim:
+            raise ValueError(f"ambient dimension mismatch: {U.ambient_dim} vs {v.shape[0]}")
+        nv = np.linalg.norm(v)
+        probe = (v / nv)[:, None] if nv > 1e-300 else np.zeros((len(v), 0))
+    if probe.shape[1] == 0:
+        return True
+    if probe.shape[1] > U.dim:
+        return False
+    return _residual_sine(U, probe) <= tol
+
+
+def state_gap(phi, phibar, x, cfg: OracleConfig | None = None) -> float:
+    """The oracle's worst normalized divergence of the two natural
+    responses from one nonzero state x (``oracle._gap_columns`` on x / ||x||):
+    the larger of the time-grid and the matrix-power checks."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    gaps, _ = _gap_columns(phi, phibar, (x / np.linalg.norm(x))[:, None], cfg or OracleConfig())
+    return float(gaps[0])

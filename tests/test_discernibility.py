@@ -22,13 +22,9 @@ from netdiscern import (
     enumerate_single_link_variations,
     indiscernible_subspace,
     laplacian,
-    max_principal_angle,
     modal_decomposition,
     shared_modal_subspace,
-    subspace_contains,
-    subspaces_equal,
     sync_manifold,
-    trajectory_gap,
 )
 
 from netdiscern.cli import canonical_json, report_to_dict
@@ -40,14 +36,17 @@ from netdiscern.linalg import (
     cluster_indices,
     clustered_spectrum,
     distinct_values,
-    realify,
 )
 from netdiscern.network import unobservable_subspace
 
 from conftest import (
+    contains,
+    max_angle,
+    max_sine,
     random_graph,
     random_instance,
     ring_with_chords,
+    state_gap,
     without_first_edge,
 )
 
@@ -82,14 +81,15 @@ def test_identical_systems_are_fully_indiscernible(demo):
 def test_demo_subspace_is_six_dimensional(demo):
     V = indiscernible_subspace(demo.phi, demo.phibar)
     assert V.dim == 6
-    assert subspaces_equal(V, _expected_demo_subspace(), angle_tol=1e-7)
+    want = _expected_demo_subspace()
+    assert V.dim == want.dim and max_angle(V, want) <= 1e-7
 
 
 def test_stacked_reference_agrees_on_demo(demo):
     V = indiscernible_subspace(demo.phi, demo.phibar)
     W = stacked(demo.phi, demo.phibar)
     assert W.dim == V.dim == 6
-    assert max_principal_angle(V, W) <= 1e-7
+    assert max_angle(V, W) <= 1e-7
 
 
 def test_invertible_difference_gives_zero_subspace():
@@ -106,13 +106,14 @@ def test_two_node_instance_is_sync_only():
     s2 = assemble_transition(DIAG_DYN, 0.5 * P2)
     V = indiscernible_subspace(s1, s2)
     assert V.dim == 2
-    assert subspaces_equal(V, sync_manifold(2, 2), angle_tol=1e-7)
+    sync = sync_manifold(2, 2)
+    assert V.dim == sync.dim and max_angle(V, sync) <= 1e-7
     # oracle confirmation: inside stays closed, a non-sync probe diverges
     cfg = OracleConfig(seed=1)
     inside = np.kron(np.ones(2), np.array([0.0, 1.0]))
-    assert trajectory_gap(s1, s2, inside, cfg) <= 1e-7
+    assert state_gap(s1, s2, inside, cfg) <= 1e-7
     probe = np.kron(np.array([1.0, -1.0]), np.array([1.0, 0.0]))
-    assert trajectory_gap(s1, s2, probe, cfg) > 1e-7
+    assert state_gap(s1, s2, probe, cfg) > 1e-7
 
 
 def test_algorithms_agree_on_random_instances():
@@ -124,7 +125,7 @@ def test_algorithms_agree_on_random_instances():
         V = indiscernible_subspace(s1, s2)
         W = stacked(s1, s2)
         assert V.dim == W.dim
-        assert max_principal_angle(V, W) <= 1e-7
+        assert max_angle(V, W) <= 1e-7
 
 
 def test_subspace_is_symmetric_in_the_pair(demo):
@@ -139,11 +140,11 @@ def test_subspace_is_symmetric_in_the_pair(demo):
         V12 = indiscernible_subspace(s1, s2)
         V21 = indiscernible_subspace(s2, s1)
         assert V12.dim == V21.dim
-        assert max_principal_angle(V12, V21) <= 1e-7
+        assert max_angle(V12, V21) <= 1e-7
         W12 = stacked(s1, s2)
         W21 = stacked(s2, s1)
         assert W12.dim == W21.dim
-        assert max_principal_angle(W12, W21) <= 1e-7
+        assert max_angle(W12, W21) <= 1e-7
 
 
 def test_subspace_is_invariant_and_trajectories_match(demo):
@@ -159,8 +160,8 @@ def test_subspace_is_invariant_and_trajectories_match(demo):
         scale = np.linalg.norm(s1.phi, 2)
         for c in range(V.dim):
             x = V.basis[:, c]
-            assert subspace_contains(V, s1.phi @ x, angle_tol=1e-7)
-            assert subspace_contains(V, s2.phi @ x, angle_tol=1e-7)
+            assert contains(V, s1.phi @ x, 1e-7)
+            assert contains(V, s2.phi @ x, 1e-7)
             assert np.linalg.norm(s1.phi @ x - s2.phi @ x) <= 1e-8 * scale
 
 
@@ -172,7 +173,7 @@ def test_sync_manifold_always_indiscernible():
         s2 = assemble_transition(dyn, Lbar)
         V = indiscernible_subspace(s1, s2)
         sync = sync_manifold(s1.node_count, s1.node_dim)
-        assert subspace_contains(V, sync, angle_tol=1e-7)
+        assert contains(V, sync, 1e-7)
 
 
 def test_dimension_mismatch_raises(demo):
@@ -368,12 +369,12 @@ def test_uniform_states_are_members(demo):
     cfg = OracleConfig(seed=2)
     # a synchronized state is indiscernible regardless of its node pattern
     x = np.kron(np.ones(4), np.array([0.0, 1.0, 0.0]))
-    assert trajectory_gap(demo.phi, demo.phibar, x, cfg) <= 1e-7
-    assert subspace_contains(V, x / np.linalg.norm(x), angle_tol=1e-7)
+    assert state_gap(demo.phi, demo.phibar, x, cfg) <= 1e-7
+    assert contains(V, x / np.linalg.norm(x), 1e-7)
     # a single-node excitation outside the mode fan is detectable
     y = np.kron(np.eye(4)[0], np.array([0.0, 1.0, 0.0]))
-    assert trajectory_gap(demo.phi, demo.phibar, y, cfg) > 1e-7
-    assert not subspace_contains(V, y / np.linalg.norm(y), angle_tol=1e-7)
+    assert state_gap(demo.phi, demo.phibar, y, cfg) > 1e-7
+    assert not contains(V, y / np.linalg.norm(y), 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +386,11 @@ def test_demo_shared_modal_subspace(demo):
     shared = shared_modal_subspace(demo.dyn, demo.L, demo.Lbar)
     assert shared.dim == 6
     sync = sync_manifold(4, 3)
-    assert subspace_contains(shared, sync, angle_tol=1e-7)
+    assert contains(shared, sync, 1e-7)
     fan = Subspace(np.kron(np.eye(4), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2.0)))
-    assert subspace_contains(shared, fan, angle_tol=1e-7)
+    assert contains(shared, fan, 1e-7)
     V = indiscernible_subspace(demo.phi, demo.phibar)
-    assert subspace_contains(V, shared, angle_tol=1e-7)
+    assert contains(V, shared, 1e-7)
 
 
 def test_shared_modal_equal_laplacians_spans_everything():
@@ -419,7 +420,7 @@ def test_shared_modal_contained_in_indiscernible_on_randoms():
         s2 = assemble_transition(dyn, Lbar)
         V = indiscernible_subspace(s1, s2)
         shared = shared_modal_subspace(dyn, L, Lbar)
-        assert subspace_contains(V, shared, angle_tol=1e-6)
+        assert contains(V, shared, 1e-6)
 
 
 def test_modal_checks_reject_a_nearly_symmetric_laplacian():
@@ -446,10 +447,27 @@ JORDAN_DYN = NodeDynamics(np.array([[1.0, 1.0], [0.0, 1.0]]),
                           np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def two_svd_basis(cols, rank_tol) -> Subspace:
+    """The real basis of the span of the columns and their conjugates, by
+    two SVDs: an orthonormal basis B of the columns, cut at
+    rank_tol * sigma_max (made real when its imaginary part is below
+    1e-14), then, for a complex B, the same cut of [Re B, Im B]."""
+    for _ in range(2):
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        basis = u[:, s > rank_tol * s[0]] if s.size and s[0] > 0 else cols[:, :0]
+        if np.iscomplexobj(basis) and np.max(np.abs(basis.imag), initial=0.0) < 1e-14:
+            basis = basis.real.copy()
+        if not np.iscomplexobj(basis):
+            return Subspace(basis)
+        cols = np.hstack([basis.real, basis.imag])
+    return Subspace(basis)
+
+
 def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
     """The general construction for every alpha group and block: one SVD
     per group, then every eigenvector of the block's clustered spectrum,
-    clustered here without the decomposition's kept spectra."""
+    clustered here without the decomposition's kept spectra; the basis by
+    two SVDs."""
     N = L.shape[0]
     diff = L - Lbar
     cutoff = rank_tol * np.linalg.norm(diff, 2)
@@ -464,7 +482,38 @@ def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
             spectrum = clustered_spectrum(base.blocks[i], w[i], W[i], base.cluster_tol)
             cols.append(np.kron(common, np.hstack([p.vectors for p in spectrum.eigenpairs])))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
-    return realify(Subspace.from_spanning(np.hstack(cols), rank_tol))
+    return two_svd_basis(np.hstack(cols), rank_tol)
+
+
+def reference_indiscernible(s1, s2, rank_tol, dec) -> Subspace:
+    """The modal parts with Delta formed: C_G (x) Z for the common vectors
+    of every alpha group with single-alpha clusters, and, per collision
+    cluster X_g, X_g times the kernel of the unit-Frobenius power stack of
+    H = X_g^H Phi X_g on the rows of Delta X_g above
+    rank_tol * ||Delta||_2 (all of X_g when there are none); the basis by
+    two SVDs."""
+    delta = s1.phi - s2.phi
+    common = reference_common_vectors(dec, s1.laplacian, s2.laplacian, rank_tol)
+    parts = [np.zeros((s1.dim, 0))]
+    parts += [np.kron(common[k], Z) for k, Z in dec.group_vectors if common[k].size]
+    cutoff = rank_tol * np.linalg.norm(delta, 2)
+    for X in dec.clusters:
+        _, s, vh = np.linalg.svd(delta @ X, full_matrices=False)
+        rank = int(np.sum(s > cutoff))
+        if rank == 0:
+            parts.append(X)
+        elif rank < X.shape[1]:
+            H = X.conj().T @ s1.phi @ X
+            R, blocks = vh[:rank], []
+            for _ in range(len(H)):
+                if np.linalg.norm(R) <= 1e-14 * max(1.0, np.linalg.norm(H)):
+                    break
+                R = R / np.linalg.norm(R)
+                blocks.append(R)
+                R = R @ H
+            _, s, vh = np.linalg.svd(np.vstack(blocks))
+            parts.append(X @ vh[int(np.sum(s > rank_tol * s[0])):].conj().T)
+    return two_svd_basis(np.hstack(parts), rank_tol)
 
 
 def reference_common_vectors(dec, L, Lbar, rank_tol):
@@ -509,10 +558,11 @@ def reference_cases(demo):
 
 
 def test_graph_side_decision_matches_the_references(demo, monkeypatch):
-    # the indiscernible subspace against the whole-network stack, the
-    # shared span against the general construction: same dimension, same
-    # span up to roundoff; the common vectors, one batched SVD per group
-    # size, have the bits of one SVD per group
+    # the indiscernible subspace against the whole-network stack and its
+    # modal parts with the former two-SVD basis, the shared span against
+    # the general construction: same dimension, same span up to roundoff,
+    # and both bases real float64; the common vectors, one batched SVD per
+    # group size, have the bits of one SVD per group
     clustered = []
     original = network.clustered_spectrum
     monkeypatch.setattr(network, "clustered_spectrum",
@@ -535,13 +585,18 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
             assert C.shape == want.shape and C.tobytes() == want.tobytes(), name
         got = shared_modal_subspace(dyn, L, Lbar, RANK_TOL, dec)
         want = reference_shared_modal(dyn, L, Lbar, RANK_TOL, dec)
+        assert got.basis.dtype == np.float64, name
         assert got.dim == want.dim, name
-        assert np.sin(max_principal_angle(got, want)) <= 1e-12, name
+        assert max_sine(got, want) <= 1e-12, name
         s1, s2 = dec.system, assemble_transition(dyn, Lbar)
         got = indiscernible_subspace(s1, s2, RANK_TOL, dec)
+        assert got.basis.dtype == np.float64, name
         want = stacked(s1, s2)
         assert got.dim == want.dim, name
-        assert np.sin(max_principal_angle(got, want)) <= 1e-10, name
+        assert max_sine(got, want) <= 1e-10, name
+        want = reference_indiscernible(s1, s2, RANK_TOL, dec)
+        assert got.dim == want.dim, name
+        assert max_sine(got, want) <= 1e-12, name
         if dec is ring:
             ring_calls += len(clustered) - before
     # the ring's blocks have no repeated eigenvalue: no block was clustered
@@ -576,7 +631,7 @@ def test_one_alpha_group_keeps_every_cluster_as_a_collision(demo):
         s1, s2 = assemble_transition(demo.dyn, L), assemble_transition(demo.dyn, Lbar)
         got, want = indiscernible_subspace(s1, s2), stacked(s1, s2)
         assert got.dim == want.dim == 5
-        assert np.sin(max_principal_angle(got, want)) <= 1e-10
+        assert max_sine(got, want) <= 1e-10
     dec = modal_decomposition(assemble_transition(demo.dyn, np.zeros((3, 3))))
     assert len(dec.alpha_groups) == 1 and dec.group_vectors == ()
 
@@ -594,6 +649,33 @@ def test_pair_with_other_node_dynamics_raises(demo):
         indiscernible_subspace(demo.phi, other_b)
 
 
+def test_every_entry_point_rejects_the_base_of_another_network():
+    # the ring with chords of 6 nodes minus its first edge against the
+    # decomposition of the 6-node path: a base is matched to (A, B, L)
+    # wherever one is taken, not only by analyze
+    dyn = uniform_dynamics(np.random.default_rng(0))
+    g = ring_with_chords(6)
+    L, Lbar = laplacian(g), laplacian(without_first_edge(g))
+    path = Graph(6, tuple((i, i + 1, 1.0) for i in range(1, 6)))
+    other = modal_decomposition(assemble_transition(dyn, laplacian(path)))
+    s1, s2 = assemble_transition(dyn, L), assemble_transition(dyn, Lbar)
+    calls = {
+        "analyze": lambda base: analyze(dyn, L, Lbar, base=base),
+        "indiscernible_subspace": lambda base: indiscernible_subspace(s1, s2, RANK_TOL, base),
+        "shared_modal_subspace": lambda base: shared_modal_subspace(dyn, L, Lbar, RANK_TOL,
+                                                                    base),
+        "corrected_condition": lambda base: corrected_condition(dyn, L, Lbar, base=base),
+    }
+    own = modal_decomposition(s1)
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="another network"):
+            call(other)
+        call(own)  # the network's own decomposition is accepted
+    shifted = NodeDynamics(dyn.A, 2 * dyn.B)  # same L, other dynamics
+    with pytest.raises(ValueError, match="another network"):
+        shared_modal_subspace(shifted, L, Lbar, RANK_TOL, own)
+
+
 def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
     # the constant vector is common to L and Lbar, and its block A is a
     # Jordan block: one eigenvector, so the span stays at 3 (counting both
@@ -607,7 +689,7 @@ def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
     assert shared.dim == 3
     V = indiscernible_subspace(assemble_transition(JORDAN_DYN, L),
                                assemble_transition(JORDAN_DYN, Lbar))
-    assert subspace_contains(V, shared, angle_tol=1e-7)
+    assert contains(V, shared, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +821,7 @@ def test_equality_when_condition_holds_and_blocks_diagonalize():
         s2 = assemble_transition(dyn, Lbar)
         V = indiscernible_subspace(s1, s2)
         shared = shared_modal_subspace(dyn, L, Lbar)
-        assert subspaces_equal(V, shared, angle_tol=1e-7)
+        assert V.dim == shared.dim and max_angle(V, shared) <= 1e-7
     assert corrected_condition(*cases[0]).holds  # at least one case exercised
 
 
@@ -752,7 +834,7 @@ def test_analyze_demo_report(demo):
     report = analyze(demo.dyn, demo.L, demo.Lbar)
     assert report.verdict == VERDICT_EXTRA_STATES
     assert report.indiscernible.dim == 6
-    assert report.sync.dim == 3
+    assert report.base.sync.dim == 3
     assert report.sync_overlap_dim == 3
     assert report.extra_dim == 3
     assert report.shared_modal.dim == 6

@@ -1,4 +1,4 @@
-"""Network assembly, modal matrices, invariant modes, modal decomposition."""
+"""Network assembly, invariant modes, the sync manifold, modal decomposition."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,13 @@ from netdiscern import (
     eig,
     laplacian,
     modal_decomposition,
-    modal_matrix,
     network_invariant_modes,
-    subspace_contains,
     sync_manifold,
 )
 from netdiscern.example import EXAMPLE_A, EXAMPLE_B
 from netdiscern.network import unobservable_subspace
 
-from conftest import random_graph
+from conftest import contains, random_graph
 
 P2_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -98,36 +96,6 @@ def test_dynamics_reject_an_empty_pair():
 
 
 # ---------------------------------------------------------------------------
-# modal matrices
-# ---------------------------------------------------------------------------
-
-
-def test_modal_matrix_at_zero_is_a(demo):
-    assert np.array_equal(modal_matrix(demo.dyn, 0.0), EXAMPLE_A)
-    # char poly of A: lambda^3 - 8 lambda^2 + 7 lambda, roots {0, 1, 7}
-    assert np.allclose(np.poly(EXAMPLE_A), [1.0, -8.0, 7.0, 0.0], atol=1e-12)
-    values = np.sort(eig(EXAMPLE_A).values.real)
-    assert np.allclose(values, [0.0, 1.0, 7.0], atol=1e-9)
-
-
-def test_modal_matrix_at_one(demo):
-    expected = np.array([[6.0, -1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    assert np.array_equal(modal_matrix(demo.dyn, 1.0), expected)
-
-
-def test_modal_matrix_general_alpha(demo):
-    # closed form [[7-a, -a, a], [0, a, 1-a], [1, 0, 1]]
-    for a in (0.5, 3.0, 2.0 - np.sqrt(2.0)):
-        expected = np.array(
-            [[7.0 - a, -a, a], [0.0, a, 1.0 - a], [1.0, 0.0, 1.0]]
-        )
-        assert np.allclose(modal_matrix(demo.dyn, a), expected, atol=1e-14)
-    complex_case = modal_matrix(demo.dyn, 1.0 + 2.0j)
-    assert np.iscomplexobj(complex_case)
-    assert complex_case[0, 0] == 7.0 - (1.0 + 2.0j)
-
-
-# ---------------------------------------------------------------------------
 # network-invariant modes
 # ---------------------------------------------------------------------------
 
@@ -183,7 +151,7 @@ def test_unobservable_subspace_known_dimensions():
     # distinct eigenvalues: C = [1, 1, 0] misses only the e3 mode
     S = unobservable_subspace(np.array([[1.0, 1.0, 0.0]]), np.diag([1.0, 2.0, 3.0]))
     assert S.dim == 1
-    assert subspace_contains(S, np.array([0.0, 0.0, 1.0]), angle_tol=1e-12)
+    assert contains(S, np.array([0.0, 0.0, 1.0]), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +173,7 @@ def test_sync_manifold_single_node_is_full():
 def test_sync_manifold_contains_uniform_states():
     S = sync_manifold(4, 3)
     x = np.kron(np.ones(4), np.array([0.0, 1.0, 1.0]))
-    assert subspace_contains(S, x / np.linalg.norm(x), 1e-10)
+    assert contains(S, x / np.linalg.norm(x), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +248,7 @@ def test_kronecker_eigenvector_identity():
         scale = np.linalg.norm(phi, 2)
         alphas, V = np.linalg.eigh(L)
         for i, alpha in enumerate(alphas):
-            w_vals, W = np.linalg.eig(modal_matrix(dyn, alpha))
+            w_vals, W = np.linalg.eig(dyn.A - alpha * dyn.B)
             for j, lam in enumerate(w_vals):
                 x = np.kron(V[:, i], W[:, j])
                 assert np.linalg.norm(phi @ x - lam * x) <= 1e-9 * max(scale, 1.0)
