@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -133,9 +132,11 @@ def _dumps(obj, level: int) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename, so an
-    interrupted run never leaves a partial output file."""
+    interrupted run never leaves a partial output file.  The temp file gets
+    the mode ``open`` gives, 0o666 less the umask (mkstemp's is 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -432,6 +433,13 @@ def _gaps_csv(summary: ValidationSummary) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _laplacian(g: Graph, context: str) -> np.ndarray:
+    try:
+        return laplacian(g)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {context}: {exc}") from exc
+
+
 def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Graph]:
     dyn = _parse_dynamics(config)
     if "base_graph" not in config:
@@ -471,7 +479,8 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     validating).  Returns the process exit code."""
     dyn, base, varied = _resolve_pair(config)
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
-    report = analyze(dyn, laplacian(base), laplacian(varied), opts)
+    report = analyze(dyn, _laplacian(base, "base_graph"), _laplacian(varied, "varied graph"),
+                     opts)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(
@@ -519,6 +528,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         raise ConfigError("invalid config: enumerate kinds must be a nonempty list")
     reweight_to = spec.get("reweight_to")
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
+    L = _laplacian(base, "base_graph")
 
     try:
         if reweight_to is not None:
@@ -528,8 +538,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         raise ConfigError(f"invalid config: {exc}") from exc
 
     # every row reads one base decomposition
-    shared = modal_decomposition(assemble_transition(dyn, laplacian(base)),
-                                 opts.rank_tol)
+    shared = modal_decomposition(assemble_transition(dyn, L), opts.rank_tol)
     rows = []
     for var, _, Lvar in entries:
         report = analyze(dyn, shared.system.laplacian, Lvar, opts, shared)

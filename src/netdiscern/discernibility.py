@@ -4,10 +4,11 @@ An initial state x is indiscernible for (Phi, Phibar) when the natural
 responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
-Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So a variation
-enters the analysis only as L - Lbar: neither Delta nor Phibar is formed
-here, and only the trajectory oracle forms Phibar.  The one algorithm is
-modal, over the eigenvalue clusters of Phi from
+Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
+point takes the pair as (dyn, L, Lbar) and checks it first (``check_pair``),
+and a variation enters the analysis only as L - Lbar: neither Delta nor
+Phibar is formed here, and only the trajectory oracle forms Phibar.  The
+one algorithm is modal, over the eigenvalue clusters of Phi from
 ``network.modal_decomposition``.  The common eigenvectors of L and Lbar
 are decided once per report, for every distinct alpha of L
 (``common_laplacian_vectors``), and that graph-side decision settles
@@ -49,14 +50,12 @@ from .linalg import (
     Subspace,
     cluster_indices,
     distinct_values,
-    is_symmetric,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
     subspace_intersect,
 )
 from .network import (
     ModalDecomposition,
     NetworkInvariantMode,
-    NetworkSystem,
     NodeDynamics,
     assemble_transition,
     modal_decomposition,
@@ -65,13 +64,27 @@ from .network import (
 from .oracle import OracleConfig, ValidationSummary, validate_subspace
 
 
-def check_base(base: ModalDecomposition, dyn: NodeDynamics, L) -> None:
-    """Raise unless ``base`` is the modal decomposition of (dyn, L).  The
-    arrays a row passes are the base's own, so identity settles them."""
-    sys = base.system
-    if not all(x is y or np.array_equal(x, y) for x, y in (
-            (L, sys.laplacian), (dyn.A, sys.dynamics.A), (dyn.B, sys.dynamics.B))):
-        raise ValueError("base decomposition belongs to another network")
+def check_pair(dyn: NodeDynamics, L, Lbar, base: ModalDecomposition | None = None,
+               tol: float = RANK_TOL) -> tuple[ModalDecomposition, np.ndarray]:
+    """The one check of the pair every entry point takes first: node
+    dynamics (A, B) and Laplacians L, Lbar of one node count.  Without
+    ``base``, it validates both (``validate_laplacian``), L as it builds
+    the modal decomposition of (dyn, L) at ``tol``.  A base is a validated
+    network, which ``analyze`` passes on with the Lbar it has validated:
+    (dyn, L) must be its own (identity first: a row passes the base's
+    arrays), and Lbar of L's shape.  Returns the base and Lbar as floats."""
+    if base is None:
+        base = modal_decomposition(assemble_transition(dyn, L), tol)
+        Lbar = validate_laplacian(Lbar)
+    else:
+        sys = base.system
+        if not all(x is y or np.array_equal(x, y) for x, y in (
+                (L, sys.laplacian), (dyn.A, sys.dynamics.A), (dyn.B, sys.dynamics.B))):
+            raise ValueError("base decomposition belongs to another network")
+        Lbar = np.asarray(Lbar, dtype=float)
+    if Lbar.shape != base.system.laplacian.shape:
+        raise ValueError(f"dimension mismatch: {base.system.laplacian.shape} vs {Lbar.shape}")
+    return base, Lbar
 
 
 def real_span(parts: list[np.ndarray], tol: float) -> Subspace:
@@ -123,24 +136,22 @@ def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
     return -(B @ (diff @ Y.reshape(N, -1)).reshape(N, n, -1)).reshape(N * n, -1).view(X.dtype)
 
 
-def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
-                           tol: float = RANK_TOL,
+def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
                            base: ModalDecomposition | None = None,
                            common: tuple[tuple[np.ndarray, ...], float] | None = None
                            ) -> Subspace:
-    """The exact subspace of initial states whose responses under the two
-    systems coincide for all time: the largest Phi-invariant subspace
-    inside kernel(Delta), one eigenvalue cluster of Phi at a time.  The two
-    systems must have the same node count and share their node dynamics
-    (A, B), so that Delta = -(L - Lbar) (x) B; it is 0, and every state
-    indiscernible, when L = Lbar or B = 0.
+    """The exact subspace of initial states whose responses under Phi and
+    Phibar, the networks of the node dynamics (A, B) coupled through L and
+    Lbar, coincide for all time: the largest Phi-invariant subspace inside
+    kernel(Delta), Delta = -(L - Lbar) (x) B, one eigenvalue cluster of Phi
+    at a time.  Delta is 0, and every state indiscernible, when L = Lbar or
+    B = 0.
 
     An invariant subspace is the direct sum of its parts in Phi's
     generalized eigenspaces (from ``base``, the modal decomposition of
-    ``phi``, computed when not given and matched to ``phi`` by
-    ``check_base`` when given).  On the space V_G (x) Z of a single-alpha
-    cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and no
-    invariant part of Z lies in kernel(B) (it would hold a
+    (dyn, L); the pair is checked by ``check_pair``).  On the space V_G (x)
+    Z of a single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x)
+    (B z), and no invariant part of Z lies in kernel(B) (it would hold a
     network-invariant mode, whose eigenvalue is a collision), so the
     indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
     group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
@@ -153,23 +164,17 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
     left by a cluster that Delta misses as rank; the stack starts from the
     orthonormal rows above that cutoff, and a cluster of rank 0 is kept
     whole without one.  The parts hold one cluster of each conjugate pair,
-    and ``real_span`` turns them into a real basis with one SVD.  Neither
-    system's ``phi`` is formed here beyond the one ``base`` reads.
+    and ``real_span`` turns them into a real basis with one SVD.  Phibar is
+    not formed, and Phi only as ``base`` reads it.
     """
-    dyn = phi.dynamics
-    if phi.node_count != phibar.node_count:
-        raise ValueError(f"dimension mismatch: {phi.node_count} vs {phibar.node_count} nodes")
-    if not all(map(np.array_equal, (dyn.A, dyn.B), (phibar.dynamics.A, phibar.dynamics.B))):
-        raise ValueError("the two systems must share their node dynamics (A, B)")
-    diff = phi.laplacian - phibar.laplacian
-    if base is not None:
-        check_base(base, dyn, phi.laplacian)
+    base, Lbar = check_pair(dyn, L, Lbar, base, tol)
+    sys = base.system
+    diff = sys.laplacian - Lbar
     if not (diff.any() and dyn.B.any()):  # Delta = 0
-        return Subspace.full(phi.dim)
-    base = modal_decomposition(phi, tol) if base is None else base
+        return Subspace.full(sys.dim)
     bases, diff_norm = common_laplacian_vectors(base, diff, tol) if common is None else common
-    parts = [np.zeros((phi.dim, 0))]
-    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(phi.dim, -1)  # kron(C_G, Z)
+    parts = [np.zeros((sys.dim, 0))]
+    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(sys.dim, -1)  # kron(C_G, Z)
               for k, Z in base.group_vectors if bases[k].size]
     cutoff = tol * diff_norm * base.b_norm  # tol * ||Delta||_2
     for X in base.clusters:
@@ -178,7 +183,7 @@ def indiscernible_subspace(phi: NetworkSystem, phibar: NetworkSystem,
         if rank == 0:
             parts.append(X)
         elif rank < X.shape[1]:
-            stack = unobservable_subspace(vh[:rank], X.conj().T @ (phi.phi @ X), tol)
+            stack = unobservable_subspace(vh[:rank], X.conj().T @ (sys.phi @ X), tol)
             parts.append(X @ stack.basis)
     return real_span(parts, tol)
 
@@ -199,23 +204,14 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     its common vectors contribute common (x) I_n; only a block with a
     repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
     The basis is a real orthonormal basis of the span (``real_span``), not
-    a canonical one.  ``base`` is the modal decomposition of (dyn, L),
-    checked by ``check_base``, and ``common`` is
-    ``common_laplacian_vectors(base, L - Lbar, rank_tol)``; each is
-    computed when not given."""
-    L = np.asarray(L, dtype=float)
-    Lbar = np.asarray(Lbar, dtype=float)
-    if L.shape != Lbar.shape:
-        raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-    for M in (L, Lbar):
-        if not is_symmetric(M):
-            raise ValueError("shared modal analysis requires symmetric Laplacians")
-    if base is None:
-        base = modal_decomposition(assemble_transition(dyn, L), rank_tol)
-    else:
-        check_base(base, dyn, L)
-    N, n = L.shape[0], dyn.n
-    bases, _ = common_laplacian_vectors(base, L - Lbar, rank_tol) if common is None else common
+    a canonical one.  ``base`` is the modal decomposition of (dyn, L); the
+    pair is checked by ``check_pair``.  ``common`` is
+    ``common_laplacian_vectors(base, L - Lbar, rank_tol)``, computed when
+    not given."""
+    base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
+    N, n = Lbar.shape[0], dyn.n
+    diff = base.system.laplacian - Lbar
+    bases, _ = common_laplacian_vectors(base, diff, rank_tol) if common is None else common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -299,20 +295,11 @@ def corrected_condition(
     clusters are formed on the first read of ``collisions``, and only when
     the condition is violated.
 
-    Without ``base`` both Laplacians are validated.  ``base``, the modal
-    decomposition of (dyn, L), is what ``analyze`` passes once it has
-    validated L and Lbar: it is matched to (dyn, L) by ``check_base``,
-    spec(L) is then its kept ``laplacian_values``, and neither Laplacian
-    is checked again."""
-    if base is None:
-        L = validate_laplacian(L)
-        Lbar = validate_laplacian(Lbar)
-        if L.shape != Lbar.shape:
-            raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-        spec = np.linalg.eigvalsh(L)
-    else:
-        check_base(base, dyn, L)
-        spec = base.laplacian_values
+    spec(L) is the ``laplacian_values`` that ``base``, the modal
+    decomposition of (dyn, L), keeps; the pair is checked by
+    ``check_pair``, which builds the base when it is not given."""
+    base, Lbar = check_pair(dyn, L, Lbar, base)
+    spec = base.laplacian_values
     alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
     spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
     flat = spectra.reshape(-1)
@@ -402,30 +389,23 @@ def analyze(
     first read of ``report.shared_modal``, and the collision list for the
     first read of ``report.corrected.collisions``.  When ``opts.validate``
     is set the computed subspace is checked against the trajectory oracle.
-    ``base``, the modal decomposition of (dyn, L), is computed when not
-    given and matched to (dyn, L) by ``check_base`` when given;
-    ``enumerate`` passes one for all variations of a base graph,
-    and every row reads the base-side constants it keeps: spec(L) for the
-    corrected condition, ||B||_2 and the synchronous manifold.  The
-    variation enters only as L - Lbar, decided on the graph side once
-    (``common_laplacian_vectors``); Phibar is formed only by the oracle.
-    The verdict is "no variation" exactly when Delta = -(L - Lbar) (x) B
-    is 0, i.e. when L = Lbar or B = 0.  Both Laplacians are validated here,
-    once.
+    ``base`` is the modal decomposition of (dyn, L), and each Laplacian
+    is validated once: by ``check_pair`` in a standalone call; in an
+    ``enumerate`` row, L by its base and Lbar here.  Every row reads the
+    constants the base keeps: spec(L), ||B||_2 and the synchronous
+    manifold.  The variation enters only as L - Lbar, decided on the graph
+    side once (``common_laplacian_vectors``); Phibar is formed only by the
+    oracle.  The verdict is "no variation" exactly when
+    Delta = -(L - Lbar) (x) B is 0, i.e. when L = Lbar or B = 0.
     """
     opts = opts or AnalyzeOptions()
-    L = validate_laplacian(L)
-    Lbar = validate_laplacian(Lbar)
-    if L.shape != Lbar.shape:
-        raise ValueError(f"dimension mismatch: {L.shape} vs {Lbar.shape}")
-    if base is None:
-        base = modal_decomposition(assemble_transition(dyn, L), opts.rank_tol)
-    else:
-        check_base(base, dyn, L)
+    if base is not None:
+        Lbar = validate_laplacian(Lbar)
+    base, Lbar = check_pair(dyn, L, Lbar, base, opts.rank_tol)
     sys = base.system
-    sysbar = assemble_transition(dyn, Lbar)
+    L = sys.laplacian
     common = common_laplacian_vectors(base, L - Lbar, opts.rank_tol)
-    ind = indiscernible_subspace(sys, sysbar, opts.rank_tol, base, common)
+    ind = indiscernible_subspace(dyn, L, Lbar, opts.rank_tol, base, common)
     overlap = subspace_intersect(ind, base.sync, opts.rank_tol)
     extra = ind.dim - overlap.dim
     corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol, base)
@@ -439,7 +419,7 @@ def analyze(
 
     summary = None
     if opts.validate:
-        summary = validate_subspace(sys, sysbar, ind, opts.oracle)
+        summary = validate_subspace(sys, assemble_transition(dyn, Lbar), ind, opts.oracle)
 
     return DiscernibilityReport(
         node_count=sys.node_count,

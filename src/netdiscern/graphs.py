@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_symmetric
-
 VARIATION_KINDS = ("remove_edge", "add_edge", "reweight_edge", "disconnect_node")
 
 
@@ -106,21 +104,28 @@ class Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Weighted graph Laplacian: degree on the diagonal, negated edge
-    weights off it.  Rows sum to zero by construction."""
+    weights off it.  Rows sum to zero by construction.  Finite weights can
+    still sum to a degree past float64; that raises ValueError."""
     W = g.adjacency()
-    return np.diag(W.sum(axis=1)) - W
+    with np.errstate(over="ignore"):
+        degrees = W.sum(axis=1)
+    if not np.all(np.isfinite(degrees)):
+        raise ValueError("the weighted degrees overflow float64")
+    return np.diag(degrees) - W
 
 
 def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
-    """Check the Laplacian invariants (symmetry, zero row sums,
-    nonpositive off-diagonal); raises ValueError on violation."""
+    """Check the Laplacian invariants: square, finite, symmetric, zero row
+    sums and nonpositive off the diagonal, the last three to an absolute
+    ``tol * max(1, max |L_ij|)``.  Returns L as a float array; raises
+    ValueError on a violation."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise ValueError("Laplacian entries must be finite")
     scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
-    if not is_symmetric(L, tol):
+    if np.abs(L - L.T).max(initial=0.0) > tol * scale:
         raise ValueError("Laplacian is not symmetric")
     rowsum = np.abs(L @ np.ones(L.shape[0]))
     if rowsum.size and rowsum.max() > tol * scale:

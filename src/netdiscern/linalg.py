@@ -33,14 +33,6 @@ RESID_TOL = 1e-8    # eigenpair residual, relative to ||M||_2
 CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to max(1, ||M||_2)
 
 
-
-def is_symmetric(M: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when no entry of M - M^T exceeds ``tol * max(1, max |M_ij|)``
-    in magnitude (a purely absolute test; a non-finite entry fails)."""
-    scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    return bool(np.abs(M - M.T).max(initial=0.0) <= tol * scale)
-
-
 def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2:

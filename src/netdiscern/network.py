@@ -38,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .graphs import validate_laplacian
 from .linalg import (
     CLUSTER_TOL,
     RANK_TOL,
@@ -48,7 +49,6 @@ from .linalg import (
     cluster_indices,
     clustered_spectrum,
     eig,
-    is_symmetric,
     kernel,
     schur_basis,
 )
@@ -234,23 +234,64 @@ class ModalDecomposition:
 
     ``block_spectrum(i)`` clusters block i's spectrum; only a block with a
     repeated eigenvalue needs it, since the shared modal span takes all of
-    C^n for any other block.  The base-side constants a variation reads
-    are kept on first use: ``laplacian_values`` (np.linalg.eigvalsh(L), the
-    corrected condition's spectrum of L, whose last bits can differ from
-    ``alphas``, from eigh), ``b_norm`` (||B||_2) and ``sync`` (the
-    synchronous manifold).
+    C^n for any other block.  The parts above are computed together on the
+    first read of one, and each base-side constant a variation reads on
+    its own: ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected
+    condition's spectrum of L, whose last bits can differ from ``alphas``,
+    from eigh), ``b_norm`` (||B||_2) and ``sync`` (the synchronous
+    manifold); so the corrected condition alone decomposes no block.
     """
 
     system: NetworkSystem
-    alphas: np.ndarray                    # eigenvalues of L, ascending
-    laplacian_vectors: np.ndarray         # V
-    alpha_groups: tuple[np.ndarray, ...]  # indices of each distinct alpha
-    blocks: np.ndarray                    # (N, n, n): A - alphas[i]*B
-    block_eig: tuple[np.ndarray, np.ndarray]  # np.linalg.eig(blocks)
-    cluster_tol: float                    # 1e-6 * max(1, ||Phi||_2)
-    group_vectors: tuple[tuple[int, np.ndarray], ...]  # (k, Z), Z not empty
-    clusters: tuple[np.ndarray, ...]      # the X_g of the collisions
-    modes: tuple[NetworkInvariantMode, ...]  # of the dynamics
+    tol: float  # the rank tolerance the invariant modes are found at
+
+    @cached_property
+    def _parts(self) -> tuple:  # in the order below: one eigh of L, one batched eig
+        sys, dyn, n = self.system, self.system.dynamics, self.system.node_dim
+        alphas, V = np.linalg.eigh(sys.laplacian)
+        blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
+        w, W = np.linalg.eig(blocks)
+        ctol = 1e-6 * max(1.0, sys.norm2)
+        # ||L||_2 = max |alpha| for a symmetric L; each group is a run of the ascending alphas
+        groups = tuple(map(np.asarray, cluster_indices(
+            alphas, CLUSTER_TOL * max(1.0, float(np.abs(alphas).max(initial=0.0))))))
+        group_of = [k for k, group in enumerate(groups) for _ in group]
+
+        def block_basis(i: int, idx: list[int]) -> np.ndarray:
+            """Block i's vectors for its members of the cluster idx: its unit
+            eigenvector for one member, else its ordered Schur vectors for
+            them, which are exact for defective blocks."""
+            member = [j % n for j in idx if j // n == i]
+            if len(member) < 2:
+                return W[i][:, member]
+            return schur_basis(blocks[i], w[i][member])
+
+        zs: list[list[np.ndarray]] = [[] for _ in groups]
+        clusters = []
+        for idx in cluster_indices(w.reshape(-1), ctol):
+            if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
+                continue  # the conjugate of a kept cluster
+            owners = sorted({j // n for j in idx})
+            k = group_of[owners[0]]
+            if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
+                zs[k].append(block_basis(groups[k][0], idx))
+            else:
+                cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(sys.dim, -1)
+                        for i in owners]
+                clusters.append(np.hstack(cols))
+        group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
+        return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
+                tuple(network_invariant_modes(dyn, self.tol)))
+
+    alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
+    laplacian_vectors = property(lambda self: self._parts[1])  # V
+    alpha_groups = property(lambda self: self._parts[2])       # indices of each distinct alpha
+    blocks = property(lambda self: self._parts[3])             # (N, n, n): A - alphas[i]*B
+    block_eig = property(lambda self: self._parts[4])          # np.linalg.eig(blocks)
+    cluster_tol = property(lambda self: self._parts[5])        # 1e-6 * max(1, ||Phi||_2)
+    group_vectors = property(lambda self: self._parts[6])      # (k, Z), Z not empty
+    clusters = property(lambda self: self._parts[7])           # the X_g of the collisions
+    modes = property(lambda self: self._parts[8])              # of the dynamics
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:
@@ -274,42 +315,8 @@ class ModalDecomposition:
 
 def modal_decomposition(sys: NetworkSystem,
                         tol: float = RANK_TOL) -> ModalDecomposition:
-    """The one modal decomposition of an assembled network (symmetric
-    Laplacian required); its invariant modes are found at ``tol``."""
-    L, dyn, n = sys.laplacian, sys.dynamics, sys.node_dim
-    if not is_symmetric(L):
-        raise ValueError("modal analysis requires a symmetric Laplacian")
-    alphas, V = np.linalg.eigh(L)
-    blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
-    w, W = np.linalg.eig(blocks)
-    ctol = 1e-6 * max(1.0, sys.norm2)
-    # ||L||_2 = max |alpha| for a symmetric L; each group is a run of the ascending alphas
-    groups = tuple(map(np.asarray, cluster_indices(
-        alphas, CLUSTER_TOL * max(1.0, float(np.abs(alphas).max(initial=0.0))))))
-    group_of = [k for k, group in enumerate(groups) for _ in group]
-
-    def block_basis(i: int, idx: list[int]) -> np.ndarray:
-        """Block i's vectors for its members of the cluster idx: its unit
-        eigenvector for one member, else its ordered Schur vectors for
-        them, which are exact for defective blocks."""
-        member = [j % n for j in idx if j // n == i]
-        if len(member) < 2:
-            return W[i][:, member]
-        return schur_basis(blocks[i], w[i][member])
-
-    zs: list[list[np.ndarray]] = [[] for _ in groups]
-    clusters = []
-    for idx in cluster_indices(w.reshape(-1), ctol):
-        if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
-            continue  # the conjugate of a kept cluster
-        owners = sorted({j // n for j in idx})
-        k = group_of[owners[0]]
-        if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
-            zs[k].append(block_basis(groups[k][0], idx))
-        else:
-            cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(sys.dim, -1)
-                    for i in owners]
-            clusters.append(np.hstack(cols))
-    group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
-    return ModalDecomposition(sys, alphas, V, groups, blocks, (w, W), ctol, group_vectors,
-                              tuple(clusters), tuple(network_invariant_modes(dyn, tol)))
+    """The one modal decomposition of an assembled network, whose Laplacian
+    it validates (``validate_laplacian``); its invariant modes are found at
+    ``tol``.  The blocks are decomposed on the first read of a part."""
+    validate_laplacian(sys.laplacian)
+    return ModalDecomposition(sys, tol)

@@ -36,6 +36,11 @@ from .network import NetworkSystem
 
 DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 51))
 
+# Every sample is a column and every power a product of each check, so a
+# plan far past these bounds would not finish in useful time.
+MAX_SAMPLE_COUNT = 10_000
+MAX_POWER_RANGE = 100_000
+
 # Upper bound on the bytes of the largest stacked array one block of the
 # checks holds; the block length follows from it and the problem size.
 _BLOCK_BYTES = 256 * 1024
@@ -65,10 +70,10 @@ class OracleConfig:
         object.__setattr__(self, "time_grid", grid)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.power_range is not None and self.power_range < 1:
-            raise ValueError("power_range must be >= 1")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must be in [1, {MAX_SAMPLE_COUNT}]")
+        if self.power_range is not None and not 1 <= self.power_range <= MAX_POWER_RANGE:
+            raise ValueError(f"power_range must be in [1, {MAX_POWER_RANGE}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

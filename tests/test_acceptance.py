@@ -43,7 +43,7 @@ def random_suite():
         dyn, L, Lbar = random_instance(rng)
         s1 = assemble_transition(dyn, L)
         s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(dyn, L, Lbar)
         W = unobservable_subspace(s1.phi - s2.phi, s1.phi)
         summary = validate_subspace(s1, s2, V, cfg)
         cases.append({"modal": V, "stacked": W, "summary": summary})
@@ -88,7 +88,7 @@ def test_criterion_04_multiplicity_four(demo):
 
 
 def test_criterion_05_six_dimensional_subspace(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     assert V.dim == 6
     sync = np.kron(np.ones((4, 1)) / 2.0, np.eye(3))
     fan = np.kron(np.eye(4), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2.0))
@@ -123,7 +123,7 @@ def test_criterion_07_corrected_condition(demo):
     assert held.holds
     s1 = assemble_transition(dyn, P2)
     s2 = assemble_transition(dyn, 0.5 * P2)
-    V = indiscernible_subspace(s1, s2)
+    V = indiscernible_subspace(dyn, P2, 0.5 * P2)
     assert V.dim == 2
     sync = sync_manifold(2, 2)
     assert V.dim == sync.dim and max_angle(V, sync) <= 1e-7
@@ -148,7 +148,7 @@ def test_criterion_08_every_variation_keeps_extra_states(tmp_path):
 
 
 def test_criterion_09_algorithm_cross_check(demo, random_suite):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     W = unobservable_subspace(demo.phi.phi - demo.phibar.phi, demo.phi.phi)
     worst = max_angle(V, W)
     assert V.dim == W.dim

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -16,9 +18,11 @@ from netdiscern import (
     assemble_transition,
     discernibility,
     enumerate_single_link_variations,
+    graphs,
     laplacian,
     modal_decomposition,
     network,
+    oracle,
 )
 from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
                             report_to_dict, run_enumerate)
@@ -491,6 +495,60 @@ def test_oracle_options_are_strict(tmp_path, capsys, option, literal, message):
     assert not out.exists()
 
 
+def test_oracle_plan_bounds_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    # one past each bound is an input error before the analysis starts
+    monkeypatch.setattr("netdiscern.cli.analyze", None)  # never reached
+    for option, bound in (("sample_count", oracle.MAX_SAMPLE_COUNT),
+                          ("power_range", oracle.MAX_POWER_RANGE)):
+        config = example_config(validate=True)
+        config["options"][option] = bound + 1
+        out = tmp_path / option
+        assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and f"{option} must be in" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_overflowing_laplacian_is_an_input_error(tmp_path, capsys, command):
+    # every weight 1e308: finite, but the degrees of the base graph sum
+    # past float64; an error line, no warning, no traceback, no output
+    config = example_config(validate=True)
+    for graph in (config["base_graph"], config["variation"]["modified_graph"]):
+        for edge in graph["edges"]:
+            edge["w"] = 1e308
+    if command == "enumerate":
+        config["variation"] = {"enumerate": {"kinds": ["remove_edge"]}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid config: base_graph: the weighted degrees overflow float64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
+    # each output of an atomic write has 0o666 less the umask, as open()
+    # would give it, not the 0o600 of a tempfile.mkstemp file
+    path = write_config(tmp_path, enumerate_config(["remove_edge"]))
+    previous = os.umask(umask)
+    try:
+        assert main(["paper-example", "--out", str(tmp_path / "out")]) == 0
+        assert main(["enumerate", path, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    names = sorted(f.name for f in (tmp_path / "out").iterdir())
+    assert names == ["gaps.csv", "report.json", "variations.csv", "variations.json"]
+    want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in names:
+        assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == want, name
+
+
 def test_integral_option_values_are_accepted(tmp_path, capsys):
     config = example_config(validate=True)
     config["options"].update(seed=3.0, sample_count=4.0, power_range=None)
@@ -679,6 +737,31 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
             files = {f.name: f.read_bytes() for f in out.iterdir()}
             runs.append((files, capsys.readouterr().out))
         assert runs[0][0] and runs[0] == runs[1] == runs[2], name
+
+
+def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
+    # the 66 rows of the 12-node ring with chords share one base, a
+    # validated network: its decomposition validates L once, and each
+    # row validates its Lbar once, where the parent validated both per
+    # row; a standalone analyze validates each of its two Laplacians once
+    calls = []
+    validate = graphs.validate_laplacian
+    for module in (network, discernibility):
+        monkeypatch.setattr(module, "validate_laplacian",
+                            lambda L: calls.append(L) or validate(L))
+    graph = ring_with_chords(12)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    assert run_enumerate(config, str(tmp_path)) == 0
+    assert len(json.loads((tmp_path / "variations.json").read_text())["rows"]) == 66
+    expected = [laplacian(graph)] + [Lvar for _, _, Lvar in enumerate_single_link_variations(
+        graph, ["remove_edge", "add_edge"])]
+    assert [M.tobytes() for M in calls] == [M.tobytes() for M in expected]
+    calls.clear()
+    L, Lbar = laplacian(graph), laplacian(graph.with_node_disconnected(1))
+    analyze(example_dynamics(), L, Lbar)
+    assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
 
 
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):

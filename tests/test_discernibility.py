@@ -72,39 +72,42 @@ def _expected_demo_subspace() -> Subspace:
 
 
 def test_identical_systems_are_fully_indiscernible(demo):
-    V = indiscernible_subspace(demo.phi, demo.phi)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.L)
     assert V.dim == 12
     W = stacked(demo.phi, demo.phi)
     assert W.dim == 12
 
 
 def test_demo_subspace_is_six_dimensional(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     assert V.dim == 6
     want = _expected_demo_subspace()
     assert V.dim == want.dim and max_angle(V, want) <= 1e-7
 
 
 def test_stacked_reference_agrees_on_demo(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     W = stacked(demo.phi, demo.phibar)
     assert W.dim == V.dim == 6
     assert max_angle(V, W) <= 1e-7
 
 
 def test_invertible_difference_gives_zero_subspace():
-    # L = 0 vs Lbar = I makes Delta = I (x) B invertible for invertible B
+    # L = 0 vs Lbar = I makes Delta = I (x) B invertible for invertible B;
+    # I is no Laplacian (its rows do not sum to zero), so only the stacked
+    # reference, which takes any pair of systems, reads it
     dyn = NodeDynamics(np.array([[0.5, 0.0], [0.0, -0.25]]), np.eye(2))
     s1 = assemble_transition(dyn, np.zeros((2, 2)))
     s2 = assemble_transition(dyn, np.eye(2))
     assert stacked(s1, s2).dim == 0
-    assert indiscernible_subspace(s1, s2).dim == 0
+    with pytest.raises(ValueError, match="sum to zero"):
+        indiscernible_subspace(dyn, np.zeros((2, 2)), np.eye(2))
 
 
 def test_two_node_instance_is_sync_only():
     s1 = assemble_transition(DIAG_DYN, P2)
     s2 = assemble_transition(DIAG_DYN, 0.5 * P2)
-    V = indiscernible_subspace(s1, s2)
+    V = indiscernible_subspace(DIAG_DYN, P2, 0.5 * P2)
     assert V.dim == 2
     sync = sync_manifold(2, 2)
     assert V.dim == sync.dim and max_angle(V, sync) <= 1e-7
@@ -122,7 +125,7 @@ def test_algorithms_agree_on_random_instances():
         dyn, L, Lbar = random_instance(rng)
         s1 = assemble_transition(dyn, L)
         s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(dyn, L, Lbar)
         W = stacked(s1, s2)
         assert V.dim == W.dim
         assert max_angle(V, W) <= 1e-7
@@ -137,8 +140,8 @@ def test_subspace_is_symmetric_in_the_pair(demo):
             (assemble_transition(dyn, L), assemble_transition(dyn, Lbar))
         )
     for s1, s2 in cases:
-        V12 = indiscernible_subspace(s1, s2)
-        V21 = indiscernible_subspace(s2, s1)
+        V12 = indiscernible_subspace(s1.dynamics, s1.laplacian, s2.laplacian)
+        V21 = indiscernible_subspace(s2.dynamics, s2.laplacian, s1.laplacian)
         assert V12.dim == V21.dim
         assert max_angle(V12, V21) <= 1e-7
         W12 = stacked(s1, s2)
@@ -156,7 +159,7 @@ def test_subspace_is_invariant_and_trajectories_match(demo):
             (assemble_transition(dyn, L), assemble_transition(dyn, Lbar))
         )
     for s1, s2 in cases:
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(s1.dynamics, s1.laplacian, s2.laplacian)
         scale = np.linalg.norm(s1.phi, 2)
         for c in range(V.dim):
             x = V.basis[:, c]
@@ -169,17 +172,15 @@ def test_sync_manifold_always_indiscernible():
     rng = np.random.default_rng(407)
     for _ in range(20):
         dyn, L, Lbar = random_instance(rng)
-        s1 = assemble_transition(dyn, L)
-        s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
-        sync = sync_manifold(s1.node_count, s1.node_dim)
+        V = indiscernible_subspace(dyn, L, Lbar)
+        sync = sync_manifold(L.shape[0], dyn.n)
         assert contains(V, sync, 1e-7)
 
 
 def test_dimension_mismatch_raises(demo):
     small = assemble_transition(DIAG_DYN, P2)
-    with pytest.raises(ValueError):
-        indiscernible_subspace(demo.phi, small)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        indiscernible_subspace(demo.dyn, demo.L, P2)
     with pytest.raises(ValueError):
         stacked(demo.phi, small)
     with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ def certified(dyn, g, gbar):
     ||Phi||_2 and the containment residual ||Delta Q||_2 / ||Delta||_2."""
     s1 = assemble_transition(dyn, laplacian(g))
     s2 = assemble_transition(dyn, laplacian(gbar))
-    Q = indiscernible_subspace(s1, s2).basis
+    Q = indiscernible_subspace(dyn, s1.laplacian, s2.laplacian).basis
     phi, delta = s1.phi, s1.phi - s2.phi
     invariance = np.linalg.norm(phi @ Q - Q @ (Q.T @ phi @ Q), 2) / np.linalg.norm(phi, 2)
     containment = np.linalg.norm(delta @ Q, 2) / np.linalg.norm(delta, 2)
@@ -241,8 +242,7 @@ def ring_160_row(ring_160, row: int) -> Subspace:
     """Row k of the 160-node ring with chords removes its k-th edge."""
     g, dyn, base = ring_160
     gbar = g.with_edge_removed(*g.edges[row][:2])
-    return indiscernible_subspace(base.system, assemble_transition(dyn, laplacian(gbar)),
-                                  RANK_TOL, base)
+    return indiscernible_subspace(dyn, base.system.laplacian, laplacian(gbar), RANK_TOL, base)
 
 
 @pytest.mark.parametrize("row, dim", [(0, 242), (5, 244), (10, 244)])
@@ -365,7 +365,7 @@ def test_pickled_report_reads_the_same_collisions_and_shared_span(demo):
 
 
 def test_uniform_states_are_members(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     cfg = OracleConfig(seed=2)
     # a synchronized state is indiscernible regardless of its node pattern
     x = np.kron(np.ones(4), np.array([0.0, 1.0, 0.0]))
@@ -389,7 +389,7 @@ def test_demo_shared_modal_subspace(demo):
     assert contains(shared, sync, 1e-7)
     fan = Subspace(np.kron(np.eye(4), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2.0)))
     assert contains(shared, fan, 1e-7)
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     assert contains(V, shared, 1e-7)
 
 
@@ -398,27 +398,20 @@ def test_shared_modal_equal_laplacians_spans_everything():
     assert shared.dim == 4  # diagonalizable blocks: full space
 
 
-def test_shared_modal_empty_without_common_structure():
-    # rotated spectral factors share no eigenpair; B invertible kills modes
-    def rot(theta):
-        return np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-
-    L = rot(0.3) @ np.diag([1.0, 2.0]) @ rot(0.3).T
-    Lbar = rot(1.1) @ np.diag([3.0, 4.5]) @ rot(1.1).T
+def test_shared_modal_is_the_sync_manifold_without_other_common_structure():
+    # P2 and P2 / 2 share only the eigenpair (0, 1): the other eigenvector
+    # has eigenvalue 2 against 1; B invertible kills modes
     dyn = NodeDynamics(np.array([[0.2, 1.0], [0.0, -0.4]]), np.eye(2))
-    shared = shared_modal_subspace(dyn, L, Lbar)
-    assert shared.dim == 0
+    shared = shared_modal_subspace(dyn, P2, 0.5 * P2)
+    sync = sync_manifold(2, 2)
+    assert shared.dim == sync.dim and max_angle(shared, sync) <= 1e-7
 
 
 def test_shared_modal_contained_in_indiscernible_on_randoms():
     rng = np.random.default_rng(408)
     for _ in range(20):
         dyn, L, Lbar = random_instance(rng)
-        s1 = assemble_transition(dyn, L)
-        s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(dyn, L, Lbar)
         shared = shared_modal_subspace(dyn, L, Lbar)
         assert contains(V, shared, 1e-6)
 
@@ -589,7 +582,7 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
         assert got.dim == want.dim, name
         assert max_sine(got, want) <= 1e-12, name
         s1, s2 = dec.system, assemble_transition(dyn, Lbar)
-        got = indiscernible_subspace(s1, s2, RANK_TOL, dec)
+        got = indiscernible_subspace(dyn, L, Lbar, RANK_TOL, dec)
         assert got.basis.dtype == np.float64, name
         want = stacked(s1, s2)
         assert got.dim == want.dim, name
@@ -629,51 +622,77 @@ def test_one_alpha_group_keeps_every_cluster_as_a_collision(demo):
     path = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     for L, Lbar in ((np.zeros((3, 3)), path), (path, np.zeros((3, 3)))):
         s1, s2 = assemble_transition(demo.dyn, L), assemble_transition(demo.dyn, Lbar)
-        got, want = indiscernible_subspace(s1, s2), stacked(s1, s2)
+        got, want = indiscernible_subspace(demo.dyn, L, Lbar), stacked(s1, s2)
         assert got.dim == want.dim == 5
         assert max_sine(got, want) <= 1e-10
     dec = modal_decomposition(assemble_transition(demo.dyn, np.zeros((3, 3))))
     assert len(dec.alpha_groups) == 1 and dec.group_vectors == ()
 
 
-def test_pair_with_other_node_dynamics_raises(demo):
-    # Delta = -(L - Lbar) (x) B needs one (A, B): the same L with A shifted
-    # is not a topology variation
-    A = demo.dyn.A + np.diag([0.5, 0.0, 0.0])
-    shifted = assemble_transition(NodeDynamics(A, demo.dyn.B), demo.L)
-    for s1, s2 in ((demo.phi, shifted), (shifted, demo.phi)):
-        with pytest.raises(ValueError, match="node dynamics"):
-            indiscernible_subspace(s1, s2)
-    other_b = assemble_transition(NodeDynamics(demo.dyn.A, 2 * demo.dyn.B), demo.Lbar)
-    with pytest.raises(ValueError, match="node dynamics"):
-        indiscernible_subspace(demo.phi, other_b)
-
-
 def test_every_entry_point_rejects_the_base_of_another_network():
     # the ring with chords of 6 nodes minus its first edge against the
     # decomposition of the 6-node path: a base is matched to (A, B, L)
-    # wherever one is taken, not only by analyze
+    # wherever one is taken, not only by analyze, and Lbar must have L's
+    # shape; without a base each entry point validates Lbar as a
+    # Laplacian, and analyze validates it with one as well
     dyn = uniform_dynamics(np.random.default_rng(0))
     g = ring_with_chords(6)
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
     path = Graph(6, tuple((i, i + 1, 1.0) for i in range(1, 6)))
     other = modal_decomposition(assemble_transition(dyn, laplacian(path)))
-    s1, s2 = assemble_transition(dyn, L), assemble_transition(dyn, Lbar)
     calls = {
-        "analyze": lambda base: analyze(dyn, L, Lbar, base=base),
-        "indiscernible_subspace": lambda base: indiscernible_subspace(s1, s2, RANK_TOL, base),
-        "shared_modal_subspace": lambda base: shared_modal_subspace(dyn, L, Lbar, RANK_TOL,
-                                                                    base),
-        "corrected_condition": lambda base: corrected_condition(dyn, L, Lbar, base=base),
+        "analyze": lambda base, Lbar: analyze(dyn, L, Lbar, base=base),
+        "indiscernible_subspace": lambda base, Lbar: indiscernible_subspace(
+            dyn, L, Lbar, RANK_TOL, base),
+        "shared_modal_subspace": lambda base, Lbar: shared_modal_subspace(
+            dyn, L, Lbar, RANK_TOL, base),
+        "corrected_condition": lambda base, Lbar: corrected_condition(dyn, L, Lbar, base=base),
     }
-    own = modal_decomposition(s1)
+    own = modal_decomposition(assemble_transition(dyn, L))
+    infinite, skewed, shifted_rows = Lbar.copy(), Lbar.copy(), Lbar + np.eye(6)
+    infinite[0, 0] = np.inf
+    skewed[0, 1] -= 1.0
     for name, call in calls.items():
         with pytest.raises(ValueError, match="another network"):
-            call(other)
-        call(own)  # the network's own decomposition is accepted
+            call(other, Lbar)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(own, laplacian(Graph(5, ((1, 2, 1.0),))))
+        for bad, message in ((infinite, "finite"), (skewed, "not symmetric"),
+                             (shifted_rows, "rows do not sum to zero")):
+            with pytest.raises(ValueError, match=message):
+                call(None, bad)
+        call(own, Lbar)  # the network's own decomposition is accepted
+    for bad, message in ((infinite, "finite"), (skewed, "not symmetric"),
+                         (shifted_rows, "rows do not sum to zero")):
+        with pytest.raises(ValueError, match=message):
+            analyze(dyn, L, bad, base=own)
     shifted = NodeDynamics(dyn.A, 2 * dyn.B)  # same L, other dynamics
     with pytest.raises(ValueError, match="another network"):
         shared_modal_subspace(shifted, L, Lbar, RANK_TOL, own)
+
+
+def test_lbar_off_symmetric_by_roundoff_is_one_laplacian_everywhere():
+    # one off-diagonal entry of Lbar one ulp off its mirror: validate_laplacian
+    # takes it, so every entry point takes it, with and without a base, and
+    # reading the report's shared modal span, which passes the base on,
+    # gives the span of the exactly symmetric Lbar
+    dyn = uniform_dynamics(np.random.default_rng(1))
+    g = ring_with_chords(6)
+    L, exact = laplacian(g), laplacian(without_first_edge(g))
+    Lbar = exact.copy()
+    Lbar[1, 2] = np.nextafter(Lbar[1, 2], 0.0)
+    assert Lbar[1, 2] != 0 and not np.array_equal(Lbar, Lbar.T)
+    own = modal_decomposition(assemble_transition(dyn, L))
+    expected = analyze(dyn, L, exact)
+    for base in (None, own):
+        report = analyze(dyn, L, Lbar, base=base)
+        assert (report.verdict, report.extra_dim) == (expected.verdict, expected.extra_dim)
+        assert report.indiscernible.dim == expected.indiscernible.dim
+        assert report.shared_modal.dim == expected.shared_modal.dim
+        assert max_angle(report.shared_modal, expected.shared_modal) <= 1e-7
+        assert indiscernible_subspace(dyn, L, Lbar, RANK_TOL, base).dim == report.indiscernible.dim
+        assert shared_modal_subspace(dyn, L, Lbar, RANK_TOL, base).dim == report.shared_modal.dim
+        assert corrected_condition(dyn, L, Lbar, base=base).holds == report.corrected.holds
 
 
 def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
@@ -687,8 +706,7 @@ def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
     assert dec.block_spectrum(0).eigenpairs[0].vectors.shape[1] == 1
     shared = shared_modal_subspace(JORDAN_DYN, L, Lbar)
     assert shared.dim == 3
-    V = indiscernible_subspace(assemble_transition(JORDAN_DYN, L),
-                               assemble_transition(JORDAN_DYN, Lbar))
+    V = indiscernible_subspace(JORDAN_DYN, L, Lbar)
     assert contains(V, shared, 1e-7)
 
 
@@ -784,6 +802,23 @@ def test_corrected_condition_shortcut_changes_no_result():
     assert verdicts["holds"] > 0 and verdicts["violated"] > 0
 
 
+def test_corrected_condition_alone_decomposes_no_block(demo, monkeypatch):
+    # spec(L) is all the corrected condition reads of the base, and the
+    # base decomposes its blocks on the first read of a part: with that
+    # read made to fail, a standalone call still gives the same result
+    want = corrected_condition(demo.dyn, demo.L, demo.Lbar)
+    base = modal_decomposition(assemble_transition(demo.dyn, demo.L))
+
+    def no_parts(self):
+        raise AssertionError("the blocks were decomposed")
+
+    monkeypatch.setattr(network.ModalDecomposition, "_parts", property(no_parts))
+    assert corrected_condition(demo.dyn, demo.L, demo.Lbar) == want
+    assert corrected_condition(demo.dyn, demo.L, demo.Lbar, base=base) == want
+    with pytest.raises(AssertionError, match="decomposed"):
+        base.alphas
+
+
 def test_corrected_condition_one_alpha_has_no_cross_gap():
     # one node: spec(L) ∪ spec(Lbar) = {0}, so there is no pair of blocks
     result = corrected_condition(example_dynamics(), np.zeros((1, 1)), np.zeros((1, 1)))
@@ -817,9 +852,7 @@ def test_equality_when_condition_holds_and_blocks_diagonalize():
         result = corrected_condition(dyn, L, Lbar)
         if not result.holds:
             continue  # constructed to hold; the first case always does
-        s1 = assemble_transition(dyn, L)
-        s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(dyn, L, Lbar)
         shared = shared_modal_subspace(dyn, L, Lbar)
         assert V.dim == shared.dim and max_angle(V, shared) <= 1e-7
     assert corrected_condition(*cases[0]).holds  # at least one case exercised
@@ -941,8 +974,7 @@ def test_zero_b_is_no_variation():
     assert report.verdict == VERDICT_NO_VARIATION
     assert report.indiscernible.dim == report.ambient_dim == 10
     assert report.oracle_summary.passed and report.oracle_summary.inside_total > 0
-    s1, s2 = assemble_transition(dyn, L), assemble_transition(dyn, Lbar)
-    assert indiscernible_subspace(s1, s2).dim == 10
+    assert indiscernible_subspace(dyn, L, Lbar).dim == 10
 
 
 def test_analyze_detectable_instance():

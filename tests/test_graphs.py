@@ -1,5 +1,7 @@
 """Graphs, Laplacians, spectra, and single-link variation enumeration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_graph_input_validation():
         Graph(3, ((1, 4, 1.0),))  # endpoint out of range
     with pytest.raises(ValueError):
         Graph(0, ())
+
+
+def test_laplacian_rejects_overflowing_degrees():
+    # two finite weights of 1e308 at node 2 sum past float64: an error,
+    # with no overflow warning on the way
+    g = Graph(3, ((1, 2, 1e308), (2, 3, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflow"):
+            laplacian(g)
+    assert laplacian(Graph(2, ((1, 2, 1e308),)))[0, 0] == 1e308
 
 
 def test_validate_laplacian_rejects_violations():

@@ -50,6 +50,13 @@ def test_config_validation():
         OracleConfig(power_range=0)
     with pytest.raises(ValueError):
         OracleConfig(seed=-1)
+    # a plan past its bound is refused when it is made, before any sample
+    # or power is taken; at the bound it is accepted (and not run here)
+    OracleConfig(sample_count=oracle.MAX_SAMPLE_COUNT, power_range=oracle.MAX_POWER_RANGE)
+    with pytest.raises(ValueError, match="sample_count must be in"):
+        OracleConfig(sample_count=oracle.MAX_SAMPLE_COUNT + 1)
+    with pytest.raises(ValueError, match="power_range must be in"):
+        OracleConfig(power_range=oracle.MAX_POWER_RANGE + 1)
     for t in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             OracleConfig(time_grid=(0.0, t))
@@ -270,7 +277,7 @@ def test_one_expm_per_distinct_step(demo, expm_calls):
     # in [0.09999999999999964, 0.10000000000000053] share one step pair
     grid = sorted(OracleConfig().time_grid)
     assert len({b - a for a, b in zip(grid, grid[1:])}) == 7
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     validate_subspace(demo.phi, demo.phibar, V, OracleConfig(seed=14))
     assert len(expm_calls) == 2
 
@@ -316,7 +323,7 @@ def scipy_expm(M, t=1.0):
 def validation_cases(demo):
     """(Phi, Phibar, computed subspace) for the paper example and for
     every remove_edge and add_edge row of the 8-node ring with chords."""
-    cases = [(demo.phi, demo.phibar, indiscernible_subspace(demo.phi, demo.phibar))]
+    cases = [(demo.phi, demo.phibar, indiscernible_subspace(demo.dyn, demo.L, demo.Lbar))]
     dyn, g = example_dynamics(), ring_with_chords(8)
     base = modal_decomposition(assemble_transition(dyn, laplacian(g)))
     for _, _, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
@@ -349,7 +356,7 @@ def test_verdicts_match_scipy_exponentials(demo, monkeypatch):
 
 
 def test_validate_computed_subspace(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     summary = validate_subspace(demo.phi, demo.phibar, V, OracleConfig(seed=8))
     assert summary.passed
     assert summary.inside_pass == summary.inside_total == 100
@@ -376,7 +383,7 @@ def test_sync_manifold_passes_but_is_not_maximal(demo):
 
 
 def test_validation_is_deterministic(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     cfg = OracleConfig(seed=11)
     first = validate_subspace(demo.phi, demo.phibar, V, cfg)
     second = validate_subspace(demo.phi, demo.phibar, V, cfg)
@@ -384,7 +391,7 @@ def test_validation_is_deterministic(demo):
 
 
 def test_continuous_trace_shape(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     cfg = OracleConfig(seed=12)
     summary = validate_subspace(demo.phi, demo.phibar, V, cfg)
     assert len(summary.continuous_trace) == len(cfg.time_grid)
@@ -395,7 +402,7 @@ def test_continuous_trace_shape(demo):
 
 
 def test_continuous_trace_keeps_unsorted_grid_order(demo):
-    V = indiscernible_subspace(demo.phi, demo.phibar)
+    V = indiscernible_subspace(demo.dyn, demo.L, demo.Lbar)
     cfg = OracleConfig(time_grid=UNSORTED_GRID, seed=12)
     summary = validate_subspace(demo.phi, demo.phibar, V, cfg)
     assert [x[0] for x in summary.continuous_trace] == list(UNSORTED_GRID)
@@ -409,7 +416,7 @@ def test_validation_agrees_with_subspace_algorithms():
         dyn, L, Lbar = random_instance(rng)
         s1 = assemble_transition(dyn, L)
         s2 = assemble_transition(dyn, Lbar)
-        V = indiscernible_subspace(s1, s2)
+        V = indiscernible_subspace(dyn, L, Lbar)
         summary = validate_subspace(s1, s2, V, cfg)
         assert summary.passed, (
             f"misclassification: inside {summary.inside_pass}/{summary.inside_total}, "
@@ -431,7 +438,7 @@ def ladder_pair():
 def test_validate_ladder_without_power_overflow():
     # ||Phi||_2^k overflows within the default power range of 240
     s1, s2 = ladder_pair()
-    V = indiscernible_subspace(s1, s2)
+    V = indiscernible_subspace(s1.dynamics, s1.laplacian, s2.laplacian)
     assert V.dim == 62
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -472,7 +479,8 @@ def validate_plan_checks(seeds):
 def test_blocked_oracle_keeps_every_verdict(monkeypatch):
     checks = list(validate_plan_checks(range(3))) + [(*ladder_pair(), 0)]
     assert len(checks) == 3 * 29 + 1
-    cases = [(s1, s2, indiscernible_subspace(s1, s2), OracleConfig(seed=seed))
+    cases = [(s1, s2, indiscernible_subspace(s1.dynamics, s1.laplacian, s2.laplacian),
+              OracleConfig(seed=seed))
              for s1, s2, seed in checks]
     blocked = [validate_subspace(*case) for case in cases]
     monkeypatch.setattr(oracle, "_continuous_gap_table", sequential_gap_table)
