@@ -35,7 +35,6 @@ from .network import (
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
-    modal_decomposition,
     network_invariant_modes,
     sync_manifold,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "indiscernible_subspace",
     "kernel",
     "laplacian",
-    "modal_decomposition",
     "network_invariant_modes",
     "shared_modal_subspace",
     "subspace_intersect",

@@ -45,8 +45,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import (NetworkInvariantMode, NodeDynamics, assemble_transition,
-                      modal_decomposition)
+from .network import NetworkInvariantMode, NodeDynamics, assemble_transition
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -294,8 +293,10 @@ def _time_grid_from(opts: dict) -> tuple[float, ...]:
             raise ConfigError(
                 "invalid config: time_grid needs finite step > 0, t_max >= 0"
             )
-        ratio = t_max / step  # inf when the point count overflows a float
-        count = round(ratio) + 1 if math.isfinite(ratio) else ratio
+        # k * step for every k with k * step <= t_max, to a few ulps of the
+        # ratio's roundoff (0.3 / 0.1 < 3); inf when the count overflows a float
+        ratio = t_max / step * (1 + 4 * sys.float_info.epsilon)
+        count = math.floor(ratio) + 1 if math.isfinite(ratio) else ratio
         _check_grid_size(count)
         return tuple(float(k * step) for k in range(count))
     try:
@@ -537,11 +538,11 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    # every row reads one base decomposition
-    shared = modal_decomposition(assemble_transition(dyn, L), opts.rank_tol)
+    # every row reads one base network
+    shared = assemble_transition(dyn, L, opts.rank_tol)
     rows = []
     for var, _, Lvar in entries:
-        report = analyze(dyn, shared.system.laplacian, Lvar, opts, shared)
+        report = analyze(dyn, shared.laplacian, Lvar, opts, shared)
         summary = report.oracle_summary
         rows.append({
             "variation": var.describe(),

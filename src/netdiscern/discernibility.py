@@ -8,9 +8,9 @@ Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
 point takes the pair as (dyn, L, Lbar) and checks it first (``check_pair``),
 and a variation enters the analysis only as L - Lbar: neither Delta nor
 Phibar is formed here, and only the trajectory oracle forms Phibar.  The
-one algorithm is modal, over the eigenvalue clusters of Phi from
-``network.modal_decomposition``.  The common eigenvectors of L and Lbar
-are decided once per report, for every distinct alpha of L
+one algorithm is modal, over the eigenvalue clusters of Phi that the base
+``network.NetworkSystem`` decomposes.  The common eigenvectors of L and
+Lbar are decided once per report, for every distinct alpha of L
 (``common_laplacian_vectors``), and that graph-side decision settles
 every single-alpha cluster: its indiscernible part is the common vectors
 (x) the block's vectors for it (the PBH test of the output matrix
@@ -32,7 +32,7 @@ An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
 image decides it: only groups of two or more take an SVD, one batched SVD
 per group size.  Everything that depends on the base network alone, its
 Laplacian spectrum, ||B||_2 and the synchronous manifold, is kept on the
-``network.ModalDecomposition`` that ``enumerate`` shares, so a row
+base ``network.NetworkSystem`` that ``enumerate`` shares, so a row
 computes only what depends on Lbar.
 """
 
@@ -54,36 +54,35 @@ from .linalg import (
     subspace_intersect,
 )
 from .network import (
-    ModalDecomposition,
     NetworkInvariantMode,
+    NetworkSystem,
     NodeDynamics,
     assemble_transition,
-    modal_decomposition,
     unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, validate_subspace
 
 
-def check_pair(dyn: NodeDynamics, L, Lbar, base: ModalDecomposition | None = None,
-               tol: float = RANK_TOL) -> tuple[ModalDecomposition, np.ndarray]:
+def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
+               tol: float = RANK_TOL) -> tuple[NetworkSystem, np.ndarray]:
     """The one check of the pair every entry point takes first: node
     dynamics (A, B) and Laplacians L, Lbar of one node count.  Without
-    ``base``, it validates both (``validate_laplacian``), L as it builds
-    the modal decomposition of (dyn, L) at ``tol``.  A base is a validated
-    network, which ``analyze`` passes on with the Lbar it has validated:
-    (dyn, L) must be its own (identity first: a row passes the base's
-    arrays), and Lbar of L's shape.  Returns the base and Lbar as floats."""
+    ``base``, it validates both (``validate_laplacian``), L as
+    ``assemble_transition`` builds the network of (dyn, L) at ``tol``.  A
+    base is a validated network, which ``analyze`` passes on with the Lbar
+    it has validated: (dyn, L) must be its own (identity first: a row
+    passes the base's arrays), and Lbar of L's shape.  Returns the base
+    and Lbar as floats."""
     if base is None:
-        base = modal_decomposition(assemble_transition(dyn, L), tol)
+        base = assemble_transition(dyn, L, tol)
         Lbar = validate_laplacian(Lbar)
     else:
-        sys = base.system
         if not all(x is y or np.array_equal(x, y) for x, y in (
-                (L, sys.laplacian), (dyn.A, sys.dynamics.A), (dyn.B, sys.dynamics.B))):
-            raise ValueError("base decomposition belongs to another network")
+                (L, base.laplacian), (dyn.A, base.dynamics.A), (dyn.B, base.dynamics.B))):
+            raise ValueError("base belongs to another network")
         Lbar = np.asarray(Lbar, dtype=float)
-    if Lbar.shape != base.system.laplacian.shape:
-        raise ValueError(f"dimension mismatch: {base.system.laplacian.shape} vs {Lbar.shape}")
+    if Lbar.shape != base.laplacian.shape:
+        raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
     return base, Lbar
 
 
@@ -98,15 +97,15 @@ def real_span(parts: list[np.ndarray], tol: float) -> Subspace:
     return Subspace.from_spanning(P, tol)
 
 
-def common_laplacian_vectors(base: ModalDecomposition, diff: np.ndarray,
+def common_laplacian_vectors(base: NetworkSystem, diff: np.ndarray,
                              rank_tol: float = RANK_TOL
                              ) -> tuple[tuple[np.ndarray, ...], float]:
     """The graph-side decision of a variation diff = L - Lbar: the
     eigenvectors of L that Lbar shares, for every alpha group G of
-    ``base`` (the modal decomposition of L), V_G times the kernel of
-    diff V_G, decided against ``rank_tol`` * ||diff||_2.  A group of one
-    vector has rank 0 or 1, so the norm of its image decides it without an
-    SVD; the groups of each larger size share one batched SVD.  Returns the
+    ``base`` (the network of L), V_G times the kernel of diff V_G, decided
+    against ``rank_tol`` * ||diff||_2.  A group of one vector has rank 0
+    or 1, so the norm of its image decides it without an SVD; the groups
+    of each larger size share one batched SVD.  Returns the
     bases, indexed like ``base.alpha_groups``, and ||diff||_2."""
     V, groups = base.laplacian_vectors, base.alpha_groups
     diff_v, diff_norm = diff @ V, float(np.linalg.norm(diff, 2))
@@ -137,7 +136,7 @@ def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
-                           base: ModalDecomposition | None = None,
+                           base: NetworkSystem | None = None,
                            common: tuple[tuple[np.ndarray, ...], float] | None = None
                            ) -> Subspace:
     """The exact subspace of initial states whose responses under Phi and
@@ -148,10 +147,10 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     B = 0.
 
     An invariant subspace is the direct sum of its parts in Phi's
-    generalized eigenspaces (from ``base``, the modal decomposition of
-    (dyn, L); the pair is checked by ``check_pair``).  On the space V_G (x)
-    Z of a single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x)
-    (B z), and no invariant part of Z lies in kernel(B) (it would hold a
+    generalized eigenspaces (from ``base``, the network of (dyn, L); the
+    pair is checked by ``check_pair``).  On the space V_G (x) Z of a
+    single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and
+    no invariant part of Z lies in kernel(B) (it would hold a
     network-invariant mode, whose eigenvalue is a collision), so the
     indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
     group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
@@ -168,13 +167,12 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     not formed, and Phi only as ``base`` reads it.
     """
     base, Lbar = check_pair(dyn, L, Lbar, base, tol)
-    sys = base.system
-    diff = sys.laplacian - Lbar
+    diff, m = base.laplacian - Lbar, base.dim
     if not (diff.any() and dyn.B.any()):  # Delta = 0
-        return Subspace.full(sys.dim)
+        return Subspace.full(m)
     bases, diff_norm = common_laplacian_vectors(base, diff, tol) if common is None else common
-    parts = [np.zeros((sys.dim, 0))]
-    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(sys.dim, -1)  # kron(C_G, Z)
+    parts = [np.zeros((m, 0))]
+    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(m, -1)  # kron(C_G, Z)
               for k, Z in base.group_vectors if bases[k].size]
     cutoff = tol * diff_norm * base.b_norm  # tol * ||Delta||_2
     for X in base.clusters:
@@ -183,13 +181,13 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
         if rank == 0:
             parts.append(X)
         elif rank < X.shape[1]:
-            stack = unobservable_subspace(vh[:rank], X.conj().T @ (sys.phi @ X), tol)
+            stack = unobservable_subspace(vh[:rank], X.conj().T @ (base.phi @ X), tol)
             parts.append(X @ stack.basis)
     return real_span(parts, tol)
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
-                          base: ModalDecomposition | None = None,
+                          base: NetworkSystem | None = None,
                           common: tuple[tuple[np.ndarray, ...], float] | None = None
                           ) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
@@ -204,13 +202,13 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     its common vectors contribute common (x) I_n; only a block with a
     repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
     The basis is a real orthonormal basis of the span (``real_span``), not
-    a canonical one.  ``base`` is the modal decomposition of (dyn, L); the
-    pair is checked by ``check_pair``.  ``common`` is
+    a canonical one.  ``base`` is the network of (dyn, L); the pair is
+    checked by ``check_pair``.  ``common`` is
     ``common_laplacian_vectors(base, L - Lbar, rank_tol)``, computed when
     not given."""
     base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
     N, n = Lbar.shape[0], dyn.n
-    diff = base.system.laplacian - Lbar
+    diff = base.laplacian - Lbar
     bases, _ = common_laplacian_vectors(base, diff, rank_tol) if common is None else common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
@@ -282,7 +280,7 @@ class CorrectedConditionResult:
 
 def corrected_condition(
     dyn: NodeDynamics, L, Lbar, tol: float = 1e-8,
-    base: ModalDecomposition | None = None,
+    base: NetworkSystem | None = None,
 ) -> CorrectedConditionResult:
     """Check that modal spectra across distinct Laplacian eigenvalues are
     pairwise disjoint at tolerance ``tol``.
@@ -295,9 +293,9 @@ def corrected_condition(
     clusters are formed on the first read of ``collisions``, and only when
     the condition is violated.
 
-    spec(L) is the ``laplacian_values`` that ``base``, the modal
-    decomposition of (dyn, L), keeps; the pair is checked by
-    ``check_pair``, which builds the base when it is not given."""
+    spec(L) is the ``laplacian_values`` that ``base``, the network of
+    (dyn, L), keeps; the pair is checked by ``check_pair``, which builds
+    the base when it is not given."""
     base, Lbar = check_pair(dyn, L, Lbar, base)
     spec = base.laplacian_values
     alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
@@ -352,7 +350,7 @@ class DiscernibilityReport:
     invariant_modes: tuple[NetworkInvariantMode, ...]
     corrected: CorrectedConditionResult
     verdict: str
-    base: ModalDecomposition = field(repr=False, compare=False)
+    base: NetworkSystem = field(repr=False, compare=False)
     varied_laplacian: np.ndarray = field(repr=False, compare=False)
     common: tuple[tuple[np.ndarray, ...], float] = field(repr=False, compare=False)
     rank_tol: float
@@ -364,9 +362,9 @@ class DiscernibilityReport:
 
     @cached_property
     def shared_modal(self) -> Subspace:
-        sys = self.base.system
-        return shared_modal_subspace(sys.dynamics, sys.laplacian, self.varied_laplacian,
-                                     self.rank_tol, self.base, self.common)
+        base = self.base
+        return shared_modal_subspace(base.dynamics, base.laplacian, self.varied_laplacian,
+                                     self.rank_tol, base, self.common)
 
 
 VERDICT_NO_VARIATION = "no variation"
@@ -379,7 +377,7 @@ def analyze(
     L,
     Lbar,
     opts: AnalyzeOptions | None = None,
-    base: ModalDecomposition | None = None,
+    base: NetworkSystem | None = None,
 ) -> DiscernibilityReport:
     """Full discernibility analysis of a topology variation.
 
@@ -389,11 +387,12 @@ def analyze(
     first read of ``report.shared_modal``, and the collision list for the
     first read of ``report.corrected.collisions``.  When ``opts.validate``
     is set the computed subspace is checked against the trajectory oracle.
-    ``base`` is the modal decomposition of (dyn, L), and each Laplacian
-    is validated once: by ``check_pair`` in a standalone call; in an
-    ``enumerate`` row, L by its base and Lbar here.  Every row reads the
-    constants the base keeps: spec(L), ||B||_2 and the synchronous
-    manifold.  The variation enters only as L - Lbar, decided on the graph
+    ``base`` is the network of (dyn, L) from ``assemble_transition``, and
+    each Laplacian is validated once: by ``check_pair`` in a standalone
+    call; in an ``enumerate`` row, L by its base and Lbar here.  The
+    oracle builds Phibar's network from that Lbar without validating it
+    again.  Every row reads the constants the base keeps: spec(L),
+    ||B||_2 and the synchronous manifold.  The variation enters only as L - Lbar, decided on the graph
     side once (``common_laplacian_vectors``); Phibar is formed only by the
     oracle.  The verdict is "no variation" exactly when
     Delta = -(L - Lbar) (x) B is 0, i.e. when L = Lbar or B = 0.
@@ -402,8 +401,7 @@ def analyze(
     if base is not None:
         Lbar = validate_laplacian(Lbar)
     base, Lbar = check_pair(dyn, L, Lbar, base, opts.rank_tol)
-    sys = base.system
-    L = sys.laplacian
+    L = base.laplacian
     common = common_laplacian_vectors(base, L - Lbar, opts.rank_tol)
     ind = indiscernible_subspace(dyn, L, Lbar, opts.rank_tol, base, common)
     overlap = subspace_intersect(ind, base.sync, opts.rank_tol)
@@ -419,11 +417,11 @@ def analyze(
 
     summary = None
     if opts.validate:
-        summary = validate_subspace(sys, assemble_transition(dyn, Lbar), ind, opts.oracle)
+        summary = validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
 
     return DiscernibilityReport(
-        node_count=sys.node_count,
-        node_dim=sys.node_dim,
+        node_count=base.node_count,
+        node_dim=base.node_dim,
         indiscernible=ind,
         sync_overlap_dim=overlap.dim,
         extra_dim=extra,

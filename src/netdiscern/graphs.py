@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,9 @@ class Graph:
                 i, j = j, i
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            if not (w > 0 and np.isfinite(w)):
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({i},{j}) has non-finite weight {w}")
+            if not w > 0:
                 raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
             seen.add((i, j))
             canon.append((i, j, w))
@@ -51,13 +54,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         i, j = min(i, j), max(i, j)
         return any(e[0] == i and e[1] == j for e in self.edges)
-
-    def weight(self, i: int, j: int) -> float:
-        i, j = min(i, j), max(i, j)
-        for a, b, w in self.edges:
-            if (a, b) == (i, j):
-                return w
-        raise KeyError(f"no edge ({i},{j})")
 
     def absent_pairs(self) -> list[tuple[int, int]]:
         present = {(e[0], e[1]) for e in self.edges}
@@ -155,6 +151,8 @@ class LinkVariation:
             i, j = self.target  # type: ignore[misc]
             object.__setattr__(self, "target", (min(i, j), max(i, j)))
         if self.kind in ("add_edge", "reweight_edge") and self.new_weight is not None:
+            if not math.isfinite(self.new_weight):
+                raise ValueError(f"new_weight must be finite, got {self.new_weight}")
             if not self.new_weight > 0:
                 raise ValueError("new_weight must be positive")
 

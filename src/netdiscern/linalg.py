@@ -68,22 +68,6 @@ class Spectrum:
     eigenpairs: tuple[Eigenpair, ...]
     cluster_tol: float
 
-    @property
-    def values(self) -> np.ndarray:
-        """Distinct (clustered) eigenvalues."""
-        return np.array([p.value for p in self.eigenpairs])
-
-    def multiplicity_of(self, value: complex, tol: float | None = None) -> int:
-        tol = self.cluster_tol if tol is None else tol
-        for p in self.eigenpairs:
-            if abs(p.value - value) <= tol:
-                return p.algebraic_multiplicity
-        return 0
-
-    @property
-    def dimension(self) -> int:
-        return sum(p.algebraic_multiplicity for p in self.eigenpairs)
-
 
 def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     """Single-linkage clustering of complex values at absolute tolerance:

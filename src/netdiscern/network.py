@@ -1,4 +1,5 @@
-"""Networked linear system assembly and its modal decomposition.
+"""The network of identical linear nodes, one object from assembly to its
+modal decomposition.
 
 A network of N identical nodes with local dynamics (A, B), coupled through
 a Laplacian L, evolves under the block transition matrix
@@ -9,19 +10,20 @@ When L is symmetric with eigenpairs (alpha_i, v_i), Phi is similar to the
 block diagonal of the modal matrices A - alpha_i*B, and the Kronecker
 products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
-alpha_i are distinct.  ``modal_decomposition`` is the one place the blocks
-are decomposed, read by the indiscernible subspace and the shared modal
-span.  It sorts the eigenvalue clusters of Phi in two: a single-alpha
-cluster, whose eigenvalue is in the blocks of one distinct alpha only,
-is kept as the block's vectors Z for it (Phi's eigenspace is V_alpha (x)
-Z), so its indiscernible part is decided on the graph side alone; a
-collision cluster, whose eigenvalue is in the blocks of two or more, keeps
-an orthonormal basis X_g of Phi's generalized eigenspace.  The constants
-of the base network a variation reads are kept on it, so the variations of
+alpha_i are distinct.  ``assemble_transition`` validates L and builds the
+``NetworkSystem``, the one place the blocks are decomposed, read by the
+indiscernible subspace and the shared modal span.  It sorts the
+eigenvalue clusters of Phi in two: a single-alpha cluster, whose
+eigenvalue is in the blocks of one distinct alpha only, is kept as the
+block's vectors Z for it (Phi's eigenspace is V_alpha (x) Z), so its
+indiscernible part is decided on the graph side alone; a collision
+cluster, whose eigenvalue is in the blocks of two or more, keeps an
+orthonormal basis X_g of Phi's generalized eigenspace.  The constants of
+the base network a variation reads are kept on it, so the variations of
 one base graph share them: the Laplacian spectrum, ||B||_2 and the
-synchronous manifold.  A ``NetworkSystem`` forms Phi on the first read of
-``phi``, so a variation that is only analysed, and not simulated by the
-oracle, never forms its Phibar.
+synchronous manifold.  Each part is formed on its first read, so a
+variation that is only analysed, and not simulated by the oracle, never
+forms its Phibar, and the oracle's Phibar never decomposes.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
 B v = 0) that put an eigenvalue in Phi for every topology.
 
@@ -83,13 +85,49 @@ class NodeDynamics:
 @dataclass(frozen=True)
 class NetworkSystem:
     """The N*n-state network of the node dynamics coupled through a
-    Laplacian.  Its transition matrix ``phi`` = I_N (x) A - L (x) B and
-    ``norm2``, ||phi||_2, are computed on first use and kept, so every
-    ``enumerate`` row reads the one shared base value, and only the oracle
-    forms a varied system's matrix."""
+    Laplacian, Phi = I_N (x) A - L (x) B, and its modal decomposition:
+    with L = V diag(alpha) V^T, Phi is orthogonally similar to the block
+    diagonal of the blocks A - alpha_i*B, decomposed by one batched
+    ``np.linalg.eig``.  Build it with ``assemble_transition``, which
+    validates L; the bare constructor checks nothing.
+
+    Every part is computed on its first read and kept, so every
+    ``enumerate`` row reads the one shared base value, and a network the
+    oracle only simulates forms ``phi`` and ``norm2`` (||phi||_2) but never
+    decomposes.  The base-side constants a variation reads are kept each
+    on its own: ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected
+    condition's spectrum of L, whose last bits can differ from ``alphas``,
+    from eigh), ``b_norm`` (||B||_2) and ``sync`` (the synchronous
+    manifold); so the corrected condition alone decomposes no block.
+
+    The union of the block spectra is clustered at 1e-6 * max(1, ||Phi||_2):
+    merging clusters is exact, splitting one is not, and the copies of a
+    defective eigenvalue differ by about sqrt(eps) * ||block||.  Only the
+    clusters with imaginary part >= 0 are kept; a conjugate cluster's basis
+    is the complex conjugate.  Per block, a cluster takes the block's unit
+    eigenvector when the block owns one of its members, else the block's
+    ordered Schur vectors for its members (``schur_basis``), which are
+    exact for defective blocks.
+
+    A cluster whose members all come from the blocks of one alpha group G
+    (the indices of one distinct eigenvalue of L) is single-alpha: Phi's
+    generalized eigenspace for it is V_G (x) Z, with Z the block G[0]'s
+    vectors for it.  ``group_vectors`` holds a pair (k, Z) for each group
+    ``alpha_groups[k]`` with a single-alpha cluster, Z all of its clusters'
+    vectors side by side, columns of unit norm but not orthonormal.  Every
+    other cluster is a collision, its eigenvalue in the blocks of two or
+    more alphas, and ``clusters`` holds an orthonormal basis X_g of its
+    generalized eigenspace, columns v_i (x) z.  A network-invariant mode
+    puts its eigenvalue in every block, so it is a collision when L has two
+    or more distinct eigenvalues; with one, every cluster is kept as a
+    collision.  ``block_spectrum(i)`` clusters block i's spectrum; only a
+    block with a repeated eigenvalue needs it, since the shared modal span
+    takes all of C^n for any other block.
+    """
 
     dynamics: NodeDynamics
     laplacian: np.ndarray
+    tol: float = RANK_TOL  # the rank tolerance the invariant modes are found at
 
     @property
     def node_count(self) -> int:
@@ -115,17 +153,79 @@ class NetworkSystem:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.phi, 2))
 
+    @cached_property
+    def _parts(self) -> tuple:  # in the order below: one eigh of L, one batched eig
+        dyn, n = self.dynamics, self.node_dim
+        alphas, V = np.linalg.eigh(self.laplacian)
+        blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
+        w, W = np.linalg.eig(blocks)
+        ctol = 1e-6 * max(1.0, self.norm2)
+        # ||L||_2 = max |alpha| for a symmetric L; each group is a run of the ascending alphas
+        groups = tuple(map(np.asarray, cluster_indices(
+            alphas, CLUSTER_TOL * max(1.0, float(np.abs(alphas).max(initial=0.0))))))
+        group_of = [k for k, group in enumerate(groups) for _ in group]
 
-def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
-    """The network of ``dyn`` coupled through L, after checking L; its
-    exact Kronecker transition matrix is formed on the first read of
-    ``phi``."""
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError(f"Laplacian must be square, got shape {L.shape}")
-    if not np.all(np.isfinite(L)):
-        raise ValueError("Laplacian entries must be finite")
-    return NetworkSystem(dyn, L)
+        def block_basis(i: int, idx: list[int]) -> np.ndarray:
+            """Block i's vectors for its members of the cluster idx: its unit
+            eigenvector for one member, else its ordered Schur vectors for
+            them, which are exact for defective blocks."""
+            member = [j % n for j in idx if j // n == i]
+            if len(member) < 2:
+                return W[i][:, member]
+            return schur_basis(blocks[i], w[i][member])
+
+        zs: list[list[np.ndarray]] = [[] for _ in groups]
+        clusters = []
+        for idx in cluster_indices(w.reshape(-1), ctol):
+            if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
+                continue  # the conjugate of a kept cluster
+            owners = sorted({j // n for j in idx})
+            k = group_of[owners[0]]
+            if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
+                zs[k].append(block_basis(groups[k][0], idx))
+            else:
+                cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(self.dim, -1)
+                        for i in owners]
+                clusters.append(np.hstack(cols))
+        group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
+        return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
+                tuple(network_invariant_modes(dyn, self.tol)))
+
+    alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
+    laplacian_vectors = property(lambda self: self._parts[1])  # V
+    alpha_groups = property(lambda self: self._parts[2])       # indices of each distinct alpha
+    blocks = property(lambda self: self._parts[3])             # (N, n, n): A - alphas[i]*B
+    block_eig = property(lambda self: self._parts[4])          # np.linalg.eig(blocks)
+    cluster_tol = property(lambda self: self._parts[5])        # 1e-6 * max(1, ||Phi||_2)
+    group_vectors = property(lambda self: self._parts[6])      # (k, Z), Z not empty
+    clusters = property(lambda self: self._parts[7])           # the X_g of the collisions
+    modes = property(lambda self: self._parts[8])              # of the dynamics
+
+    @cached_property
+    def laplacian_values(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.laplacian)
+
+    @cached_property
+    def b_norm(self) -> float:
+        return float(np.linalg.norm(self.dynamics.B, 2))
+
+    @cached_property
+    def sync(self) -> Subspace:
+        return sync_manifold(self.node_count, self.node_dim)
+
+    def block_spectrum(self, i: int) -> Spectrum:
+        """Spectrum of block i, clustered at ``cluster_tol`` so that a
+        defective eigenvalue stays one cluster; the shared modal span reads
+        it only for a block with a repeated eigenvalue."""
+        w, W = self.block_eig
+        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
+
+
+def assemble_transition(dyn: NodeDynamics, L, tol: float = RANK_TOL) -> NetworkSystem:
+    """The network of ``dyn`` coupled through L, after ``validate_laplacian``
+    checks L; its invariant modes are found at ``tol``.  Its transition
+    matrix and modal parts are formed on first read."""
+    return NetworkSystem(dyn, validate_laplacian(L), tol)
 
 
 @dataclass(frozen=True)
@@ -202,121 +302,3 @@ def sync_manifold(N: int, n: int) -> Subspace:
         raise ValueError("N and n must be >= 1")
     ones = np.ones((N, 1)) / np.sqrt(N)
     return Subspace(np.kron(ones, np.eye(n)))
-
-
-@dataclass(frozen=True)
-class ModalDecomposition:
-    """Phi = I (x) A - L (x) B in modal coordinates: with L = V diag(alpha)
-    V^T, Phi is orthogonally similar to the block diagonal of the blocks
-    A - alpha_i*B, decomposed by one batched ``np.linalg.eig``.
-
-    The union of the block spectra is clustered at 1e-6 * max(1, ||Phi||_2):
-    merging clusters is exact, splitting one is not, and the copies of a
-    defective eigenvalue differ by about sqrt(eps) * ||block||.  Only the
-    clusters with imaginary part >= 0 are kept; a conjugate cluster's basis
-    is the complex conjugate.  Per block, a cluster takes the block's unit
-    eigenvector when the block owns one of its members, else the block's
-    ordered Schur vectors for its members (``schur_basis``), which are
-    exact for defective blocks.
-
-    A cluster whose members all come from the blocks of one alpha group G
-    (the indices of one distinct eigenvalue of L) is single-alpha: Phi's
-    generalized eigenspace for it is V_G (x) Z, with Z the block G[0]'s
-    vectors for it.  ``group_vectors`` holds a pair (k, Z) for each group
-    ``alpha_groups[k]`` with a single-alpha cluster, Z all of its clusters'
-    vectors side by side, columns of unit norm but not orthonormal.  Every
-    other cluster is a collision, its eigenvalue in the blocks of two or
-    more alphas, and ``clusters`` holds an orthonormal basis X_g of its
-    generalized eigenspace, columns v_i (x) z.  A network-invariant mode
-    puts its eigenvalue in every block, so it is a collision when L has two
-    or more distinct eigenvalues; with one, every cluster is kept as a
-    collision.
-
-    ``block_spectrum(i)`` clusters block i's spectrum; only a block with a
-    repeated eigenvalue needs it, since the shared modal span takes all of
-    C^n for any other block.  The parts above are computed together on the
-    first read of one, and each base-side constant a variation reads on
-    its own: ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected
-    condition's spectrum of L, whose last bits can differ from ``alphas``,
-    from eigh), ``b_norm`` (||B||_2) and ``sync`` (the synchronous
-    manifold); so the corrected condition alone decomposes no block.
-    """
-
-    system: NetworkSystem
-    tol: float  # the rank tolerance the invariant modes are found at
-
-    @cached_property
-    def _parts(self) -> tuple:  # in the order below: one eigh of L, one batched eig
-        sys, dyn, n = self.system, self.system.dynamics, self.system.node_dim
-        alphas, V = np.linalg.eigh(sys.laplacian)
-        blocks = dyn.A[None] - alphas[:, None, None] * dyn.B[None]
-        w, W = np.linalg.eig(blocks)
-        ctol = 1e-6 * max(1.0, sys.norm2)
-        # ||L||_2 = max |alpha| for a symmetric L; each group is a run of the ascending alphas
-        groups = tuple(map(np.asarray, cluster_indices(
-            alphas, CLUSTER_TOL * max(1.0, float(np.abs(alphas).max(initial=0.0))))))
-        group_of = [k for k, group in enumerate(groups) for _ in group]
-
-        def block_basis(i: int, idx: list[int]) -> np.ndarray:
-            """Block i's vectors for its members of the cluster idx: its unit
-            eigenvector for one member, else its ordered Schur vectors for
-            them, which are exact for defective blocks."""
-            member = [j % n for j in idx if j // n == i]
-            if len(member) < 2:
-                return W[i][:, member]
-            return schur_basis(blocks[i], w[i][member])
-
-        zs: list[list[np.ndarray]] = [[] for _ in groups]
-        clusters = []
-        for idx in cluster_indices(w.reshape(-1), ctol):
-            if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
-                continue  # the conjugate of a kept cluster
-            owners = sorted({j // n for j in idx})
-            k = group_of[owners[0]]
-            if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
-                zs[k].append(block_basis(groups[k][0], idx))
-            else:
-                cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(sys.dim, -1)
-                        for i in owners]
-                clusters.append(np.hstack(cols))
-        group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
-        return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
-                tuple(network_invariant_modes(dyn, self.tol)))
-
-    alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
-    laplacian_vectors = property(lambda self: self._parts[1])  # V
-    alpha_groups = property(lambda self: self._parts[2])       # indices of each distinct alpha
-    blocks = property(lambda self: self._parts[3])             # (N, n, n): A - alphas[i]*B
-    block_eig = property(lambda self: self._parts[4])          # np.linalg.eig(blocks)
-    cluster_tol = property(lambda self: self._parts[5])        # 1e-6 * max(1, ||Phi||_2)
-    group_vectors = property(lambda self: self._parts[6])      # (k, Z), Z not empty
-    clusters = property(lambda self: self._parts[7])           # the X_g of the collisions
-    modes = property(lambda self: self._parts[8])              # of the dynamics
-
-    @cached_property
-    def laplacian_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.system.laplacian)
-
-    @cached_property
-    def b_norm(self) -> float:
-        return float(np.linalg.norm(self.system.dynamics.B, 2))
-
-    @cached_property
-    def sync(self) -> Subspace:
-        return sync_manifold(self.system.node_count, self.system.node_dim)
-
-    def block_spectrum(self, i: int) -> Spectrum:
-        """Spectrum of block i, clustered at ``cluster_tol`` so that a
-        defective eigenvalue stays one cluster; the shared modal span reads
-        it only for a block with a repeated eigenvalue."""
-        w, W = self.block_eig
-        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
-
-
-def modal_decomposition(sys: NetworkSystem,
-                        tol: float = RANK_TOL) -> ModalDecomposition:
-    """The one modal decomposition of an assembled network, whose Laplacian
-    it validates (``validate_laplacian``); its invariant modes are found at
-    ``tol``.  The blocks are decomposed on the first read of a part."""
-    validate_laplacian(sys.laplacian)
-    return ModalDecomposition(sys, tol)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from netdiscern import NodeDynamics, OracleConfig, Subspace, assemble_transition, laplacian
+from netdiscern import (NodeDynamics, OracleConfig, Spectrum, Subspace, assemble_transition,
+                        laplacian)
 from netdiscern.example import (
     example_dynamics,
     example_graph,
@@ -53,6 +54,35 @@ def demo() -> DemoCase:
         phi=assemble_transition(dyn, L),
         phibar=assemble_transition(dyn, Lbar),
     )
+
+
+def spectrum_values(spec: Spectrum) -> np.ndarray:
+    """The distinct (clustered) eigenvalues of a spectrum."""
+    return np.array([p.value for p in spec.eigenpairs])
+
+
+def multiplicity_of(spec: Spectrum, value: complex, tol: float | None = None) -> int:
+    """The algebraic multiplicity of the first cluster within ``tol`` of
+    ``value`` (by default the spectrum's own cluster_tol), 0 if none is."""
+    tol = spec.cluster_tol if tol is None else tol
+    for p in spec.eigenpairs:
+        if abs(p.value - value) <= tol:
+            return p.algebraic_multiplicity
+    return 0
+
+
+def spectrum_dimension(spec: Spectrum) -> int:
+    """The sum of the algebraic multiplicities: the matrix's order."""
+    return sum(p.algebraic_multiplicity for p in spec.eigenpairs)
+
+
+def edge_weight(g: Graph, i: int, j: int) -> float:
+    """The weight of the edge {i, j}; KeyError when the graph has none."""
+    i, j = min(i, j), max(i, j)
+    for a, b, w in g.edges:
+        if (a, b) == (i, j):
+            return w
+    raise KeyError(f"no edge ({i},{j})")
 
 
 def random_graph(rng: np.random.Generator, node_count: int, p: float = 0.5) -> Graph:

@@ -20,12 +20,11 @@ from netdiscern import (
     enumerate_single_link_variations,
     graphs,
     laplacian,
-    modal_decomposition,
     network,
     oracle,
 )
-from netdiscern.cli import (ConfigError, _build_parser, canonical_json, load_config, main,
-                            report_to_dict, run_enumerate)
+from netdiscern.cli import (ConfigError, _build_parser, _time_grid_from, canonical_json,
+                            load_config, main, report_to_dict, run_enumerate)
 from netdiscern.example import example_config, example_dynamics
 from netdiscern.linalg import cluster_indices
 from netdiscern.network import NetworkSystem
@@ -509,6 +508,32 @@ def test_oracle_plan_bounds_are_checked_before_any_work(tmp_path, capsys, monkey
         assert not out.exists()
 
 
+def test_infinite_edge_weight_is_named_non_finite(tmp_path, capsys):
+    # Python's json reads the literal Infinity; the edge is an input error
+    # that says what is wrong with the weight, and nothing is written
+    config = two_node_config()
+    config["base_graph"]["edges"][0]["w"] = math.inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: base_graph: edge (1,2) has non-finite "
+                          "weight inf")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max, step, count", [
+    (0.9, 0.6, 2), (1.0, 0.28, 4), (5.0, 0.1, 51), (3.0, 0.25, 13), (0.3, 0.1, 4)])
+def test_time_grid_spec_stops_at_t_max(t_max, step, count):
+    # k * step for every k with k * step <= t_max, to a few ulps (3 * 0.1
+    # is one ulp past 0.3): a later time only makes the oracle's
+    # propagators overflow sooner
+    grid = _time_grid_from({"time_grid": {"t_max": t_max, "step": step}})
+    assert grid == tuple(k * step for k in range(count))
+    assert grid[-1] <= t_max * (1 + 1e-15)
+
+
 @pytest.mark.parametrize("command", ["analyze", "enumerate"])
 def test_overflowing_laplacian_is_an_input_error(tmp_path, capsys, command):
     # every weight 1e308: finite, but the degrees of the base graph sum
@@ -741,9 +766,10 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
 
 def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
     # the 66 rows of the 12-node ring with chords share one base, a
-    # validated network: its decomposition validates L once, and each
+    # validated network: assemble_transition validates L once, and each
     # row validates its Lbar once, where the parent validated both per
-    # row; a standalone analyze validates each of its two Laplacians once
+    # row; a standalone analyze validates each of its two Laplacians once,
+    # also when the oracle builds Phibar from the Lbar it validated
     calls = []
     validate = graphs.validate_laplacian
     for module in (network, discernibility):
@@ -758,10 +784,11 @@ def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
     expected = [laplacian(graph)] + [Lvar for _, _, Lvar in enumerate_single_link_variations(
         graph, ["remove_edge", "add_edge"])]
     assert [M.tobytes() for M in calls] == [M.tobytes() for M in expected]
-    calls.clear()
     L, Lbar = laplacian(graph), laplacian(graph.with_node_disconnected(1))
-    analyze(example_dynamics(), L, Lbar)
-    assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
+    for opts in (AnalyzeOptions(), AnalyzeOptions(validate=True)):
+        calls.clear()
+        analyze(example_dynamics(), L, Lbar, opts)
+        assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
 
 
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
@@ -775,7 +802,7 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
         "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
     dyn = example_dynamics()
     L = laplacian(graph)
-    dec = modal_decomposition(assemble_transition(dyn, L))
+    dec = assemble_transition(dyn, L)
 
     calls = {"clustered_spectrum": 0, "shared_modal_subspace": 0}
     original = network.clustered_spectrum

@@ -10,6 +10,7 @@ import pytest
 from netdiscern import (
     AnalyzeOptions,
     Graph,
+    NetworkSystem,
     NodeDynamics,
     OracleConfig,
     Subspace,
@@ -22,7 +23,6 @@ from netdiscern import (
     enumerate_single_link_variations,
     indiscernible_subspace,
     laplacian,
-    modal_decomposition,
     shared_modal_subspace,
     sync_manifold,
 )
@@ -95,10 +95,11 @@ def test_stacked_reference_agrees_on_demo(demo):
 def test_invertible_difference_gives_zero_subspace():
     # L = 0 vs Lbar = I makes Delta = I (x) B invertible for invertible B;
     # I is no Laplacian (its rows do not sum to zero), so only the stacked
-    # reference, which takes any pair of systems, reads it
+    # reference, which takes any pair of systems, reads it, from the bare
+    # NetworkSystem, which skips the validation assemble_transition makes
     dyn = NodeDynamics(np.array([[0.5, 0.0], [0.0, -0.25]]), np.eye(2))
     s1 = assemble_transition(dyn, np.zeros((2, 2)))
-    s2 = assemble_transition(dyn, np.eye(2))
+    s2 = NetworkSystem(dyn, np.eye(2))
     assert stacked(s1, s2).dim == 0
     with pytest.raises(ValueError, match="sum to zero"):
         indiscernible_subspace(dyn, np.zeros((2, 2)), np.eye(2))
@@ -235,14 +236,14 @@ def test_ladder_random_dynamics():
 def ring_160():
     g = ring_with_chords(160)
     dyn = example_dynamics()
-    return g, dyn, modal_decomposition(assemble_transition(dyn, laplacian(g)))
+    return g, dyn, assemble_transition(dyn, laplacian(g))
 
 
 def ring_160_row(ring_160, row: int) -> Subspace:
     """Row k of the 160-node ring with chords removes its k-th edge."""
     g, dyn, base = ring_160
     gbar = g.with_edge_removed(*g.edges[row][:2])
-    return indiscernible_subspace(dyn, base.system.laplacian, laplacian(gbar), RANK_TOL, base)
+    return indiscernible_subspace(dyn, base.laplacian, laplacian(gbar), RANK_TOL, base)
 
 
 @pytest.mark.parametrize("row, dim", [(0, 242), (5, 244), (10, 244)])
@@ -274,7 +275,7 @@ def test_defective_block():
     # A - 3B = [[1, 1], [0, 1]] is a Jordan block, and alpha = 3 is double
     dyn = NodeDynamics(np.array([[1.0, 1.0], [0.0, 4.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]))
     gbar = TRIANGLE.with_edge_reweighted(2, 3, 2.0)
-    dec = modal_decomposition(assemble_transition(dyn, laplacian(TRIANGLE)))
+    dec = assemble_transition(dyn, laplacian(TRIANGLE))
     assert any(p.vectors.shape[1] < p.algebraic_multiplicity
                for g in dec.alpha_groups
                for p in dec.block_spectrum(int(g[0])).eigenpairs)
@@ -330,7 +331,7 @@ def test_shared_base_changes_no_report_byte(demo):
     for dyn, N, rows in ((demo.dyn, 12, 92), (random_dynamics(), 6, 28)):
         g = ring_with_chords(N)
         L = laplacian(g)
-        base = modal_decomposition(assemble_transition(dyn, L))
+        base = assemble_transition(dyn, L)
         entries = enumerate_single_link_variations(
             g, ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5)
         assert len(entries) == rows
@@ -422,11 +423,11 @@ def test_modal_checks_reject_a_nearly_symmetric_laplacian():
     dyn = NodeDynamics(np.array([[1.0]]), np.array([[1.0]]))
     skewed = np.array([[1.0, -1.0], [-1.0 + 5e-6, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        modal_decomposition(assemble_transition(dyn, skewed))
+        assemble_transition(dyn, skewed)
     for L, Lbar in ((skewed, P2), (P2, skewed)):
         with pytest.raises(ValueError, match="symmetric"):
             shared_modal_subspace(dyn, L, Lbar)
-    modal_decomposition(assemble_transition(dyn, P2))
+    assemble_transition(dyn, P2)
     assert shared_modal_subspace(dyn, P2, P2).dim == 2
 
 
@@ -563,14 +564,13 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
     ring_calls = 0
     cases = list(reference_cases(demo))
     assert len(cases) == 1 + 8 + 1 + 66
-    ring = modal_decomposition(assemble_transition(example_dynamics(),
-                                                   laplacian(ring_with_chords(12))))
+    ring = assemble_transition(example_dynamics(), laplacian(ring_with_chords(12)))
     for name, dyn, L, Lbar in cases:
         before = len(clustered)
         if name.startswith("ring-12"):
             dec = ring
         else:
-            dec = modal_decomposition(assemble_transition(dyn, L))
+            dec = assemble_transition(dyn, L)
         common, diff_norm = common_laplacian_vectors(dec, L - Lbar, RANK_TOL)
         assert diff_norm == np.linalg.norm(L - Lbar, 2), name
         for C, want in zip(common, reference_common_vectors(dec, L, Lbar, RANK_TOL),
@@ -581,7 +581,7 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
         assert got.basis.dtype == np.float64, name
         assert got.dim == want.dim, name
         assert max_sine(got, want) <= 1e-12, name
-        s1, s2 = dec.system, assemble_transition(dyn, Lbar)
+        s1, s2 = dec, assemble_transition(dyn, Lbar)
         got = indiscernible_subspace(dyn, L, Lbar, RANK_TOL, dec)
         assert got.basis.dtype == np.float64, name
         want = stacked(s1, s2)
@@ -604,10 +604,10 @@ def test_delta_product_matches_the_formed_delta(N, collisions):
     # orthonormal; a cluster that Delta misses is roundoff on both sides)
     dyn, g = example_dynamics(), ring_with_chords(N)
     L = laplacian(g)
-    dec = modal_decomposition(assemble_transition(dyn, L))
+    dec = assemble_transition(dyn, L)
     assert len(dec.clusters) == collisions
     for _, _, Lbar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
-        delta = dec.system.phi - assemble_transition(dyn, Lbar).phi
+        delta = dec.phi - assemble_transition(dyn, Lbar).phi
         for X in dec.clusters:
             want = delta @ X
             got = delta_product(L - Lbar, dyn.B, X)
@@ -625,7 +625,7 @@ def test_one_alpha_group_keeps_every_cluster_as_a_collision(demo):
         got, want = indiscernible_subspace(demo.dyn, L, Lbar), stacked(s1, s2)
         assert got.dim == want.dim == 5
         assert max_sine(got, want) <= 1e-10
-    dec = modal_decomposition(assemble_transition(demo.dyn, np.zeros((3, 3))))
+    dec = assemble_transition(demo.dyn, np.zeros((3, 3)))
     assert len(dec.alpha_groups) == 1 and dec.group_vectors == ()
 
 
@@ -639,7 +639,7 @@ def test_every_entry_point_rejects_the_base_of_another_network():
     g = ring_with_chords(6)
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
     path = Graph(6, tuple((i, i + 1, 1.0) for i in range(1, 6)))
-    other = modal_decomposition(assemble_transition(dyn, laplacian(path)))
+    other = assemble_transition(dyn, laplacian(path))
     calls = {
         "analyze": lambda base, Lbar: analyze(dyn, L, Lbar, base=base),
         "indiscernible_subspace": lambda base, Lbar: indiscernible_subspace(
@@ -648,7 +648,7 @@ def test_every_entry_point_rejects_the_base_of_another_network():
             dyn, L, Lbar, RANK_TOL, base),
         "corrected_condition": lambda base, Lbar: corrected_condition(dyn, L, Lbar, base=base),
     }
-    own = modal_decomposition(assemble_transition(dyn, L))
+    own = assemble_transition(dyn, L)
     infinite, skewed, shifted_rows = Lbar.copy(), Lbar.copy(), Lbar + np.eye(6)
     infinite[0, 0] = np.inf
     skewed[0, 1] -= 1.0
@@ -682,7 +682,7 @@ def test_lbar_off_symmetric_by_roundoff_is_one_laplacian_everywhere():
     Lbar = exact.copy()
     Lbar[1, 2] = np.nextafter(Lbar[1, 2], 0.0)
     assert Lbar[1, 2] != 0 and not np.array_equal(Lbar, Lbar.T)
-    own = modal_decomposition(assemble_transition(dyn, L))
+    own = assemble_transition(dyn, L)
     expected = analyze(dyn, L, exact)
     for base in (None, own):
         report = analyze(dyn, L, Lbar, base=base)
@@ -700,7 +700,7 @@ def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
     # Jordan block: one eigenvector, so the span stays at 3 (counting both
     # of A's directions would give 4)
     L, Lbar = laplacian(C4), laplacian(C4.with_edge_removed(1, 4))
-    dec = modal_decomposition(assemble_transition(JORDAN_DYN, L))
+    dec = assemble_transition(JORDAN_DYN, L)
     assert dec.alpha_groups[0].tolist() == [0]
     assert len(dec.block_spectrum(0).eigenpairs) == 1
     assert dec.block_spectrum(0).eigenpairs[0].vectors.shape[1] == 1
@@ -807,12 +807,12 @@ def test_corrected_condition_alone_decomposes_no_block(demo, monkeypatch):
     # base decomposes its blocks on the first read of a part: with that
     # read made to fail, a standalone call still gives the same result
     want = corrected_condition(demo.dyn, demo.L, demo.Lbar)
-    base = modal_decomposition(assemble_transition(demo.dyn, demo.L))
+    base = assemble_transition(demo.dyn, demo.L)
 
     def no_parts(self):
         raise AssertionError("the blocks were decomposed")
 
-    monkeypatch.setattr(network.ModalDecomposition, "_parts", property(no_parts))
+    monkeypatch.setattr(network.NetworkSystem, "_parts", property(no_parts))
     assert corrected_condition(demo.dyn, demo.L, demo.Lbar) == want
     assert corrected_condition(demo.dyn, demo.L, demo.Lbar, base=base) == want
     with pytest.raises(AssertionError, match="decomposed"):
@@ -896,7 +896,7 @@ def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
     g = ring_with_chords(N)
     L = laplacian(g)
     for dyn in (example_dynamics(), random_dynamics()):
-        base = modal_decomposition(assemble_transition(dyn, L))
+        base = assemble_transition(dyn, L)
         for _, _, Lbar in enumerate_single_link_variations(g, ["remove_edge"]):
             report = analyze(dyn, L, Lbar, base=base)
             assert report.sync_overlap_dim == dyn.n
@@ -930,7 +930,7 @@ def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
     reports = [analyze(demo.dyn, demo.L, demo.Lbar),
                analyze(demo.dyn, L, Lbar,
-                       base=modal_decomposition(assemble_transition(demo.dyn, L)))]
+                       base=assemble_transition(demo.dyn, L))]
     assert len(calls) == 2
     for report, (L, Lbar) in zip(reports, [(demo.L, demo.Lbar), (L, Lbar)]):
         assert "shared_modal" not in vars(report)
@@ -946,7 +946,7 @@ def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
 def test_block_spectra_pickle_with_the_decomposition(demo):
     # a pickled decomposition clusters the same block spectra and keeps
     # its system's 2-norm
-    dec = modal_decomposition(assemble_transition(demo.dyn, laplacian(ring_with_chords(12))))
+    dec = assemble_transition(demo.dyn, laplacian(ring_with_chords(12)))
     copy = pickle.loads(pickle.dumps(dec))
     for group in dec.alpha_groups[:3]:
         i = int(group[0])
@@ -954,7 +954,7 @@ def test_block_spectra_pickle_with_the_decomposition(demo):
                           strict=True):
             assert p1.value == p2.value
             assert np.array_equal(p1.vectors, p2.vectors)
-    assert copy.system.norm2 == dec.system.norm2
+    assert copy.norm2 == dec.norm2
 
 
 def test_analyze_no_variation(demo):

@@ -17,7 +17,6 @@ from netdiscern import (
     enumerate_single_link_variations,
     indiscernible_subspace,
     laplacian,
-    modal_decomposition,
     validate_subspace,
     sync_manifold,
 )
@@ -325,10 +324,10 @@ def validation_cases(demo):
     every remove_edge and add_edge row of the 8-node ring with chords."""
     cases = [(demo.phi, demo.phibar, indiscernible_subspace(demo.dyn, demo.L, demo.Lbar))]
     dyn, g = example_dynamics(), ring_with_chords(8)
-    base = modal_decomposition(assemble_transition(dyn, laplacian(g)))
+    base = assemble_transition(dyn, laplacian(g))
     for _, _, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
-        report = analyze(dyn, base.system.laplacian, Lvar, base=base)
-        cases.append((base.system, assemble_transition(dyn, Lvar), report.indiscernible))
+        report = analyze(dyn, base.laplacian, Lvar, base=base)
+        cases.append((base, assemble_transition(dyn, Lvar), report.indiscernible))
     return cases
 
 
