@@ -10,6 +10,7 @@ from .discernibility import (
     VERDICT_EXTRA_STATES,
     VERDICT_NO_VARIATION,
     analyze,
+    analyze_rows,
     corrected_condition,
     indiscernible_subspace,
     shared_modal_subspace,
@@ -60,6 +61,7 @@ __all__ = [
     "VERDICT_EXTRA_STATES",
     "VERDICT_NO_VARIATION",
     "analyze",
+    "analyze_rows",
     "assemble_transition",
     "corrected_condition",
     "eig",

@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze
+from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze, analyze_rows
 from .example import example_config
 from .graphs import (
     Graph,
@@ -45,7 +45,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import NetworkInvariantMode, NodeDynamics, assemble_transition
+from .network import NetworkInvariantMode, NodeDynamics
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -538,11 +538,10 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    # every row reads one base network
-    shared = assemble_transition(dyn, L, opts.rank_tol)
+    # the rows are decided together against one base network
+    reports = analyze_rows(dyn, L, [Lvar for _, _, Lvar in entries], opts)
     rows = []
-    for var, _, Lvar in entries:
-        report = analyze(dyn, shared.laplacian, Lvar, opts, shared)
+    for (var, _, _), report in zip(entries, reports):
         summary = report.oracle_summary
         rows.append({
             "variation": var.describe(),

@@ -32,13 +32,22 @@ An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
 image decides it: only groups of two or more take an SVD, one batched SVD
 per group size.  Everything that depends on the base network alone, its
 Laplacian spectrum, ||B||_2 and the synchronous manifold, is kept on the
-base ``network.NetworkSystem`` that ``enumerate`` shares, so a row
-computes only what depends on Lbar.
+base ``network.NetworkSystem`` that the rows of ``enumerate`` share.
+Those rows are decided together by ``analyze_rows``, of which ``analyze``
+is the batch of one: each stage whose inputs have one shape in every row,
+the graph-side decision, the SVD of Delta X_g of each collision cluster
+(``collision_svds``) and the corrected condition
+(``corrected_conditions``), is one stacked call over the rows' L - Lbar,
+in chunks under a fixed byte budget.  A row then computes on its own only
+its indiscernible basis, its overlap with the synchronous manifold, the
+oracle and its report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,10 +78,10 @@ def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
     dynamics (A, B) and Laplacians L, Lbar of one node count.  Without
     ``base``, it validates both (``validate_laplacian``), L as
     ``assemble_transition`` builds the network of (dyn, L) at ``tol``.  A
-    base is a validated network, which ``analyze`` passes on with the Lbar
-    it has validated: (dyn, L) must be its own (identity first: a row
-    passes the base's arrays), and Lbar of L's shape.  Returns the base
-    and Lbar as floats."""
+    base is a validated network, which ``analyze_rows`` passes on with
+    each Lbar it has validated: (dyn, L) must be its own (identity first:
+    a row passes the base's arrays), and Lbar finite and of L's shape.
+    Returns the base and Lbar as floats."""
     if base is None:
         base = assemble_transition(dyn, L, tol)
         Lbar = validate_laplacian(Lbar)
@@ -81,6 +90,8 @@ def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
                 (L, base.laplacian), (dyn.A, base.dynamics.A), (dyn.B, base.dynamics.B))):
             raise ValueError("base belongs to another network")
         Lbar = np.asarray(Lbar, dtype=float)
+        if not np.isfinite(Lbar).all():  # validate_laplacian's first rule, and its message
+            raise ValueError("Laplacian entries must be finite")
     if Lbar.shape != base.laplacian.shape:
         raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
     return base, Lbar
@@ -97,47 +108,71 @@ def real_span(parts: list[np.ndarray], tol: float) -> Subspace:
     return Subspace.from_spanning(P, tol)
 
 
-def common_laplacian_vectors(base: NetworkSystem, diff: np.ndarray,
+def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,
                              rank_tol: float = RANK_TOL
-                             ) -> tuple[tuple[np.ndarray, ...], float]:
-    """The graph-side decision of a variation diff = L - Lbar: the
-    eigenvectors of L that Lbar shares, for every alpha group G of
-    ``base`` (the network of L), V_G times the kernel of diff V_G, decided
-    against ``rank_tol`` * ||diff||_2.  A group of one vector has rank 0
-    or 1, so the norm of its image decides it without an SVD; the groups
-    of each larger size share one batched SVD.  Returns the
-    bases, indexed like ``base.alpha_groups``, and ||diff||_2."""
+                             ) -> list[tuple[tuple[np.ndarray, ...], float]]:
+    """The graph-side decision of each variation diff = L - Lbar of the
+    stack ``diffs`` (R x N x N): the eigenvectors of L that Lbar shares,
+    for every alpha group G of ``base`` (the network of L), V_G times the
+    kernel of diff V_G, decided against ``rank_tol`` * ||diff||_2.  The
+    norms take one batched SVD without factors (np.linalg.norm(diff, 2)
+    is its largest value), and the images one product diffs V.  A group
+    of one vector has rank 0 or 1, so the norm of its image decides it
+    without an SVD; the groups of each larger size share one batched thin
+    SVD over rows x groups, whose s and V^H are those of the full one.
+    Returns, per row, the bases, indexed like ``base.alpha_groups``, and
+    ||diff||_2."""
     V, groups = base.laplacian_vectors, base.alpha_groups
-    diff_v, diff_norm = diff @ V, float(np.linalg.norm(diff, 2))
-    cutoff = rank_tol * diff_norm
-    keep = np.linalg.norm(diff_v, axis=0) <= cutoff  # decides a group of one vector
+    diff_v = diffs @ V
+    norms = np.linalg.svd(diffs, compute_uv=False).max(axis=-1)
+    cutoffs = rank_tol * norms
+    keep = np.linalg.norm(diff_v, axis=-2) <= cutoffs[:, None]  # decides a group of one vector
     # a group of two or more vectors is replaced below
-    common = [V[:, group] if keep[group[0]] else V[:, :0] for group in groups]
+    cols, empty = [V[:, group] for group in groups], V[:, :0]
+    common = [[cols[k] if kept[group[0]] else empty for k, group in enumerate(groups)]
+              for kept in keep]
     by_size: dict[int, list[int]] = {}
     for k, group in enumerate(groups):
         if len(group) > 1:
             by_size.setdefault(len(group), []).append(k)
     for ks in by_size.values():
         idx = np.array([groups[k] for k in ks])
-        _, s, vh = np.linalg.svd(diff_v[:, idx].transpose(1, 0, 2))
-        for k, sk, vhk in zip(ks, s, vh):
-            common[k] = V[:, groups[k]] @ vhk[int(np.sum(sk > cutoff)):].T
-    return tuple(common), diff_norm
+        _, s, vh = np.linalg.svd(diff_v[:, :, idx].transpose(0, 2, 1, 3), full_matrices=False)
+        ranks = (s > cutoffs[:, None, None]).sum(axis=-1).tolist()
+        for row, row_ranks, vh_row in zip(common, ranks, vh):
+            for k, rank, vhk in zip(ks, row_ranks, vh_row):
+                row[k] = cols[k] @ vhk[rank:].T
+    return [(tuple(row), float(norm)) for row, norm in zip(common, norms)]
 
 
 def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Delta X = -((L - Lbar) (x) B) X for diff = L - Lbar, by a reshape of
-    X's rows into N node blocks, without forming Delta.  diff and B are
-    real, so a complex X is multiplied as its real and imaginary parts
-    side by side (its float view), which spares a complex cast of each."""
-    N, n = diff.shape[0], B.shape[0]
+    """Delta X = -((L - Lbar) (x) B) X for diff = L - Lbar, or for each of
+    a stack of them, by a reshape of X's rows into N node blocks, without
+    forming Delta.  diff and B are real, so a complex X is multiplied as
+    its real and imaginary parts side by side (its float view), which
+    spares a complex cast of each."""
+    *rows, N, _ = diff.shape
     Y = np.ascontiguousarray(X).view(np.float64)
-    return -(B @ (diff @ Y.reshape(N, -1)).reshape(N, n, -1)).reshape(N * n, -1).view(X.dtype)
+    product = (diff @ Y.reshape(N, -1)).reshape(*rows, N, B.shape[0], -1)
+    return -(B @ product).reshape(*rows, X.shape[0], -1).view(X.dtype)
+
+
+def collision_svds(base: NetworkSystem, diffs: np.ndarray
+                   ) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The singular values s and right vectors V^H of Delta X_g for each
+    variation diff = L - Lbar of the stack ``diffs`` and each collision
+    cluster X_g of ``base``, with Delta X_g from ``delta_product``: one
+    batched thin SVD per cluster over the rows.  Returns, per row, the
+    (s, vh) pairs in the order of ``base.clusters``."""
+    per_cluster = [np.linalg.svd(delta_product(diffs, base.dynamics.B, X),
+                                 full_matrices=False)[1:] for X in base.clusters]
+    return [tuple((s[r], vh[r]) for s, vh in per_cluster) for r in range(len(diffs))]
 
 
 def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
                            base: NetworkSystem | None = None,
-                           common: tuple[tuple[np.ndarray, ...], float] | None = None
+                           common: tuple[tuple[np.ndarray, ...], float] | None = None,
+                           svds: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
                            ) -> Subspace:
     """The exact subspace of initial states whose responses under Phi and
     Phibar, the networks of the node dynamics (A, B) coupled through L and
@@ -154,29 +189,33 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     network-invariant mode, whose eigenvalue is a collision), so the
     indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
     group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
-    the graph side alone.  ``common`` is that decision,
-    ``common_laplacian_vectors(base, L - Lbar, tol)``, computed when not
-    given.  Only a collision cluster X_g takes X_g *
-    ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g), with Delta X_g
-    from ``delta_product``.  Its rank is decided against ||Delta||_2 =
-    ||L - Lbar||_2 ||B||_2, not its own norm, which would read the roundoff
-    left by a cluster that Delta misses as rank; the stack starts from the
-    orthonormal rows above that cutoff, and a cluster of rank 0 is kept
-    whole without one.  The parts hold one cluster of each conjugate pair,
-    and ``real_span`` turns them into a real basis with one SVD.  Phibar is
-    not formed, and Phi only as ``base`` reads it.
+    the graph side alone.  ``common`` is that decision, this row of
+    ``common_laplacian_vectors``, computed when not given.  Only a
+    collision cluster X_g takes X_g * ``unobservable_subspace``(Delta X_g,
+    X_g^H Phi X_g), from the SVD of Delta X_g, ``svds`` (this row of
+    ``collision_svds``, computed when not given).  Its rank is decided
+    against ||Delta||_2 = ||L - Lbar||_2 ||B||_2, not its own norm, which
+    would read the roundoff left by a cluster that Delta misses as rank;
+    the stack starts from the orthonormal rows above that cutoff, and a
+    cluster of rank 0 is kept whole without one.  The parts hold one
+    cluster of each conjugate pair, and ``real_span`` turns them into a
+    real basis with one SVD.  Phibar is not formed, and Phi only as
+    ``base`` reads it.
     """
     base, Lbar = check_pair(dyn, L, Lbar, base, tol)
     diff, m = base.laplacian - Lbar, base.dim
     if not (diff.any() and dyn.B.any()):  # Delta = 0
         return Subspace.full(m)
-    bases, diff_norm = common_laplacian_vectors(base, diff, tol) if common is None else common
+    if common is None:
+        [common] = common_laplacian_vectors(base, diff[None], tol)
+    if svds is None:
+        [svds] = collision_svds(base, diff[None])
+    bases, diff_norm = common
     parts = [np.zeros((m, 0))]
     parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(m, -1)  # kron(C_G, Z)
               for k, Z in base.group_vectors if bases[k].size]
     cutoff = tol * diff_norm * base.b_norm  # tol * ||Delta||_2
-    for X in base.clusters:
-        _, s, vh = np.linalg.svd(delta_product(diff, dyn.B, X), full_matrices=False)
+    for X, (s, vh) in zip(base.clusters, svds):
         rank = int(np.sum(s > cutoff))
         if rank == 0:
             parts.append(X)
@@ -196,20 +235,20 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     coefficient vectors a for each network-invariant mode (lambda, v).
     Always contained in the indiscernible subspace.
 
-    The common eigenvectors of each distinct alpha of L are those of
-    ``common_laplacian_vectors``.  A block whose eigenvalues are pairwise
-    at least ``base.cluster_tol`` apart has n independent eigenvectors, so
-    its common vectors contribute common (x) I_n; only a block with a
-    repeated eigenvalue reads its eigenvectors from ``base.block_spectrum``.
+    The common eigenvectors of each distinct alpha of L are ``common``,
+    the row of ``common_laplacian_vectors`` for Lbar, computed when not
+    given.  A block whose eigenvalues are pairwise at least
+    ``base.cluster_tol`` apart has n independent eigenvectors, so its
+    common vectors contribute common (x) I_n; only a block with a repeated
+    eigenvalue reads its eigenvectors from ``base.block_spectrum``.
     The basis is a real orthonormal basis of the span (``real_span``), not
     a canonical one.  ``base`` is the network of (dyn, L); the pair is
-    checked by ``check_pair``.  ``common`` is
-    ``common_laplacian_vectors(base, L - Lbar, rank_tol)``, computed when
-    not given."""
+    checked by ``check_pair``."""
     base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
     N, n = Lbar.shape[0], dyn.n
-    diff = base.laplacian - Lbar
-    bases, _ = common_laplacian_vectors(base, diff, rank_tol) if common is None else common
+    if common is None:
+        [common] = common_laplacian_vectors(base, (base.laplacian - Lbar)[None], rank_tol)
+    bases, _ = common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -295,19 +334,48 @@ def corrected_condition(
 
     spec(L) is the ``laplacian_values`` that ``base``, the network of
     (dyn, L), keeps; the pair is checked by ``check_pair``, which builds
-    the base when it is not given."""
+    the base when it is not given, and decided as a stack of one by
+    ``corrected_conditions``."""
     base, Lbar = check_pair(dyn, L, Lbar, base)
+    [result] = corrected_conditions(base, Lbar[None], tol)
+    return result
+
+
+def corrected_conditions(base: NetworkSystem, Lbars: np.ndarray,
+                         tol: float) -> list[CorrectedConditionResult]:
+    """The corrected condition of ``base`` against each Laplacian of the
+    stack ``Lbars`` (R x N x N), as ``corrected_condition`` states it: one
+    eigvalsh of the stack, and one eigvals of the blocks A - alpha*B of
+    every alpha the rows hold, each bit pattern once, split back per row.
+    A row's spectra are real when all of its eigenvalues are, as a call on
+    its blocks alone returns them."""
+    A, B, n = base.dynamics.A, base.dynamics.B, base.node_dim
     spec = base.laplacian_values
-    alphas = np.array(distinct_values(np.concatenate([spec, np.linalg.eigvalsh(Lbar)]), tol))
-    spectra = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B))
-    flat = spectra.reshape(-1)
-    gaps = np.abs(flat[:, None] - flat[None, :])
-    # same-alpha pairs are no cross gap: fill the diagonal blocks of the
-    # (alpha, member, alpha, member) view; one alpha leaves only inf
-    same = np.arange(len(alphas))
-    gaps.reshape(len(alphas), dyn.n, len(alphas), dyn.n)[same, :, same, :] = np.inf
-    min_gap = float(gaps.min(initial=np.inf))
-    return CorrectedConditionResult(min_gap > tol, min_gap, float(tol), alphas, spectra)
+    alphas = [np.array(distinct_values(np.concatenate([spec, values]), tol))
+              for values in np.linalg.eigvalsh(Lbars)]
+    # bitwise equal alphas give one block: each is decomposed once, numbered
+    # by its bit pattern's first appearance
+    index: dict[int, int] = {}
+    block_of = [index.setdefault(bits, len(index))
+                for bits in np.concatenate(alphas).view(np.int64).tolist()]
+    distinct = np.array(list(index), dtype=np.int64).view(np.float64)
+    stacked = np.linalg.eigvals(A - np.multiply.outer(distinct, B))[block_of]
+    results, end = [], 0
+    for row in alphas:
+        k, start = len(row), end
+        end += k
+        spectra = stacked[start:end]
+        if np.iscomplexobj(spectra) and not spectra.imag.any():
+            spectra = spectra.real.copy()
+        flat = spectra.reshape(-1)
+        gaps = np.abs(flat[:, None] - flat[None, :])
+        # same-alpha pairs are no cross gap: fill the diagonal blocks of the
+        # (alpha, member, alpha, member) view; one alpha leaves only inf
+        same = np.arange(k)
+        gaps.reshape(k, n, k, n)[same, :, same, :] = np.inf
+        min_gap = float(gaps.min(initial=np.inf))
+        results.append(CorrectedConditionResult(min_gap > tol, min_gap, float(tol), row, spectra))
+    return results
 
 
 # The smallest rank_tol accepted: a cutoff near roundoff (about 1e-16
@@ -372,6 +440,12 @@ VERDICT_DETECTABLE = "detectable-outside-sync"
 VERDICT_EXTRA_STATES = "extra indiscernible states present"
 
 
+# Upper bound on the bytes of the largest stacked array one chunk of
+# ``analyze_rows`` holds; the chunk's row count follows from it and the
+# network's size.
+_CHUNK_BYTES = 256 * 1024
+
+
 def analyze(
     dyn: NodeDynamics,
     L,
@@ -379,7 +453,8 @@ def analyze(
     opts: AnalyzeOptions | None = None,
     base: NetworkSystem | None = None,
 ) -> DiscernibilityReport:
-    """Full discernibility analysis of a topology variation.
+    """Full discernibility analysis of a topology variation: the one row
+    of ``analyze_rows``.
 
     Computes the indiscernible subspace (modal method), its overlap with the
     synchronous manifold, the network-invariant modes, and the
@@ -387,50 +462,86 @@ def analyze(
     first read of ``report.shared_modal``, and the collision list for the
     first read of ``report.corrected.collisions``.  When ``opts.validate``
     is set the computed subspace is checked against the trajectory oracle.
-    ``base`` is the network of (dyn, L) from ``assemble_transition``, and
-    each Laplacian is validated once: by ``check_pair`` in a standalone
-    call; in an ``enumerate`` row, L by its base and Lbar here.  The
+    ``base`` is the network of (dyn, L), as ``analyze_rows`` takes it.
+    The verdict is "no variation" exactly when Delta = -(L - Lbar) (x) B
+    is 0, i.e. when L = Lbar or B = 0.
+    """
+    [report] = analyze_rows(dyn, L, [Lbar], opts, base)
+    return report
+
+
+def analyze_rows(
+    dyn: NodeDynamics,
+    L,
+    Lbars: Iterable,
+    opts: AnalyzeOptions | None = None,
+    base: NetworkSystem | None = None,
+) -> Iterator[DiscernibilityReport]:
+    """The ``analyze`` report of every variation Lbar of ``Lbars`` against
+    (dyn, L), yielded in order: the rows of ``enumerate`` and the one row
+    of ``analyze`` take this one path.
+
+    ``base`` is the network of (dyn, L) from ``assemble_transition``, built
+    here when not given, so each Laplacian is validated once: L by its
+    base, and each Lbar here before ``check_pair`` checks the pair.  The
     oracle builds Phibar's network from that Lbar without validating it
     again.  Every row reads the constants the base keeps: spec(L),
-    ||B||_2 and the synchronous manifold.  The variation enters only as L - Lbar, decided on the graph
-    side once (``common_laplacian_vectors``); Phibar is formed only by the
-    oracle.  The verdict is "no variation" exactly when
-    Delta = -(L - Lbar) (x) B is 0, i.e. when L = Lbar or B = 0.
+    ||B||_2 and the synchronous manifold.  A variation enters only as
+    L - Lbar, and Phibar is formed only by the oracle.
+
+    The stages whose inputs have one shape in every row are decided for
+    the rows together, one stacked call each over L - Lbar: the graph-side
+    decision (``common_laplacian_vectors``), the SVD of Delta X_g of each
+    collision cluster (``collision_svds``) and the corrected condition
+    (``corrected_conditions``).  The rest of a row is its own: its
+    indiscernible subspace, whose shape depends on its decision, the
+    overlap with the synchronous manifold, the oracle and the report.  The
+    rows are read in chunks, each as many rows as keep the largest stacked
+    array within _CHUNK_BYTES, and a chunk is validated, decided and
+    yielded before the next is read, so memory stays flat however many
+    rows there are.
     """
     opts = opts or AnalyzeOptions()
-    if base is not None:
-        Lbar = validate_laplacian(Lbar)
-    base, Lbar = check_pair(dyn, L, Lbar, base, opts.rank_tol)
-    L = base.laplacian
-    common = common_laplacian_vectors(base, L - Lbar, opts.rank_tol)
-    ind = indiscernible_subspace(dyn, L, Lbar, opts.rank_tol, base, common)
-    overlap = subspace_intersect(ind, base.sync, opts.rank_tol)
-    extra = ind.dim - overlap.dim
-    corrected = corrected_condition(dyn, L, Lbar, opts.eig_tol, base)
-
-    if np.array_equal(L, Lbar) or not dyn.B.any():
-        verdict = VERDICT_NO_VARIATION
-    elif extra == 0:
-        verdict = VERDICT_DETECTABLE
-    else:
-        verdict = VERDICT_EXTRA_STATES
-
-    summary = None
-    if opts.validate:
-        summary = validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
-
-    return DiscernibilityReport(
-        node_count=base.node_count,
-        node_dim=base.node_dim,
-        indiscernible=ind,
-        sync_overlap_dim=overlap.dim,
-        extra_dim=extra,
-        invariant_modes=base.modes,
-        corrected=corrected,
-        verdict=verdict,
-        base=base,
-        varied_laplacian=Lbar,
-        common=common,
-        rank_tol=opts.rank_tol,
-        oracle_summary=summary,
-    )
+    tol = opts.rank_tol
+    if base is None:
+        base = assemble_transition(dyn, L, tol)
+        L = base.laplacian
+    rows = (check_pair(dyn, L, validate_laplacian(Lbar), base, tol)[1] for Lbar in Lbars)
+    # a chunk's first row is checked before its size is read from the
+    # base's clusters, so no base decomposes for a bad Lbar or for no rows
+    while chunk := list(itertools.islice(rows, 1)):
+        size = _CHUNK_BYTES // max([base.laplacian.nbytes] + [X.nbytes for X in base.clusters])
+        chunk += itertools.islice(rows, max(size, 1) - 1)
+        stack = np.array(chunk)
+        diffs = base.laplacian - stack
+        decided = zip(chunk, common_laplacian_vectors(base, diffs, tol),
+                      collision_svds(base, diffs),
+                      corrected_conditions(base, stack, opts.eig_tol))
+        for Lbar, common, svds, corrected in decided:
+            ind = indiscernible_subspace(dyn, L, Lbar, tol, base, common, svds)
+            overlap = subspace_intersect(ind, base.sync, tol)
+            extra = ind.dim - overlap.dim
+            if np.array_equal(base.laplacian, Lbar) or not dyn.B.any():
+                verdict = VERDICT_NO_VARIATION
+            elif extra == 0:
+                verdict = VERDICT_DETECTABLE
+            else:
+                verdict = VERDICT_EXTRA_STATES
+            summary = None
+            if opts.validate:
+                summary = validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
+            yield DiscernibilityReport(
+                node_count=base.node_count,
+                node_dim=base.node_dim,
+                indiscernible=ind,
+                sync_overlap_dim=overlap.dim,
+                extra_dim=extra,
+                invariant_modes=base.modes,
+                corrected=corrected,
+                verdict=verdict,
+                base=base,
+                varied_laplacian=Lbar,
+                common=common,
+                rank_tol=tol,
+                oracle_summary=summary,
+            )

@@ -56,9 +56,10 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeDynamics:
-    """The per-node matrix pair (A, B)."""
+    """The per-node matrix pair (A, B).  Equality and hashing are by
+    identity: the fields are arrays, whose == is elementwise."""
 
     A: np.ndarray
     B: np.ndarray
@@ -82,14 +83,15 @@ class NodeDynamics:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSystem:
     """The N*n-state network of the node dynamics coupled through a
     Laplacian, Phi = I_N (x) A - L (x) B, and its modal decomposition:
     with L = V diag(alpha) V^T, Phi is orthogonally similar to the block
     diagonal of the blocks A - alpha_i*B, decomposed by one batched
     ``np.linalg.eig``.  Build it with ``assemble_transition``, which
-    validates L; the bare constructor checks nothing.
+    validates L; the bare constructor checks nothing.  Equality and
+    hashing are by identity, as for ``NodeDynamics``.
 
     Every part is computed on its first read and kept, so every
     ``enumerate`` row reads the one shared base value, and a network the

@@ -18,6 +18,7 @@ from netdiscern import (
     VERDICT_EXTRA_STATES,
     VERDICT_NO_VARIATION,
     analyze,
+    analyze_rows,
     assemble_transition,
     corrected_condition,
     enumerate_single_link_variations,
@@ -25,6 +26,7 @@ from netdiscern import (
     laplacian,
     shared_modal_subspace,
     sync_manifold,
+    validate_laplacian,
 )
 
 from netdiscern.cli import canonical_json, report_to_dict
@@ -571,7 +573,7 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
             dec = ring
         else:
             dec = assemble_transition(dyn, L)
-        common, diff_norm = common_laplacian_vectors(dec, L - Lbar, RANK_TOL)
+        [(common, diff_norm)] = common_laplacian_vectors(dec, (L - Lbar)[None], RANK_TOL)
         assert diff_norm == np.linalg.norm(L - Lbar, 2), name
         for C, want in zip(common, reference_common_vectors(dec, L, Lbar, RANK_TOL),
                            strict=True):
@@ -669,6 +671,138 @@ def test_every_entry_point_rejects_the_base_of_another_network():
     shifted = NodeDynamics(dyn.A, 2 * dyn.B)  # same L, other dynamics
     with pytest.raises(ValueError, match="another network"):
         shared_modal_subspace(shifted, L, Lbar, RANK_TOL, own)
+
+
+def test_a_base_rejects_a_non_finite_lbar():
+    # with a base, Lbar is the caller's and is not validated as a
+    # Laplacian: an inf or nan entry is still rejected, with
+    # validate_laplacian's own message, before an SVD or eigenvalue solver
+    # reads it
+    dyn = uniform_dynamics(np.random.default_rng(0))
+    g = ring_with_chords(6)
+    L = laplacian(g)
+    own = assemble_transition(dyn, L)
+    calls = {
+        "indiscernible_subspace": lambda Lbar: indiscernible_subspace(
+            dyn, L, Lbar, RANK_TOL, own),
+        "shared_modal_subspace": lambda Lbar: shared_modal_subspace(
+            dyn, L, Lbar, RANK_TOL, own),
+        "corrected_condition": lambda Lbar: corrected_condition(dyn, L, Lbar, base=own),
+        "analyze": lambda Lbar: analyze(dyn, L, Lbar, base=own),
+        "check_pair": lambda Lbar: discernibility.check_pair(dyn, L, Lbar, own),
+    }
+    for value in (np.inf, -np.inf, np.nan):
+        Lbar = laplacian(without_first_edge(g))
+        Lbar[0, 0] = value
+        with pytest.raises(ValueError) as want:
+            validate_laplacian(Lbar)
+        assert str(want.value) == "Laplacian entries must be finite"
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as got:
+                call(Lbar)
+            assert str(got.value) == str(want.value), name
+
+
+def report_fields(report):
+    """Everything a row decides, as exact values and bytes."""
+    basis, corrected = report.indiscernible.basis, report.corrected
+    return (report.indiscernible.dim, report.extra_dim, report.sync_overlap_dim,
+            report.verdict, corrected.verdict, corrected.min_cross_gap, corrected.collisions,
+            corrected.alphas.tobytes(), corrected.spectra.dtype, corrected.spectra.tobytes(),
+            report.common[1], [C.tobytes() for C in report.common[0]],
+            basis.shape, basis.dtype, basis.tobytes())
+
+
+def stacked_row_cases():
+    """(name, dynamics, L, Lbars): every kind of variation of the 12-node
+    ring with chords, with the paper's and random dynamics and with B = 0,
+    reweighted to 2.5 and to the edge's own weight, where Lbar = L; and
+    the 8-node ring with the paper's dynamics, whose four collision
+    clusters are complex; and, in one stack, the 12-node ring's edges
+    reweighted by 1e6 and by 2^-16 in turn, whose norms ||L - Lbar||_2,
+    and so rank cutoffs, are 11 orders of magnitude apart."""
+    kinds = ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"]
+    paper, rand = example_dynamics(), uniform_dynamics(np.random.default_rng(3))
+    g = ring_with_chords(12)
+    for name, dyn in (("paper", paper), ("random", rand),
+                      ("zero-b", NodeDynamics(paper.A, np.zeros((3, 3))))):
+        for reweight_to in (2.5, 1.0):
+            Lbars = [Lvar for _, _, Lvar in enumerate_single_link_variations(g, kinds, reweight_to)]
+            yield f"{name}-w{reweight_to}", dyn, laplacian(g), Lbars
+    g = ring_with_chords(8)
+    Lbars = [Lvar for _, _, Lvar in enumerate_single_link_variations(g, kinds, 2.5)]
+    yield "paper-ring-8", paper, laplacian(g), Lbars
+    g = ring_with_chords(12)
+    Lbars = [laplacian(g.with_edge_reweighted(i, j, w + step))
+             for i, j, w in g.edges for step in (1e6, 2.0 ** -16)]
+    yield "paper-mixed-scales", paper, laplacian(g), Lbars
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 10_000])
+def test_stacked_rows_equal_the_batch_of_one(monkeypatch, chunk_bytes):
+    # each row of a stack, decided with the other rows, has the bits of a
+    # standalone analyze of its variation against the same base, also
+    # when the rows are split into chunks of a few rows
+    if chunk_bytes is not None:
+        monkeypatch.setattr(discernibility, "_CHUNK_BYTES", chunk_bytes)
+    same_rows = 0
+    for name, dyn, L, Lbars in stacked_row_cases():
+        base = assemble_transition(dyn, L)
+        reports = list(analyze_rows(dyn, L, Lbars, base=base))
+        assert len(reports) == len(Lbars), name
+        for Lbar, report in zip(Lbars, reports):
+            alone = analyze(dyn, L, Lbar, base=base)
+            assert report_fields(report) == report_fields(alone), name
+            same_rows += np.array_equal(L, Lbar)
+            if np.array_equal(L, Lbar) or not dyn.B.any():
+                assert report.verdict == VERDICT_NO_VARIATION, name
+    assert same_rows == 3 * 14  # each reweighting of the 14 edges to weight 1
+    # a base without edges has no variation to remove: a stack of no rows
+    dyn, L = example_dynamics(), np.zeros((3, 3))
+    assert list(analyze_rows(dyn, L, [])) == []
+    assert list(analyze_rows(dyn, L, iter([]), base=assemble_transition(dyn, L))) == []
+
+
+def test_stacked_rows_are_decided_in_chunks_as_they_are_read(monkeypatch):
+    # the rows' stacks stay within the byte budget: the graph-side decision
+    # sees at most one chunk of rows at a time, and a row past the chunks
+    # read so far is not validated yet
+    monkeypatch.setattr(discernibility, "_CHUNK_BYTES", 14_000)
+    stacks, validated = [], []
+    decide, validate = discernibility.common_laplacian_vectors, discernibility.validate_laplacian
+    monkeypatch.setattr(discernibility, "common_laplacian_vectors",
+                        lambda *args: stacks.append(len(args[1])) or decide(*args))
+    monkeypatch.setattr(discernibility, "validate_laplacian",
+                        lambda L: validated.append(1) or validate(L))
+    g = ring_with_chords(12)
+    Lbars = [Lvar for _, _, Lvar in enumerate_single_link_variations(g, ["remove_edge"])]
+    dyn, L = example_dynamics(), laplacian(g)
+    base = assemble_transition(dyn, L)
+    row_bytes = max([L.nbytes] + [X.nbytes for X in base.clusters])
+    size = 14_000 // row_bytes
+    assert 1 < size < len(Lbars)
+    rows = analyze_rows(dyn, L, Lbars, base=base)
+    next(rows)
+    assert stacks == [size] and len(validated) == size
+    assert len(list(rows)) == len(Lbars) - 1
+    assert sum(stacks) == len(Lbars) and max(stacks) == size
+
+
+def test_no_base_decomposes_before_a_row_is_checked(monkeypatch):
+    # the chunk size is read from the base's clusters only once a row is
+    # validated: a bad Lbar is rejected, and a stack of no rows is done,
+    # without decomposing the base
+    def no_parts(self):
+        raise AssertionError("the base was decomposed")
+
+    monkeypatch.setattr(network.NetworkSystem, "_parts", property(no_parts))
+    dyn, g = example_dynamics(), ring_with_chords(6)
+    L, bad = laplacian(g), laplacian(without_first_edge(g))
+    bad[0, 1] -= 1.0
+    assert list(analyze_rows(dyn, L, [])) == []
+    for base in (None, assemble_transition(dyn, L)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            analyze(dyn, L, bad, base=base)
 
 
 def test_lbar_off_symmetric_by_roundoff_is_one_laplacian_everywhere():

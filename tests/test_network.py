@@ -94,6 +94,20 @@ def test_dynamics_reject_an_empty_pair():
         NodeDynamics(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
+def test_dynamics_and_networks_compare_and_hash_by_identity(demo):
+    # array fields have no single truth value and no hash, so two objects
+    # are equal only when they are one; a dict or set can hold them
+    dyn = NodeDynamics(EXAMPLE_A, EXAMPLE_B)
+    twin = NodeDynamics(EXAMPLE_A.copy(), EXAMPLE_B.copy())
+    net = assemble_transition(dyn, demo.L)
+    other = assemble_transition(dyn, demo.L.copy())
+    for obj, same_values in ((dyn, twin), (net, other)):
+        assert obj == obj and not obj != obj
+        assert obj != same_values and not obj == same_values
+        assert hash(obj) == hash(obj)
+        assert len({obj, same_values}) == 2 and {obj: 1}[obj] == 1
+
+
 # ---------------------------------------------------------------------------
 # network-invariant modes
 # ---------------------------------------------------------------------------
