@@ -6,8 +6,10 @@ t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
 Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
 point takes the pair as (dyn, L, Lbar) and checks it first (``check_pair``),
-and a variation enters the analysis only as L - Lbar: neither Delta nor
-Phibar is formed here, and only the trajectory oracle forms Phibar.  The
+and a variation enters the analysis only as L - Lbar, formed as a
+Laplacian (``laplacian_difference``) so that it sends 1 to 0 whatever the
+roundoff of the two degree sums: neither Delta nor Phibar is formed here,
+and only the trajectory oracle forms Phibar.  The
 one algorithm is modal, over the eigenvalue clusters of Phi that the base
 ``network.NetworkSystem`` decomposes.  The common eigenvectors of L and
 Lbar are decided once per report, for every distinct alpha of L
@@ -21,9 +23,13 @@ reshape (``delta_product``); these clusters add the states beyond the
 shared eigenvectors that the paper's corrected condition is about.  That
 stack over the whole network computes the same subspace without the
 modal split, but loses rank as N grows; it is the tests' desk-scale
-reference.  The shared modal span reads the same graph-side decision,
-which the report keeps; a report computes the span on its first read, so
-an ``enumerate`` row, which does not report it, never does.  The
+reference.  The subspace is kept as these parts, its dimension their
+count (``linalg.Subspace.spanned``), and its basis, one SVD of the parts,
+is formed on the first read: an ``enumerate`` row, which reports only the
+dimension, never forms it.  The shared modal span reads the same
+graph-side decision, which the report keeps; a report computes the span
+on its first read, so an ``enumerate`` row, which does not report it,
+never does.  The
 corrected condition reports each cross-block collision once, as one
 cluster of the block spectra from ``linalg.cluster_indices``, formed on
 the first read of its ``collisions``: a row reports only the verdict.
@@ -39,8 +45,10 @@ the graph-side decision, the SVD of Delta X_g of each collision cluster
 (``collision_svds``) and the corrected condition
 (``corrected_conditions``), is one stacked call over the rows' L - Lbar,
 in chunks under a fixed byte budget.  A row then computes on its own only
-its indiscernible basis, its overlap with the synchronous manifold, the
-oracle and its report.
+its indiscernible parts and their count, its overlap with the synchronous
+manifold, the oracle and its report.  The overlap is measured on the
+span of the parts that the blocks of alpha = 0 own, where the
+synchronous manifold lies, not on the whole subspace.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .linalg import (
     cluster_indices,
     distinct_values,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
+    real_span,
     subspace_intersect,
 )
 from .network import (
@@ -97,15 +106,19 @@ def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
     return base, Lbar
 
 
-def real_span(parts: list[np.ndarray], tol: float) -> Subspace:
-    """The real subspace spanned by the columns of the parts and their
-    complex conjugates, for parts that hold one cluster of each conjugate
-    pair: one real SVD of [Re P, Im P], P the parts side by side (a column
-    with no imaginary part adds none), cut at ``tol * sigma_max``."""
-    P = np.hstack(parts)
-    if np.iscomplexobj(P):
-        P = np.hstack([P.real, P.imag[:, P.imag.any(axis=0)]])
-    return Subspace.from_spanning(P, tol)
+def laplacian_difference(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
+    """L - Lbar, or L minus each Laplacian of a stack Lbar, formed as a
+    Laplacian: the differences off the diagonal, and minus their row sums
+    on it.  L and Lbar each round their own degree sums, so their plain
+    difference has row sums of roundoff, which the cutoff
+    rank_tol * ||L - Lbar||_2 of a small reweight reads as a touched
+    alpha = 0 direction; this one sends 1 to 0 up to the roundoff of its
+    own entries."""
+    diff = L - Lbar
+    i = np.arange(L.shape[-1])
+    diff[..., i, i] = 0.0
+    diff[..., i, i] = -diff.sum(axis=-1)
+    return diff
 
 
 def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,
@@ -178,8 +191,9 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     Phibar, the networks of the node dynamics (A, B) coupled through L and
     Lbar, coincide for all time: the largest Phi-invariant subspace inside
     kernel(Delta), Delta = -(L - Lbar) (x) B, one eigenvalue cluster of Phi
-    at a time.  Delta is 0, and every state indiscernible, when L = Lbar or
-    B = 0.
+    at a time.  Delta is 0, and every state indiscernible, when L and Lbar
+    have the same entries off the diagonal or B = 0 (L - Lbar is formed by
+    ``laplacian_difference``).
 
     An invariant subspace is the direct sum of its parts in Phi's
     generalized eigenspaces (from ``base``, the network of (dyn, L); the
@@ -198,12 +212,20 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     would read the roundoff left by a cluster that Delta misses as rank;
     the stack starts from the orthonormal rows above that cutoff, and a
     cluster of rank 0 is kept whole without one.  The parts hold one
-    cluster of each conjugate pair, and ``real_span`` turns them into a
-    real basis with one SVD.  Phibar is not formed, and Phi only as
-    ``base`` reads it.
+    cluster of each conjugate pair.
+
+    The result is ``Subspace.spanned``: its parts, one per entry of
+    ``base.group_vectors`` (the pair (C_G, Z), for kron(C_G, Z)) and then
+    one per cluster of ``base.clusters`` (no columns when Delta X_g has
+    full rank), and its dimension counted from them, rank(C_G) times the
+    dimension of Z (``base.group_dims``) and each cluster's columns, twice
+    for a non-real cluster, which stands for its conjugate
+    (``base.cluster_copies``).  ``real_span`` turns the parts into a real
+    basis with one SVD on the first read of ``basis``, Kronecker products
+    included.  Phibar is not formed, and Phi only as ``base`` reads it.
     """
     base, Lbar = check_pair(dyn, L, Lbar, base, tol)
-    diff, m = base.laplacian - Lbar, base.dim
+    diff, m = laplacian_difference(base.laplacian, Lbar), base.dim
     if not (diff.any() and dyn.B.any()):  # Delta = 0
         return Subspace.full(m)
     if common is None:
@@ -211,18 +233,21 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     if svds is None:
         [svds] = collision_svds(base, diff[None])
     bases, diff_norm = common
-    parts = [np.zeros((m, 0))]
-    parts += [(bases[k][:, None, :, None] * Z[:, None]).reshape(m, -1)  # kron(C_G, Z)
-              for k, Z in base.group_vectors if bases[k].size]
+    parts: list = [(bases[k], Z) for k, Z in base.group_vectors]  # kron(C_G, Z)
+    dim = sum(bases[k].shape[1] * z_dim
+              for (k, _), z_dim in zip(base.group_vectors, base.group_dims))
     cutoff = tol * diff_norm * base.b_norm  # tol * ||Delta||_2
-    for X, (s, vh) in zip(base.clusters, svds):
+    for X, count, (s, vh) in zip(base.clusters, base.cluster_copies, svds):
         rank = int(np.sum(s > cutoff))
         if rank == 0:
             parts.append(X)
         elif rank < X.shape[1]:
             stack = unobservable_subspace(vh[:rank], X.conj().T @ (base.phi @ X), tol)
             parts.append(X @ stack.basis)
-    return real_span(parts, tol)
+        else:
+            parts.append(X[:, :0])
+        dim += count * parts[-1].shape[1]
+    return Subspace.spanned(m, parts, dim, tol)
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
@@ -247,7 +272,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
     N, n = Lbar.shape[0], dyn.n
     if common is None:
-        [common] = common_laplacian_vectors(base, (base.laplacian - Lbar)[None], rank_tol)
+        [common] = common_laplacian_vectors(
+            base, laplacian_difference(base.laplacian, Lbar)[None], rank_tol)
     bases, _ = common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
@@ -464,7 +490,8 @@ def analyze(
     is set the computed subspace is checked against the trajectory oracle.
     ``base`` is the network of (dyn, L), as ``analyze_rows`` takes it.
     The verdict is "no variation" exactly when Delta = -(L - Lbar) (x) B
-    is 0, i.e. when L = Lbar or B = 0.
+    is 0, i.e. when L and Lbar have the same entries off the diagonal (the
+    same edge weights) or B = 0.
     """
     [report] = analyze_rows(dyn, L, [Lbar], opts, base)
     return report
@@ -487,15 +514,25 @@ def analyze_rows(
     oracle builds Phibar's network from that Lbar without validating it
     again.  Every row reads the constants the base keeps: spec(L),
     ||B||_2 and the synchronous manifold.  A variation enters only as
-    L - Lbar, and Phibar is formed only by the oracle.
+    L - Lbar, formed once per chunk by ``laplacian_difference``, which the
+    "no variation" verdict reads too, and Phibar is formed only by the
+    oracle.
 
     The stages whose inputs have one shape in every row are decided for
     the rows together, one stacked call each over L - Lbar: the graph-side
     decision (``common_laplacian_vectors``), the SVD of Delta X_g of each
     collision cluster (``collision_svds``) and the corrected condition
     (``corrected_conditions``).  The rest of a row is its own: its
-    indiscernible subspace, whose shape depends on its decision, the
-    overlap with the synchronous manifold, the oracle and the report.  The
+    indiscernible parts and their count, whose shapes depend on its
+    decision, the overlap with the synchronous manifold, the oracle and
+    the report.  A row forms its indiscernible basis only when the oracle
+    or a report reads it.  The overlap is sync ∩ span(P0), P0 the parts
+    of the clusters that own an eigenvalue of a block of alpha = 0
+    (``base.zero_parts``), which equals sync ∩ Q: Q is Phi-invariant, so it
+    is the sum of its parts in Phi's generalized eigenspaces, and the sync
+    manifold 1 (x) C^n lies in V_0 (x) C^n, the sum of the parts of those
+    eigenspaces the alpha = 0 blocks own.  Its SVD is m x (n + collision
+    columns) where the whole basis would be m x dim Q.  The
     rows are read in chunks, each as many rows as keep the largest stacked
     array within _CHUNK_BYTES, and a chunk is validated, decided and
     yielded before the next is read, so memory stays flat however many
@@ -513,15 +550,19 @@ def analyze_rows(
         size = _CHUNK_BYTES // max([base.laplacian.nbytes] + [X.nbytes for X in base.clusters])
         chunk += itertools.islice(rows, max(size, 1) - 1)
         stack = np.array(chunk)
-        diffs = base.laplacian - stack
-        decided = zip(chunk, common_laplacian_vectors(base, diffs, tol),
+        diffs = laplacian_difference(base.laplacian, stack)
+        decided = zip(chunk, diffs, common_laplacian_vectors(base, diffs, tol),
                       collision_svds(base, diffs),
                       corrected_conditions(base, stack, opts.eig_tol))
-        for Lbar, common, svds, corrected in decided:
+        for Lbar, diff, common, svds, corrected in decided:
             ind = indiscernible_subspace(dyn, L, Lbar, tol, base, common, svds)
-            overlap = subspace_intersect(ind, base.sync, tol)
+            varied = diff.any() and dyn.B.any()
+            # ind meets the sync manifold only in P0, the parts alpha = 0 owns
+            near = real_span([part for part, zero in zip(ind.parts, base.zero_parts) if zero],
+                             tol) if varied else ind
+            overlap = subspace_intersect(near, base.sync, tol)
             extra = ind.dim - overlap.dim
-            if np.array_equal(base.laplacian, Lbar) or not dyn.B.any():
+            if not varied:
                 verdict = VERDICT_NO_VARIATION
             elif extra == 0:
                 verdict = VERDICT_DETECTABLE

@@ -169,11 +169,17 @@ class LinkVariation:
         return g.with_node_disconnected(self.target)  # disconnect_node
 
     def describe(self) -> str:
+        """The row label: the weight in ``:g`` form when that reads back as
+        the weight, and its ``repr`` otherwise, so no label names another
+        weight."""
         if self.kind == "disconnect_node":
             return f"disconnect_node({self.target})"
         i, j = self.target
         if self.new_weight is not None:
-            return f"{self.kind}({i},{j},w={self.new_weight:g})"
+            w = f"{self.new_weight:g}"
+            if float(w) != self.new_weight:
+                w = repr(self.new_weight)
+            return f"{self.kind}({i},{j},w={w})"
         return f"{self.kind}({i},{j})"
 
 

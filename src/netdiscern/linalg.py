@@ -2,16 +2,18 @@
 intersection of two subspaces and the matrix exponential.
 
 The package runs all of it.  ``eig`` and ``clustered_spectrum`` cluster
-spectra at explicit tolerances; ``kernel`` and ``subspace_intersect`` are
-the subspace arithmetic the analysis needs; ``expm`` serves the trajectory
-oracle and ``schur_basis`` the modal decomposition.  Operands are small:
-the state dimension m = N*n is a few dozen, and the tall stacks
-``kernel`` receives are per-eigenvalue-cluster power stacks and the
-m x min(dim U, dim V) principal-angle residual of ``subspace_intersect``.
-A ``Subspace`` is an orthonormal basis and nothing else; every rank
-decision goes through one singular-value threshold that the caller
-passes, relative to sigma_max unless the caller names the reference
-magnitude.
+spectra at explicit tolerances; ``kernel``, ``subspace_intersect`` and
+``real_span`` are the subspace arithmetic the analysis needs; ``expm``
+serves the trajectory oracle and ``schur_basis`` the modal decomposition.
+Operands are small: the state dimension m = N*n is a few dozen, and the
+tall stacks ``kernel`` receives are per-eigenvalue-cluster power stacks
+and the m x min(dim U, dim V) principal-angle residual of
+``subspace_intersect``.  A ``Subspace`` is an orthonormal basis and its
+dimension; one from ``Subspace.spanned`` knows its dimension first and
+keeps the parts it spans, whose basis it forms on the first read, so a
+caller that needs only the dimension forms no basis.  Every rank decision
+goes through one singular-value threshold that the caller passes,
+relative to sigma_max unless the caller names the reference magnitude.
 
 NumPy does all of it, ``expm`` and ``schur_basis`` included: a SciPy call
 would wake the separate OpenBLAS thread pool that SciPy ships, whose worker
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,17 +195,20 @@ def schur_basis(M: np.ndarray, values) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace, held as nothing but an orthonormal column basis.
-    It keeps no tolerance: the functions that decide a rank
-    (``from_spanning``, ``kernel`` and ``subspace_intersect``) take theirs
-    as an argument."""
+    """A linear subspace, held as an orthonormal column basis.  The
+    functions that decide a rank (``from_spanning``, ``kernel``,
+    ``subspace_intersect`` and ``real_span``) take their tolerance as an
+    argument.
 
-    basis: np.ndarray
+    ``Subspace(basis)`` checks the basis it is given.  A subspace from
+    ``spanned`` is the ``real_span`` of its ``parts`` whose dimension the
+    caller has counted: it keeps the parts and the tolerance, and forms
+    its basis on the first read of ``basis``, which raises ValueError when
+    the span's rank is not the counted ``dim``."""
 
-    def __post_init__(self):
-        b = np.asarray(self.basis)
+    def __init__(self, basis):
+        b = np.asarray(basis)
         if b.ndim != 2:
             raise ValueError(f"basis must be a 2-D array, got shape {b.shape}")
         if not np.all(np.isfinite(b)):
@@ -223,15 +229,29 @@ class Subspace:
                 dev.reshape(-1)[::k + 1] -= 1e-5
                 if not (dev <= 1e-8).all():
                     raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", b)
+        self.basis = b  # fills the cache of the ``basis`` property below
+        self.ambient_dim, self.dim = b.shape
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    @classmethod
+    def spanned(cls, ambient_dim: int, parts, dim: int, tol: float) -> "Subspace":
+        """The real span of ``parts`` (``real_span`` at ``tol``) in
+        ambient_dim dimensions, whose dimension the caller has counted as
+        ``dim``; the parts are formed and orthonormalized on the first read
+        of ``basis``."""
+        space = cls.__new__(cls)
+        space.ambient_dim, space.parts, space.dim, space.tol = ambient_dim, tuple(parts), dim, tol
+        return space
+
+    @cached_property
+    def basis(self) -> np.ndarray:  # a spanned subspace's; Subspace(basis) fills it
+        basis = real_span(self.parts, self.tol).basis
+        if basis.shape[1] != self.dim:
+            raise ValueError(f"the parts span {basis.shape[1]} dimensions, "
+                             f"not the {self.dim} counted")
+        return basis
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -254,6 +274,24 @@ class Subspace:
         if s.size == 0 or s[0] <= 0:
             return cls.zero(cols.shape[0])
         return cls(u[:, s > tol * s[0]])
+
+
+def real_span(parts, tol: float) -> Subspace:
+    """The real subspace spanned by the columns of the parts and their
+    complex conjugates, for parts that hold one cluster of each conjugate
+    pair: one real SVD of [Re P, Im P], P the parts side by side (a column
+    with no imaginary part adds none), cut at ``tol * sigma_max``.  A part
+    given as a pair (C, Z) is kron(C, Z), formed here."""
+    cols = []
+    for part in parts:
+        if isinstance(part, tuple):  # np.kron's products, without its call overhead
+            C, Z = part
+            part = (C[:, None, :, None] * Z[:, None]).reshape(C.shape[0] * Z.shape[0], -1)
+        cols.append(part)
+    P = np.hstack(cols)
+    if np.iscomplexobj(P):
+        P = np.hstack([P.real, P.imag[:, P.imag.any(axis=0)]])
+    return Subspace.from_spanning(P, tol)
 
 
 def kernel(M, tol: float = RANK_TOL, scale: float | None = None) -> Subspace:

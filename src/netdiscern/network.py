@@ -125,6 +125,17 @@ class NetworkSystem:
     collision.  ``block_spectrum(i)`` clusters block i's spectrum; only a
     block with a repeated eigenvalue needs it, since the shared modal span
     takes all of C^n for any other block.
+
+    What an indiscernible subspace counts is recorded with the parts, at
+    the threshold that skips a conjugate cluster: a kept cluster whose
+    mean imaginary part is above it is not real and stands for its
+    conjugate too.  ``group_dims`` holds, per ``group_vectors`` entry, the
+    real dimension that Z and its conjugate span, a column of a non-real
+    cluster counted twice; ``cluster_copies``, per collision cluster, 2
+    when it is not real and 1 when it is.  ``zero_parts`` holds, per
+    ``group_vectors`` entry and then per collision cluster, whether a
+    block of ``alpha_groups[0]`` (alpha = 0, whose vectors hold the
+    synchronous manifold) owns one of its eigenvalues.
     """
 
     dynamics: NodeDynamics
@@ -177,21 +188,29 @@ class NetworkSystem:
             return schur_basis(blocks[i], w[i][member])
 
         zs: list[list[np.ndarray]] = [[] for _ in groups]
-        clusters = []
+        z_dims = [0] * len(groups)
+        clusters, copies, zero = [], [], []
         for idx in cluster_indices(w.reshape(-1), ctol):
-            if sum(w.flat[j].imag for j in idx) < -len(idx) * ctol / 4:
+            imag, bound = sum(w.flat[j].imag for j in idx), len(idx) * ctol / 4
+            if imag < -bound:
                 continue  # the conjugate of a kept cluster
+            count = 1 if imag <= bound else 2  # a non-real cluster stands for its conjugate too
             owners = sorted({j // n for j in idx})
             k = group_of[owners[0]]
             if len(groups) > 1 and all(group_of[i] == k for i in owners):  # single-alpha
                 zs[k].append(block_basis(groups[k][0], idx))
+                z_dims[k] += count * zs[k][-1].shape[1]
             else:
                 cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(self.dim, -1)
                         for i in owners]
                 clusters.append(np.hstack(cols))
+                copies.append(count)
+                zero.append(k == 0)
         group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
+        zero_parts = tuple(k == 0 for k, _ in group_vectors) + tuple(zero)
         return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
-                tuple(network_invariant_modes(dyn, self.tol)))
+                tuple(network_invariant_modes(dyn, self.tol)),
+                tuple(z_dims[k] for k, _ in group_vectors), tuple(copies), zero_parts)
 
     alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
     laplacian_vectors = property(lambda self: self._parts[1])  # V
@@ -202,6 +221,9 @@ class NetworkSystem:
     group_vectors = property(lambda self: self._parts[6])      # (k, Z), Z not empty
     clusters = property(lambda self: self._parts[7])           # the X_g of the collisions
     modes = property(lambda self: self._parts[8])              # of the dynamics
+    group_dims = property(lambda self: self._parts[9])         # per (k, Z): dim of Z and Z conj
+    cluster_copies = property(lambda self: self._parts[10])    # per X_g: 2 if not real, else 1
+    zero_parts = property(lambda self: self._parts[11])        # per (k, Z), X_g: alpha = 0 owns it
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 
 from netdiscern import (
     AnalyzeOptions,
+    Subspace,
     analyze,
     assemble_transition,
     discernibility,
@@ -789,6 +790,26 @@ def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
         calls.clear()
         analyze(example_dynamics(), L, Lbar, opts)
         assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
+
+
+def test_enumerate_rows_form_no_indiscernible_basis(tmp_path, monkeypatch):
+    # a row reports its indiscernible dimension, which is counted from the
+    # modal parts: the 66 rows of the 12-node ring with chords form none of
+    # their bases, while a report, which writes its basis, forms one
+    made = []
+    spanned = Subspace.spanned
+    monkeypatch.setattr(Subspace, "spanned",
+                        lambda *args: made.append(spanned(*args)) or made[-1])
+    graph = ring_with_chords(12)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    assert run_enumerate(config, str(tmp_path)) == 0
+    assert len(made) == 66 and not any("basis" in vars(space) for space in made)
+    made.clear()
+    report_to_dict(analyze(example_dynamics(), laplacian(graph),
+                           laplacian(graph.with_node_disconnected(1))))
+    assert len(made) == 1 and "basis" in vars(made[0])
 
 
 def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from netdiscern import (
     indiscernible_subspace,
     laplacian,
     shared_modal_subspace,
+    subspace_intersect,
     sync_manifold,
     validate_laplacian,
 )
@@ -1036,8 +1037,46 @@ def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
             assert report.sync_overlap_dim == dyn.n
 
 
+@pytest.mark.parametrize("N", [4, 12, 20, 40])
+def test_counted_dimension_and_overlap_match_the_formed_basis(N):
+    # a row counts its dimension from the modal parts and measures its
+    # sync overlap on the parts the alpha = 0 blocks own; the basis formed
+    # from every part has that rank and that overlap, on the remove_edge,
+    # add_edge and disconnect_node rows, with the paper's dynamics and
+    # with random (A, B)
+    g = ring_with_chords(N)
+    L = laplacian(g)
+    kinds = ["remove_edge", "disconnect_node"]
+    added = enumerate_single_link_variations(g, ["add_edge"])
+    Lbars = [Lbar for _, _, Lbar in enumerate_single_link_variations(g, kinds)
+             + added[::10 if N == 40 else 1]]  # 73 of the 726 added links at N = 40
+    for dyn in (example_dynamics(), random_dynamics()):
+        for report in analyze_rows(dyn, L, Lbars):
+            ind = report.indiscernible
+            assert ind.basis.shape == (report.ambient_dim, ind.dim)
+            assert (subspace_intersect(ind, sync_manifold(N, dyn.n)).dim
+                    == report.sync_overlap_dim == dyn.n)
+
+
+def test_a_small_reweight_keeps_the_sync_manifold_indiscernible():
+    # L and Lbar round their degree sums each on its own, so a plain
+    # L - Lbar sends 1 to a roundoff of about 3e-17, above the cutoff
+    # rank_tol * ||L - Lbar||_2 of a reweight by 1e-7: it read as a touched
+    # alpha = 0 direction, and the row lost two sync states.  The
+    # difference formed as a Laplacian gives the row what a larger
+    # reweight of the same edge gives
+    g = Graph(3, ((1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3)))
+    L = laplacian(g)
+    for w in (0.1000001, 0.15, 0.2):
+        report = analyze(example_dynamics(), L, laplacian(g.with_edge_reweighted(1, 2, w)))
+        assert (report.indiscernible.dim, report.sync_overlap_dim) == (5, 3)
+        assert report.verdict == VERDICT_EXTRA_STATES
+
+
 def test_sync_overlap_factors_an_m_by_min_dim_residual(demo, monkeypatch):
-    # the intersection hands kernel the m x min(dim Q, n) principal-angle
+    # the overlap is measured on the span of the parts of Q that the
+    # alpha = 0 blocks own, which holds all of Q's sync states, and the
+    # intersection hands kernel its m x min(dim, n) principal-angle
     # residual, not a 2m x m projector stack
     shapes = []
     original = linalg.kernel

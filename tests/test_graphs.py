@@ -253,3 +253,17 @@ def test_link_variation_validation():
         LinkVariation("add_edge", (1, 2)).apply(g)  # edge already present
     with pytest.raises(ValueError):
         LinkVariation("remove_edge", (1, 4)).apply(g)  # edge absent
+
+
+def test_describe_names_the_weight_it_applies():
+    # :g keeps six significant digits, so it would label a reweight to
+    # 0.1000001 with the weight 0.1; a label shows :g only when it reads back
+    labels = {w: LinkVariation("reweight_edge", (2, 1), w).describe()
+              for w in (0.1000001, 1 / 3, 2.5, 1.0, 1e-7)}
+    assert labels == {0.1000001: "reweight_edge(1,2,w=0.1000001)",
+                      1 / 3: "reweight_edge(1,2,w=0.3333333333333333)",
+                      2.5: "reweight_edge(1,2,w=2.5)",
+                      1.0: "reweight_edge(1,2,w=1)",
+                      1e-7: "reweight_edge(1,2,w=1e-07)"}
+    assert LinkVariation("add_edge", (1, 3), 1.0).describe() == "add_edge(1,3,w=1)"
+    assert LinkVariation("remove_edge", (1, 3)).describe() == "remove_edge(1,3)"
