@@ -270,7 +270,6 @@ def _parse_options(data: dict) -> dict:
         "sample_count",
         "rel_tol",
         "time_grid",
-        "power_range",
     }
     unknown = set(opts) - known
     if unknown:
@@ -315,12 +314,6 @@ def _check_grid_size(count) -> None:
                           f"more than {MAX_TIME_GRID_POINTS}")
 
 
-def _int_option(opts: dict, key: str, default):
-    """An integer option, or None when both it and its default are absent."""
-    value = opts.get(key, default)
-    return None if value is None and default is None else _integer(value, key)
-
-
 def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOptions:
     validate = opts.get("validate", False)
     if type(validate) is not bool:
@@ -330,12 +323,11 @@ def _analyze_options(opts: dict, cli_tol, cli_seed, cli_validate) -> AnalyzeOpti
     try:
         eig_tol = (_real(opts.get("tol", 1e-8), "tol") if cli_tol is None
                    else float(cli_tol))
-        seed = _int_option(opts, "seed", 0) if cli_seed is None else int(cli_seed)
+        seed = _integer(opts.get("seed", 0), "seed") if cli_seed is None else int(cli_seed)
         oracle = OracleConfig(
             time_grid=_time_grid_from(opts),
-            power_range=_int_option(opts, "power_range", None),
             rel_tol=_real(opts.get("rel_tol", 1e-7), "rel_tol"),
-            sample_count=_int_option(opts, "sample_count", 100),
+            sample_count=_integer(opts.get("sample_count", 100), "sample_count"),
             seed=seed,
         )
         return AnalyzeOptions(
@@ -538,11 +530,17 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    # the rows are decided together against one base network
-    reports = analyze_rows(dyn, L, [Lvar for _, _, Lvar in entries], opts)
+    variations = []  # the labels only: each varied graph and Laplacian is dropped once read
+
+    def laplacians():
+        for var, _, Lvar in entries:
+            variations.append(var)
+            yield Lvar
+
+    # the rows are decided together against one base network, as they are read
     rows = []
-    for (var, _, _), report in zip(entries, reports):
-        summary = report.oracle_summary
+    for k, report in enumerate(analyze_rows(dyn, L, laplacians(), opts)):
+        var, summary = variations[k], report.oracle_summary
         rows.append({
             "variation": var.describe(),
             "kind": var.kind,

@@ -67,6 +67,7 @@ from .linalg import (
     Subspace,
     cluster_indices,
     distinct_values,
+    eig,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
     real_span,
     subspace_intersect,
@@ -265,7 +266,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     given.  A block whose eigenvalues are pairwise at least
     ``base.cluster_tol`` apart has n independent eigenvectors, so its
     common vectors contribute common (x) I_n; only a block with a repeated
-    eigenvalue reads its eigenvectors from ``base.block_spectrum``.
+    eigenvalue takes the eigenvectors of its clusters at the base's
+    ``cluster_tol`` from ``eig``.
     The basis is a real orthonormal basis of the span (``real_span``), not
     a canonical one.  ``base`` is the network of (dyn, L); the pair is
     checked by ``check_pair``."""
@@ -288,7 +290,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
         if C.size:
             i = int(group[0])
             eigvecs = np.eye(n) if simple[i] else np.hstack(
-                [p.vectors for p in base.block_spectrum(i).eigenpairs])
+                [p.vectors for p in eig(base.blocks[i], base.cluster_tol).eigenpairs])
             cols.append(np.kron(C, eigvecs))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
     return real_span(cols, rank_tol)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,11 +188,17 @@ def enumerate_single_link_variations(
     g: Graph,
     kinds: set[str] | tuple[str, ...] | list[str],
     reweight_to: float | None = None,
-) -> list[tuple[LinkVariation, Graph, np.ndarray]]:
+) -> Iterator[tuple[LinkVariation, Graph, np.ndarray]]:
     """All single-link variations of the requested kinds, in deterministic
     order (kind, then node indices).  Added links default to weight 1;
     reweighting needs an explicit ``reweight_to``.  Each entry carries the
-    varied graph and its Laplacian."""
+    varied graph and its Laplacian.
+
+    The kinds, ``reweight_to`` and the degrees of every reweighted graph
+    are checked here, at the call: reweighting is the one kind that can
+    raise a degree past float64 (an added link weighs 1).  The entries are
+    yielded one by one, each built when it is read, so a caller that keeps
+    only what it reports holds one varied graph at a time."""
     if not all(isinstance(kind, str) for kind in kinds):
         raise ValueError(f"variation kinds must be strings, got {list(kinds)!r}")
     kinds = set(kinds)
@@ -211,13 +218,15 @@ def enumerate_single_link_variations(
     if "reweight_edge" in kinds:
         for i, j, _ in g.edges:
             variations.append(LinkVariation("reweight_edge", (i, j), reweight_to))
+            laplacian(variations[-1].apply(g))  # raises now if its degrees overflow
     if "disconnect_node" in kinds:
         touched = sorted({v for i, j, _ in g.edges for v in (i, j)})
         for node in touched:
             variations.append(LinkVariation("disconnect_node", node))
 
-    out = []
-    for var in variations:
-        varied = var.apply(g)
-        out.append((var, varied, laplacian(varied)))
-    return out
+    def entries():
+        for var in variations:
+            varied = var.apply(g)
+            yield var, varied, laplacian(varied)
+
+    return entries()

@@ -1,13 +1,14 @@
 """Dense linear-algebra kernels: clustered spectra, null spaces, the
 intersection of two subspaces and the matrix exponential.
 
-The package runs all of it.  ``eig`` and ``clustered_spectrum`` cluster
-spectra at explicit tolerances; ``kernel``, ``subspace_intersect`` and
-``real_span`` are the subspace arithmetic the analysis needs; ``expm``
-serves the trajectory oracle and ``schur_basis`` the modal decomposition.
-Operands are small: the state dimension m = N*n is a few dozen, and the
-tall stacks ``kernel`` receives are per-eigenvalue-cluster power stacks
-and the m x min(dim U, dim V) principal-angle residual of
+The package runs all of it.  ``eig`` clusters a spectrum at an explicit
+tolerance and takes each cluster's eigenvectors as a ``kernel``;
+``kernel``, ``subspace_intersect`` and ``real_span`` are the subspace
+arithmetic the analysis needs; ``expm`` serves the trajectory oracle and
+``schur_basis`` the modal decomposition.  Operands are small: the state
+dimension m = N*n is a few dozen, and the tall stacks ``kernel`` receives
+are per-eigenvalue-cluster power stacks, the shifted matrices M - lambda*I
+of ``eig`` and the m x min(dim U, dim V) principal-angle residual of
 ``subspace_intersect``.  A ``Subspace`` is an orthonormal basis and its
 dimension; one from ``Subspace.spanned`` knows its dimension first and
 keeps the parts it spans, whose basis it forms on the first read, so a
@@ -129,49 +130,32 @@ def eig(M, cluster_tol: float | None = None) -> Spectrum:
     """Full spectrum of a square matrix with eigenvalues clustered into
     multiplicities.
 
-    Hermitian inputs go through the symmetric solver for exactness; every
-    other matrix is treated over the complex field (A - alpha*B can have
-    complex eigenvalues even for real inputs).  Defective clusters report
-    fewer independent vectors than their multiplicity instead of
+    The eigenvalues come from the symmetric solver for a Hermitian input
+    and from the general one otherwise (A - alpha*B can have complex
+    eigenvalues even for real inputs); they are clustered at
+    ``cluster_tol``, by default ``CLUSTER_TOL * max(1, ||M||_2)``.  Each
+    cluster's vectors are the kernel of M - lambda*I at its mean lambda,
+    every singular value up to the cluster width counted as null, each
+    vector rotated by ``canonical_sign``.  A defective cluster so reports
+    fewer independent vectors than its multiplicity instead of
     fabricating generalized eigenvectors.
     """
     M = _as_square(M)
     tol = (CLUSTER_TOL * max(1.0, float(np.linalg.norm(M, 2))) if cluster_tol is None
            else float(cluster_tol))
-    solver = np.linalg.eigh if np.array_equal(M, M.conj().T) else np.linalg.eig
-    return clustered_spectrum(M, *solver(M), tol)
-
-
-def clustered_spectrum(M: np.ndarray, w, V: np.ndarray, tol: float) -> Spectrum:
-    """The ``Spectrum`` of M from an eigen-decomposition already computed:
-    eigenvalues ``w`` with unit eigenvectors in the columns of ``V``,
-    clustered at absolute tolerance ``tol``."""
-    w = np.asarray(w).astype(complex)
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    hermitian = np.array_equal(M, M.conj().T)
+    w = (np.linalg.eigvalsh(M) if hermitian else np.linalg.eigvals(M)).astype(complex)
+    eye = np.eye(len(M))
     pairs = []
     for idx in cluster_indices(w, tol):
         rep = complex(np.mean(w[idx]))
         if abs(rep.imag) < tol:
             rep = complex(rep.real, 0.0)
-        cols = V[:, idx]
-        # Orthonormalize within the cluster; rank-truncation drops the
-        # near-duplicate directions a defective matrix produces.
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        keep = u[:, s > RANK_TOL * s[0]] if s.size and s[0] > 0 else u[:, :0]
-        good = []
-        for c in range(keep.shape[1]):
-            v = keep[:, c]
-            if np.linalg.norm(M @ v - rep * v) <= RESID_TOL * scale:
-                good.append(canonical_sign(v))
-        if not good:  # fall back to the best raw eigenvector of the cluster
-            raw = cols / np.linalg.norm(cols, axis=0)
-            best = np.argmin(np.linalg.norm(M @ raw - rep * raw, axis=0))
-            good.append(canonical_sign(raw[:, best]))
-        vecs = np.column_stack(good)
-        if np.iscomplexobj(vecs) and np.max(np.abs(vecs.imag)) < tol:
-            vecs = vecs.real.copy()
+        shift = rep.real if rep.imag == 0 else rep  # a real M keeps real vectors
+        vecs = kernel(M - shift * eye, 1.0, tol).basis
+        for c in range(vecs.shape[1]):
+            vecs[:, c] = canonical_sign(vecs[:, c])
         pairs.append(Eigenpair(rep, vecs, len(idx)))
-
     pairs.sort(key=lambda p: (p.value.real, p.value.imag))
     return Spectrum(tuple(pairs), tol)
 

@@ -45,11 +45,9 @@ from .linalg import (
     CLUSTER_TOL,
     RANK_TOL,
     RESID_TOL,
-    Spectrum,
     Subspace,
     canonical_sign,
     cluster_indices,
-    clustered_spectrum,
     eig,
     kernel,
     schur_basis,
@@ -122,9 +120,7 @@ class NetworkSystem:
     generalized eigenspace, columns v_i (x) z.  A network-invariant mode
     puts its eigenvalue in every block, so it is a collision when L has two
     or more distinct eigenvalues; with one, every cluster is kept as a
-    collision.  ``block_spectrum(i)`` clusters block i's spectrum; only a
-    block with a repeated eigenvalue needs it, since the shared modal span
-    takes all of C^n for any other block.
+    collision.
 
     What an indiscernible subspace counts is recorded with the parts, at
     the threshold that skips a conjugate cluster: a kept cluster whose
@@ -237,13 +233,6 @@ class NetworkSystem:
     def sync(self) -> Subspace:
         return sync_manifold(self.node_count, self.node_dim)
 
-    def block_spectrum(self, i: int) -> Spectrum:
-        """Spectrum of block i, clustered at ``cluster_tol`` so that a
-        defective eigenvalue stays one cluster; the shared modal span reads
-        it only for a block with a repeated eigenvalue."""
-        w, W = self.block_eig
-        return clustered_spectrum(self.blocks[i], w[i], W[i], self.cluster_tol)
-
 
 def assemble_transition(dyn: NodeDynamics, L, tol: float = RANK_TOL) -> NetworkSystem:
     """The network of ``dyn`` coupled through L, after ``validate_laplacian``
@@ -295,8 +284,10 @@ def network_invariant_modes(
 
     The restriction is taken on the largest A-invariant subspace contained
     in kernel(B) (``unobservable_subspace(B, A)``); eigenvectors of A
-    inside kernel(B) live exactly there.  Returns the empty list when
-    kernel(B) holds no eigenvector of A.
+    inside kernel(B) live exactly there.  With Q its orthonormal basis,
+    the modes are Q times the eigenvectors of Q^H A Q from ``eig``: unit
+    vectors, real for a real eigenvalue, in its sorted order.  Returns the
+    empty list when kernel(B) holds no eigenvector of A.
     """
     core = unobservable_subspace(dyn.B, dyn.A, tol)
     if core.dim == 0:
@@ -305,18 +296,14 @@ def network_invariant_modes(
     scale = max(1.0, float(np.linalg.norm(dyn.A, 2)))
     Q = core.basis
     restricted = Q.conj().T @ dyn.A @ Q
-    spec = eig(restricted)
     modes: list[NetworkInvariantMode] = []
-    for pair in spec.eigenpairs:
+    for pair in eig(restricted).eigenpairs:
         for v in (Q @ pair.vectors).T:
-            v = canonical_sign(v / np.linalg.norm(v))
-            if np.iscomplexobj(v) and np.max(np.abs(v.imag)) < spec.cluster_tol:
-                v = v.real / np.linalg.norm(v.real)
+            v = canonical_sign(v)
             resid_a = np.linalg.norm(dyn.A @ v - pair.value * v)
             resid_b = np.linalg.norm(dyn.B @ v)
             if resid_a <= RESID_TOL * scale and resid_b <= RESID_TOL * scale:
                 modes.append(NetworkInvariantMode(pair.value, v))
-    modes.sort(key=lambda mi: (mi.value.real, mi.value.imag))
     return modes
 
 

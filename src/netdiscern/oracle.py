@@ -36,10 +36,9 @@ from .network import NetworkSystem
 
 DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 51))
 
-# Every sample is a column and every power a product of each check, so a
-# plan far past these bounds would not finish in useful time.
+# Every sample is a column of each check, so a plan far past this bound
+# would not finish in useful time.
 MAX_SAMPLE_COUNT = 10_000
-MAX_POWER_RANGE = 100_000
 
 # Upper bound on the bytes of the largest stacked array one block of the
 # checks holds; the block length follows from it and the problem size.
@@ -50,13 +49,14 @@ _BLOCK_BYTES = 256 * 1024
 class OracleConfig:
     """Sampling plan for the trajectory oracle.
 
-    ``power_range`` defaults to twice the ambient dimension when left as
-    None.  The sampler is a seeded PCG64 generator, so a fixed seed
-    reproduces summaries bit-for-bit on one platform.
+    The power check always takes the powers up to twice the ambient
+    dimension m: by Cayley-Hamilton, Phi^k x = Phibar^k x for every k <= m
+    implies it for every k, so no longer range can see more.  The sampler
+    is a seeded PCG64 generator, so a fixed seed reproduces summaries
+    bit-for-bit on one platform.
     """
 
     time_grid: tuple[float, ...] = DEFAULT_TIME_GRID
-    power_range: int | None = None
     rel_tol: float = 1e-7
     sample_count: int = 100
     seed: int = 0
@@ -72,8 +72,6 @@ class OracleConfig:
             raise ValueError("rel_tol must be positive")
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ValueError(f"sample_count must be in [1, {MAX_SAMPLE_COUNT}]")
-        if self.power_range is not None and not 1 <= self.power_range <= MAX_POWER_RANGE:
-            raise ValueError(f"power_range must be in [1, {MAX_POWER_RANGE}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -178,9 +176,9 @@ def _continuous_gap_table(
 
 
 def _discrete_gaps(
-    sys: NetworkSystem, sysbar: NetworkSystem, X: np.ndarray, power_range: int
+    sys: NetworkSystem, sysbar: NetworkSystem, X: np.ndarray, powers: int
 ) -> np.ndarray:
-    """Per-sample max over k <= power_range of ||(Phi^k - Phibar^k) x||
+    """Per-sample max over k <= powers of ||(Phi^k - Phibar^k) x||
     / nu^k with nu = max(1, ||Phi||_2, ||Phibar||_2), the 2-norms kept on
     the systems.  The powers of F = Phi / nu have 2-norm at most 1, so
     they cannot overflow.
@@ -190,7 +188,7 @@ def _discrete_gaps(
     phi, phibar = sys.phi, sysbar.phi
     nu = max(1.0, sys.norm2, sysbar.norm2)
     m = phi.shape[0]
-    block = min(power_range, _block_len(m, X.shape[1]))
+    block = min(powers, _block_len(m, X.shape[1]))
     P = np.empty((block, m, m))
     Pb = np.empty((block, m, m))
     P[0], Pb[0] = phi / nu, phibar / nu
@@ -202,8 +200,8 @@ def _discrete_gaps(
         n += h
     step, step_b = P[-1], Pb[-1]
     gaps = _column_norms(P - Pb, X).max(axis=0)
-    for done in range(block, power_range, block):
-        h = min(block, power_range - done)
+    for done in range(block, powers, block):
+        h = min(block, powers - done)
         P, Pb = step @ P[:h], step_b @ Pb[:h]
         gaps = np.maximum(gaps, _column_norms(P - Pb, X).max(axis=0))
     return gaps
@@ -216,11 +214,9 @@ def _gap_columns(
     cfg: OracleConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(per-sample gap, per-t continuous max over samples) for unit columns."""
-    m = phi.phi.shape[0]
-    K = cfg.power_range if cfg.power_range is not None else 2 * m
     table = _continuous_gap_table(phi.phi, phibar.phi, X, cfg.time_grid)
     gaps = np.maximum(
-        table.max(axis=0), _discrete_gaps(phi, phibar, X, K)
+        table.max(axis=0), _discrete_gaps(phi, phibar, X, 2 * phi.phi.shape[0])
     )
     return gaps, table.max(axis=1)
 

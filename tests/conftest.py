@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from netdiscern import (NodeDynamics, OracleConfig, Spectrum, Subspace, assemble_transition,
-                        laplacian)
+from netdiscern import (Eigenpair, NodeDynamics, OracleConfig, Spectrum, Subspace,
+                        assemble_transition, laplacian)
 from netdiscern.example import (
     example_dynamics,
     example_graph,
     example_modified_graph,
 )
 from netdiscern.graphs import Graph
+from netdiscern.linalg import RANK_TOL, RESID_TOL, canonical_sign, cluster_indices
 from netdiscern.oracle import _gap_columns
 
 DYADIC_WEIGHTS = np.arange(8, 33) / 16.0  # 0.5 .. 2.0, exactly representable
@@ -54,6 +55,39 @@ def demo() -> DemoCase:
         phi=assemble_transition(dyn, L),
         phibar=assemble_transition(dyn, Lbar),
     )
+
+
+def reference_spectrum(M: np.ndarray, w, V: np.ndarray, tol: float) -> Spectrum:
+    """The clustered ``Spectrum`` of M from a computed eigen-decomposition
+    (eigenvalues ``w``, unit eigenvectors in the columns of ``V``, as from
+    np.linalg.eig), clustered at absolute ``tol``: per cluster, the
+    eigenvectors' left singular vectors above RANK_TOL relative, those
+    whose residual is within RESID_TOL * max(1, ||M||_2), else the best
+    raw eigenvector; real when every imaginary part is below ``tol``.
+    This is how ``eig`` formed its vectors before it took each cluster's
+    as a kernel, kept as a reference independent of that path."""
+    w = np.asarray(w).astype(complex)
+    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    pairs = []
+    for idx in cluster_indices(w, tol):
+        rep = complex(np.mean(w[idx]))
+        if abs(rep.imag) < tol:
+            rep = complex(rep.real, 0.0)
+        cols = V[:, idx]
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        keep = u[:, s > RANK_TOL * s[0]] if s.size and s[0] > 0 else u[:, :0]
+        good = [canonical_sign(v) for v in keep.T
+                if np.linalg.norm(M @ v - rep * v) <= RESID_TOL * scale]
+        if not good:
+            raw = cols / np.linalg.norm(cols, axis=0)
+            best = np.argmin(np.linalg.norm(M @ raw - rep * raw, axis=0))
+            good.append(canonical_sign(raw[:, best]))
+        vecs = np.column_stack(good)
+        if np.iscomplexobj(vecs) and np.max(np.abs(vecs.imag)) < tol:
+            vecs = vecs.real.copy()
+        pairs.append(Eigenpair(rep, vecs, len(idx)))
+    pairs.sort(key=lambda p: (p.value.real, p.value.imag))
+    return Spectrum(tuple(pairs), tol)
 
 
 def spectrum_values(spec: Spectrum) -> np.ndarray:

@@ -37,8 +37,8 @@ from netdiscern.example import example_dynamics
 from netdiscern.linalg import (
     RANK_TOL,
     cluster_indices,
-    clustered_spectrum,
     distinct_values,
+    eig,
 )
 from netdiscern.network import unobservable_subspace
 
@@ -48,6 +48,7 @@ from conftest import (
     max_sine,
     random_graph,
     random_instance,
+    reference_spectrum,
     ring_with_chords,
     state_gap,
     without_first_edge,
@@ -281,7 +282,7 @@ def test_defective_block():
     dec = assemble_transition(dyn, laplacian(TRIANGLE))
     assert any(p.vectors.shape[1] < p.algebraic_multiplicity
                for g in dec.alpha_groups
-               for p in dec.block_spectrum(int(g[0])).eigenpairs)
+               for p in eig(dec.blocks[int(g[0])], dec.cluster_tol).eigenpairs)
     got, invariance, containment = certified(dyn, TRIANGLE, gbar)
     assert got == 5
     assert invariance <= 1e-12 and containment <= 1e-12
@@ -335,8 +336,8 @@ def test_shared_base_changes_no_report_byte(demo):
         g = ring_with_chords(N)
         L = laplacian(g)
         base = assemble_transition(dyn, L)
-        entries = enumerate_single_link_variations(
-            g, ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5)
+        entries = list(enumerate_single_link_variations(
+            g, ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5))
         assert len(entries) == rows
         for _, _, Lbar in entries:
             alone = canonical_json(report_to_dict(analyze(dyn, L, Lbar)))
@@ -463,8 +464,8 @@ def two_svd_basis(cols, rank_tol) -> Subspace:
 def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
     """The general construction for every alpha group and block: one SVD
     per group, then every eigenvector of the block's clustered spectrum,
-    clustered here without the decomposition's kept spectra; the basis by
-    two SVDs."""
+    from ``reference_spectrum`` on the block's np.linalg.eig and not from
+    ``eig``; the basis by two SVDs."""
     N = L.shape[0]
     diff = L - Lbar
     cutoff = rank_tol * np.linalg.norm(diff, 2)
@@ -476,7 +477,7 @@ def reference_shared_modal(dyn, L, Lbar, rank_tol, base) -> Subspace:
         common = Va @ vh[int(np.sum(s > cutoff)):].T
         if common.shape[1]:
             i = int(group[0])
-            spectrum = clustered_spectrum(base.blocks[i], w[i], W[i], base.cluster_tol)
+            spectrum = reference_spectrum(base.blocks[i], w[i], W[i], base.cluster_tol)
             cols.append(np.kron(common, np.hstack([p.vectors for p in spectrum.eigenpairs])))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
     return two_svd_basis(np.hstack(cols), rank_tol)
@@ -561,8 +562,8 @@ def test_graph_side_decision_matches_the_references(demo, monkeypatch):
     # and both bases real float64; the common vectors, one batched SVD per
     # group size, have the bits of one SVD per group
     clustered = []
-    original = network.clustered_spectrum
-    monkeypatch.setattr(network, "clustered_spectrum",
+    original = discernibility.eig
+    monkeypatch.setattr(discernibility, "eig",
                         lambda *args: clustered.append(args) or original(*args))
     ring_calls = 0
     cases = list(reference_cases(demo))
@@ -837,8 +838,8 @@ def test_shared_modal_keeps_a_jordan_block_at_its_one_eigenvector():
     L, Lbar = laplacian(C4), laplacian(C4.with_edge_removed(1, 4))
     dec = assemble_transition(JORDAN_DYN, L)
     assert dec.alpha_groups[0].tolist() == [0]
-    assert len(dec.block_spectrum(0).eigenpairs) == 1
-    assert dec.block_spectrum(0).eigenpairs[0].vectors.shape[1] == 1
+    [pair] = eig(dec.blocks[0], dec.cluster_tol).eigenpairs
+    assert pair.vectors.shape[1] == 1
     shared = shared_modal_subspace(JORDAN_DYN, L, Lbar)
     assert shared.dim == 3
     V = indiscernible_subspace(JORDAN_DYN, L, Lbar)
@@ -924,7 +925,7 @@ def test_corrected_condition_shortcut_changes_no_result():
     verdicts = Counter()
     for N in (5, 6, 8, 12):
         g = ring_with_chords(N)
-        variations = enumerate_single_link_variations(g, ["remove_edge", "add_edge"])
+        variations = list(enumerate_single_link_variations(g, ["remove_edge", "add_edge"]))
         for dyn in (uniform_dynamics(rng), example_dynamics()):
             for _, _, Lbar in variations[::3]:
                 L = laplacian(g)
@@ -1047,9 +1048,9 @@ def test_counted_dimension_and_overlap_match_the_formed_basis(N):
     g = ring_with_chords(N)
     L = laplacian(g)
     kinds = ["remove_edge", "disconnect_node"]
-    added = enumerate_single_link_variations(g, ["add_edge"])
-    Lbars = [Lbar for _, _, Lbar in enumerate_single_link_variations(g, kinds)
-             + added[::10 if N == 40 else 1]]  # 73 of the 726 added links at N = 40
+    added = list(enumerate_single_link_variations(g, ["add_edge"]))
+    Lbars = [Lbar for _, _, Lbar in [*enumerate_single_link_variations(g, kinds),
+                                     *added[::10 if N == 40 else 1]]]  # 73 of 726 at N = 40
     for dyn in (example_dynamics(), random_dynamics()):
         for report in analyze_rows(dyn, L, Lbars):
             ind = report.indiscernible
@@ -1077,17 +1078,22 @@ def test_sync_overlap_factors_an_m_by_min_dim_residual(demo, monkeypatch):
     # the overlap is measured on the span of the parts of Q that the
     # alpha = 0 blocks own, which holds all of Q's sync states, and the
     # intersection hands kernel its m x min(dim, n) principal-angle
-    # residual, not a 2m x m projector stack
+    # residual, not a 2m x m projector stack; each base's invariant modes,
+    # whose eig takes kernels too, are found before kernel is watched
+    g = ring_with_chords(12)
+    cases = [(demo.dyn, demo.L, demo.Lbar),
+             (demo.dyn, laplacian(g), laplacian(without_first_edge(g))),
+             (random_dynamics(), laplacian(g), laplacian(without_first_edge(g)))]
+    bases = [assemble_transition(dyn, L) for dyn, L, _ in cases]
+    for base in bases:
+        base.modes
     shapes = []
     original = linalg.kernel
     monkeypatch.setattr(linalg, "kernel",
                         lambda M, *args: shapes.append(M.shape) or original(M, *args))
-    g = ring_with_chords(12)
-    for dyn, L, Lbar in ((demo.dyn, demo.L, demo.Lbar),
-                         (demo.dyn, laplacian(g), laplacian(without_first_edge(g))),
-                         (random_dynamics(), laplacian(g), laplacian(without_first_edge(g)))):
+    for (dyn, L, Lbar), base in zip(cases, bases):
         shapes.clear()
-        report = analyze(dyn, L, Lbar)
+        report = analyze(dyn, L, Lbar, base=base)
         assert shapes == [(report.ambient_dim, min(report.indiscernible.dim, dyn.n))]
 
 
@@ -1117,14 +1123,15 @@ def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):
 
 
 def test_block_spectra_pickle_with_the_decomposition(demo):
-    # a pickled decomposition clusters the same block spectra and keeps
-    # its system's 2-norm
+    # a pickled decomposition keeps its blocks and their cluster width, so
+    # it clusters the same block spectra, and its system's 2-norm
     dec = assemble_transition(demo.dyn, laplacian(ring_with_chords(12)))
     copy = pickle.loads(pickle.dumps(dec))
+    assert copy.cluster_tol == dec.cluster_tol
     for group in dec.alpha_groups[:3]:
         i = int(group[0])
-        for p1, p2 in zip(copy.block_spectrum(i).eigenpairs, dec.block_spectrum(i).eigenpairs,
-                          strict=True):
+        for p1, p2 in zip(eig(copy.blocks[i], copy.cluster_tol).eigenpairs,
+                          eig(dec.blocks[i], dec.cluster_tol).eigenpairs, strict=True):
             assert p1.value == p2.value
             assert np.array_equal(p1.vectors, p2.vectors)
     assert copy.norm2 == dec.norm2

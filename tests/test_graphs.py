@@ -185,7 +185,7 @@ def test_connected_graph_has_uniform_null_vector(demo):
 
 
 def test_enumerate_remove_only(demo):
-    out = enumerate_single_link_variations(demo.graph, {"remove_edge"})
+    out = list(enumerate_single_link_variations(demo.graph, {"remove_edge"}))
     assert len(out) == 4
     removed = [g for _, g, _ in out]
     assert demo.graph_bar in removed  # the (1,3) removal reproduces the path
@@ -193,20 +193,20 @@ def test_enumerate_remove_only(demo):
 
 def test_enumerate_add_on_complete_graph():
     k3 = Graph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
-    assert enumerate_single_link_variations(k3, {"add_edge"}) == []
+    assert list(enumerate_single_link_variations(k3, {"add_edge"})) == []
 
 
 def test_enumerate_remove_and_add_counts(demo):
     # C(4,2) = 6 pairs: 4 present, 2 absent
-    out = enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"})
+    out = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
     assert len(out) == 6
     kinds = [v.kind for v, _, _ in out]
     assert kinds == ["remove_edge"] * 4 + ["add_edge"] * 2
 
 
 def test_enumerate_is_deterministic(demo):
-    first = enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"})
-    second = enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"})
+    first = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
+    second = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
     assert [v.describe() for v, _, _ in first] == [v.describe() for v, _, _ in second]
     for (_, g1, l1), (_, g2, l2) in zip(first, second):
         assert g1 == g2
@@ -231,9 +231,9 @@ def test_enumerate_disconnect_node(demo):
 def test_enumerate_reweight_requires_weight(demo):
     with pytest.raises(ValueError):
         enumerate_single_link_variations(demo.graph, {"reweight_edge"})
-    out = enumerate_single_link_variations(
+    out = list(enumerate_single_link_variations(
         demo.graph, {"reweight_edge"}, reweight_to=0.5
-    )
+    ))
     assert len(out) == 4
     assert all(v.new_weight == 0.5 for v, _, _ in out)
 

@@ -17,8 +17,8 @@ from netdiscern import assemble_transition, laplacian, linalg
 from netdiscern.example import EXAMPLE_B, example_dynamics
 from netdiscern.linalg import cluster_indices, distinct_values
 
-from conftest import (contains, max_angle, ring_with_chords, spectrum_dimension,
-                      spectrum_values, without_first_edge)
+from conftest import (contains, max_angle, max_sine, reference_spectrum, ring_with_chords,
+                      spectrum_dimension, spectrum_values, without_first_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,45 @@ def test_eig_clusters_nearby_values():
     assert mults == [1, 2]
     for pair in spec.eigenpairs:
         assert abs(pair.value.imag) == 0.0
+
+
+def reference_cases(rng):
+    """60 matrices of each family, orders 2 to 7: general; defective
+    (upper triangular with repeated integer diagonals); semisimple with
+    repeated eigenvalues (S diag(d) S^-1); and symmetric with repeated
+    eigenvalues (Q diag(d) Q^T, symmetrized exactly)."""
+    for _ in range(60):
+        m = int(rng.integers(2, 8))
+        yield "general", rng.standard_normal((m, m))
+        m = int(rng.integers(2, 8))
+        yield "defective", (np.triu(rng.standard_normal((m, m)), 1)
+                            + np.diag(rng.integers(-2, 3, m).astype(float)))
+        m = int(rng.integers(2, 8))
+        d = rng.integers(-2, 3, m).astype(float)
+        S = rng.standard_normal((m, m)) + 2 * np.eye(m)
+        yield "semisimple", S @ np.diag(d) @ np.linalg.inv(S)
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        M = Q @ np.diag(d) @ Q.T
+        yield "symmetric", (M + M.T) / 2
+
+
+def test_eig_matches_the_reference_spectrum():
+    # each cluster's kernel spans what the clustered eigenvectors of
+    # np.linalg.eig span: the same clusters and multiplicities, as many
+    # vectors, and spans within a sine of 1e-8
+    cases = list(reference_cases(np.random.default_rng(27)))
+    assert len(cases) == 240
+    for k, (family, M) in enumerate(cases):
+        got = eig(M)
+        want = reference_spectrum(M, *np.linalg.eig(M), got.cluster_tol)
+        assert len(got.eigenpairs) == len(want.eigenpairs), (k, family)
+        for p, q in zip(got.eigenpairs, want.eigenpairs):
+            assert abs(p.value - q.value) <= got.cluster_tol, (k, family)
+            assert p.algebraic_multiplicity == q.algebraic_multiplicity, (k, family)
+            assert p.vectors.shape == q.vectors.shape, (k, family)
+            assert max_sine(Subspace(p.vectors), Subspace(q.vectors)) <= 1e-8, (k, family)
+        if family == "symmetric":
+            assert all(not np.iscomplexobj(p.vectors) for p in got.eigenpairs), k
 
 
 def test_eig_rejects_bad_input():

@@ -198,7 +198,7 @@ def block_spectra(dyn, L):
     """The clustered spectrum of A - alpha*B per distinct alpha of L, as
     (alpha, spectrum) pairs in ascending alpha."""
     dec = assemble_transition(dyn, L)
-    return [(float(np.mean(dec.alphas[g])), dec.block_spectrum(int(g[0])))
+    return [(float(np.mean(dec.alphas[g])), eig(dec.blocks[int(g[0])], dec.cluster_tol))
             for g in dec.alpha_groups]
 
 

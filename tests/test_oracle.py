@@ -46,16 +46,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(sample_count=0)
     with pytest.raises(ValueError):
-        OracleConfig(power_range=0)
-    with pytest.raises(ValueError):
         OracleConfig(seed=-1)
     # a plan past its bound is refused when it is made, before any sample
-    # or power is taken; at the bound it is accepted (and not run here)
-    OracleConfig(sample_count=oracle.MAX_SAMPLE_COUNT, power_range=oracle.MAX_POWER_RANGE)
+    # is taken; at the bound it is accepted (and not run here)
+    OracleConfig(sample_count=oracle.MAX_SAMPLE_COUNT)
     with pytest.raises(ValueError, match="sample_count must be in"):
         OracleConfig(sample_count=oracle.MAX_SAMPLE_COUNT + 1)
-    with pytest.raises(ValueError, match="power_range must be in"):
-        OracleConfig(power_range=oracle.MAX_POWER_RANGE + 1)
     for t in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             OracleConfig(time_grid=(0.0, t))
