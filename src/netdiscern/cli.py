@@ -45,7 +45,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import NetworkInvariantMode, NodeDynamics
+from .network import NetworkInvariantMode, NodeDynamics, check_coupling
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -426,9 +426,12 @@ def _gaps_csv(summary: ValidationSummary) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _laplacian(g: Graph, context: str) -> np.ndarray:
+def _checked(context: str, check, *args):
+    """check(*args), whose ValueError is an input error naming ``context``.
+    ``assemble_transition`` and ``check_pair`` repeat ``check_coupling``,
+    without the context."""
     try:
-        return laplacian(g)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {context}: {exc}") from exc
 
@@ -472,8 +475,9 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     validating).  Returns the process exit code."""
     dyn, base, varied = _resolve_pair(config)
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
-    report = analyze(dyn, _laplacian(base, "base_graph"), _laplacian(varied, "varied graph"),
-                     opts)
+    L, Lbar = (_checked(context, check_coupling, dyn, _checked(context, laplacian, g))
+               for context, g in (("base_graph", base), ("varied graph", varied)))
+    report = analyze(dyn, L, Lbar, opts)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(
@@ -521,7 +525,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         raise ConfigError("invalid config: enumerate kinds must be a nonempty list")
     reweight_to = spec.get("reweight_to")
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
-    L = _laplacian(base, "base_graph")
+    L = _checked("base_graph", laplacian, base)
 
     try:
         if reweight_to is not None:
@@ -529,13 +533,14 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         entries = enumerate_single_link_variations(base, kinds, reweight_to)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    _checked("base_graph", check_coupling, dyn, L)  # after the enumeration's degree checks
 
     variations = []  # the labels only: each varied graph and Laplacian is dropped once read
 
     def laplacians():
         for var, _, Lvar in entries:
             variations.append(var)
-            yield Lvar
+            yield _checked(var.describe(), check_coupling, dyn, Lvar)
 
     # the rows are decided together against one base network, as they are read
     rows = []

@@ -24,31 +24,29 @@ shared eigenvectors that the paper's corrected condition is about.  That
 stack over the whole network computes the same subspace without the
 modal split, but loses rank as N grows; it is the tests' desk-scale
 reference.  The subspace is kept as these parts, its dimension their
-count (``linalg.Subspace.spanned``), and its basis, one SVD of the parts,
-is formed on the first read: an ``enumerate`` row, which reports only the
-dimension, never forms it.  The shared modal span reads the same
-graph-side decision, which the report keeps; a report computes the span
-on its first read, so an ``enumerate`` row, which does not report it,
-never does.  The
-corrected condition reports each cross-block collision once, as one
-cluster of the block spectra from ``linalg.cluster_indices``, formed on
-the first read of its ``collisions``: a row reports only the verdict.
+count (``linalg.Subspace.spanned``), the row's one rank decision, and
+its basis, as many leading singular vectors of the parts as counted, is
+formed on the first read: an ``enumerate`` row never forms it.  L 1 =
+Lbar 1 = 0, so the synchronous manifold 1 (x) C^n is indiscernible by
+theorem, and the states beyond it number dim - n.  The shared modal span
+reads the same graph-side decision, which the report keeps; a report
+computes the span on its first read, so an ``enumerate`` row, which does
+not report it, never does.  The corrected condition reports each
+cross-block collision once, as one cluster of the block spectra from
+``linalg.cluster_indices``, formed on the first read of its
+``collisions``: a row reports only the verdict.
 
 An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
 image decides it: only groups of two or more take an SVD, one batched SVD
 per group size.  Everything that depends on the base network alone, its
-Laplacian spectrum, ||B||_2 and the synchronous manifold, is kept on the
-base ``network.NetworkSystem`` that the rows of ``enumerate`` share.
-Those rows are decided together by ``analyze_rows``, of which ``analyze``
-is the batch of one: each stage whose inputs have one shape in every row,
-the graph-side decision, the SVD of Delta X_g of each collision cluster
-(``collision_svds``) and the corrected condition
-(``corrected_conditions``), is one stacked call over the rows' L - Lbar,
-in chunks under a fixed byte budget.  A row then computes on its own only
-its indiscernible parts and their count, its overlap with the synchronous
-manifold, the oracle and its report.  The overlap is measured on the
-span of the parts that the blocks of alpha = 0 own, where the
-synchronous manifold lies, not on the whole subspace.
+Laplacian spectrum and ||B||_2, is kept on the base ``network.NetworkSystem``
+that the rows of ``enumerate`` share.  Those rows are decided together by
+``analyze_rows``, of which ``analyze`` is the batch of one: each stage
+whose inputs have one shape in every row, the graph-side decision, the
+SVD of Delta X_g of each collision cluster (``collision_svds``) and the
+corrected condition (``corrected_conditions``), is one stacked call over
+the rows' L - Lbar, in chunks under a fixed byte budget.  A row then computes on its own only
+its indiscernible parts and their count, the oracle and its report.
 """
 
 from __future__ import annotations
@@ -63,20 +61,21 @@ import numpy as np
 
 from .graphs import validate_laplacian
 from .linalg import (
+    MIN_RANK_TOL,
     RANK_TOL,
     Subspace,
     cluster_indices,
     distinct_values,
     eig,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
-    real_span,
-    subspace_intersect,
+    real_columns,
 )
 from .network import (
     NetworkInvariantMode,
     NetworkSystem,
     NodeDynamics,
     assemble_transition,
+    check_coupling,
     unobservable_subspace,
 )
 from .oracle import OracleConfig, ValidationSummary, validate_subspace
@@ -91,6 +90,7 @@ def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
     base is a validated network, which ``analyze_rows`` passes on with
     each Lbar it has validated: (dyn, L) must be its own (identity first:
     a row passes the base's arrays), and Lbar finite and of L's shape.
+    Either way, Lbar must pass ``check_coupling``, as the base's L has.
     Returns the base and Lbar as floats."""
     if base is None:
         base = assemble_transition(dyn, L, tol)
@@ -104,7 +104,7 @@ def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
             raise ValueError("Laplacian entries must be finite")
     if Lbar.shape != base.laplacian.shape:
         raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
-    return base, Lbar
+    return base, check_coupling(dyn, Lbar)
 
 
 def laplacian_difference(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
@@ -221,8 +221,8 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     full rank), and its dimension counted from them, rank(C_G) times the
     dimension of Z (``base.group_dims``) and each cluster's columns, twice
     for a non-real cluster, which stands for its conjugate
-    (``base.cluster_copies``).  ``real_span`` turns the parts into a real
-    basis with one SVD on the first read of ``basis``, Kronecker products
+    (``base.cluster_copies``).  The first read of ``basis`` turns the parts
+    into a real basis of that dimension with one SVD, Kronecker products
     included.  Phibar is not formed, and Phi only as ``base`` reads it.
     """
     base, Lbar = check_pair(dyn, L, Lbar, base, tol)
@@ -248,7 +248,7 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
         else:
             parts.append(X[:, :0])
         dim += count * parts[-1].shape[1]
-    return Subspace.spanned(m, parts, dim, tol)
+    return Subspace.spanned(m, parts, dim)
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
@@ -267,10 +267,10 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     ``base.cluster_tol`` apart has n independent eigenvectors, so its
     common vectors contribute common (x) I_n; only a block with a repeated
     eigenvalue takes the eigenvectors of its clusters at the base's
-    ``cluster_tol`` from ``eig``.
-    The basis is a real orthonormal basis of the span (``real_span``), not
-    a canonical one.  ``base`` is the network of (dyn, L); the pair is
-    checked by ``check_pair``."""
+    ``cluster_tol`` from ``eig``.  The basis, one SVD of the
+    ``real_columns`` cut at ``rank_tol`` * sigma_max, is a real orthonormal
+    basis of the span, not a canonical one.  ``base`` is the network of
+    (dyn, L); the pair is checked by ``check_pair``."""
     base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
     N, n = Lbar.shape[0], dyn.n
     if common is None:
@@ -293,7 +293,7 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
                 [p.vectors for p in eig(base.blocks[i], base.cluster_tol).eigenpairs])
             cols.append(np.kron(C, eigvecs))
     cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
-    return real_span(cols, rank_tol)
+    return Subspace.from_spanning(real_columns(cols), rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,11 +406,6 @@ def corrected_conditions(base: NetworkSystem, Lbars: np.ndarray,
     return results
 
 
-# The smallest rank_tol accepted: a cutoff near roundoff (about 1e-16
-# relative) reads the roundoff of a rank-deficient product as rank.
-MIN_RANK_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class AnalyzeOptions:
     rank_tol: float = RANK_TOL
@@ -436,13 +431,13 @@ class DiscernibilityReport:
     ``shared_modal`` is computed on first read and kept, from ``base``,
     ``varied_laplacian``, ``rank_tol`` and ``common``, the graph-side
     decision (``common_laplacian_vectors``) the indiscernible subspace was
-    decided from; ``enumerate`` rows never read it."""
+    decided from; ``enumerate`` rows never read it.  The synchronous
+    manifold lies in every indiscernible subspace, so it is the overlap,
+    of dimension ``node_dim``, and ``extra_dim`` counts the rest."""
 
     node_count: int
     node_dim: int
     indiscernible: Subspace
-    sync_overlap_dim: int
-    extra_dim: int
     invariant_modes: tuple[NetworkInvariantMode, ...]
     corrected: CorrectedConditionResult
     verdict: str
@@ -455,6 +450,14 @@ class DiscernibilityReport:
     @property
     def ambient_dim(self) -> int:
         return self.node_count * self.node_dim
+
+    @property
+    def sync_overlap_dim(self) -> int:
+        return self.node_dim
+
+    @property
+    def extra_dim(self) -> int:
+        return self.indiscernible.dim - self.node_dim
 
     @cached_property
     def shared_modal(self) -> Subspace:
@@ -484,8 +487,8 @@ def analyze(
     """Full discernibility analysis of a topology variation: the one row
     of ``analyze_rows``.
 
-    Computes the indiscernible subspace (modal method), its overlap with the
-    synchronous manifold, the network-invariant modes, and the
+    Computes the indiscernible subspace (modal method), its dimension
+    beyond the synchronous manifold, the network-invariant modes, and the
     spectral-disjointness verdict; the shared modal span waits for the
     first read of ``report.shared_modal``, and the collision list for the
     first read of ``report.corrected.collisions``.  When ``opts.validate``
@@ -514,11 +517,10 @@ def analyze_rows(
     here when not given, so each Laplacian is validated once: L by its
     base, and each Lbar here before ``check_pair`` checks the pair.  The
     oracle builds Phibar's network from that Lbar without validating it
-    again.  Every row reads the constants the base keeps: spec(L),
-    ||B||_2 and the synchronous manifold.  A variation enters only as
-    L - Lbar, formed once per chunk by ``laplacian_difference``, which the
-    "no variation" verdict reads too, and Phibar is formed only by the
-    oracle.
+    again.  Every row reads the constants the base keeps: spec(L) and
+    ||B||_2.  A variation enters only as L - Lbar, formed once per chunk by
+    ``laplacian_difference``, which the "no variation" verdict reads too,
+    and Phibar is formed only by the oracle.
 
     The stages whose inputs have one shape in every row are decided for
     the rows together, one stacked call each over L - Lbar: the graph-side
@@ -526,19 +528,11 @@ def analyze_rows(
     collision cluster (``collision_svds``) and the corrected condition
     (``corrected_conditions``).  The rest of a row is its own: its
     indiscernible parts and their count, whose shapes depend on its
-    decision, the overlap with the synchronous manifold, the oracle and
-    the report.  A row forms its indiscernible basis only when the oracle
-    or a report reads it.  The overlap is sync ∩ span(P0), P0 the parts
-    of the clusters that own an eigenvalue of a block of alpha = 0
-    (``base.zero_parts``), which equals sync ∩ Q: Q is Phi-invariant, so it
-    is the sum of its parts in Phi's generalized eigenspaces, and the sync
-    manifold 1 (x) C^n lies in V_0 (x) C^n, the sum of the parts of those
-    eigenspaces the alpha = 0 blocks own.  Its SVD is m x (n + collision
-    columns) where the whole basis would be m x dim Q.  The
-    rows are read in chunks, each as many rows as keep the largest stacked
-    array within _CHUNK_BYTES, and a chunk is validated, decided and
-    yielded before the next is read, so memory stays flat however many
-    rows there are.
+    decision, the oracle and the report.  A row forms its indiscernible
+    basis only when the oracle or a report reads it.  The rows are read in
+    chunks, each as many rows as keep the largest stacked array within
+    _CHUNK_BYTES, and a chunk is validated, decided and yielded before the
+    next is read, so memory stays flat however many rows there are.
     """
     opts = opts or AnalyzeOptions()
     tol = opts.rank_tol
@@ -558,15 +552,9 @@ def analyze_rows(
                       corrected_conditions(base, stack, opts.eig_tol))
         for Lbar, diff, common, svds, corrected in decided:
             ind = indiscernible_subspace(dyn, L, Lbar, tol, base, common, svds)
-            varied = diff.any() and dyn.B.any()
-            # ind meets the sync manifold only in P0, the parts alpha = 0 owns
-            near = real_span([part for part, zero in zip(ind.parts, base.zero_parts) if zero],
-                             tol) if varied else ind
-            overlap = subspace_intersect(near, base.sync, tol)
-            extra = ind.dim - overlap.dim
-            if not varied:
+            if not (diff.any() and dyn.B.any()):
                 verdict = VERDICT_NO_VARIATION
-            elif extra == 0:
+            elif ind.dim == base.node_dim:
                 verdict = VERDICT_DETECTABLE
             else:
                 verdict = VERDICT_EXTRA_STATES
@@ -577,8 +565,6 @@ def analyze_rows(
                 node_count=base.node_count,
                 node_dim=base.node_dim,
                 indiscernible=ind,
-                sync_overlap_dim=overlap.dim,
-                extra_dim=extra,
                 invariant_modes=base.modes,
                 corrected=corrected,
                 verdict=verdict,

@@ -1,20 +1,21 @@
 """Dense linear-algebra kernels: clustered spectra, null spaces, the
 intersection of two subspaces and the matrix exponential.
 
-The package runs all of it.  ``eig`` clusters a spectrum at an explicit
-tolerance and takes each cluster's eigenvectors as a ``kernel``;
-``kernel``, ``subspace_intersect`` and ``real_span`` are the subspace
-arithmetic the analysis needs; ``expm`` serves the trajectory oracle and
-``schur_basis`` the modal decomposition.  Operands are small: the state
-dimension m = N*n is a few dozen, and the tall stacks ``kernel`` receives
-are per-eigenvalue-cluster power stacks, the shifted matrices M - lambda*I
-of ``eig`` and the m x min(dim U, dim V) principal-angle residual of
-``subspace_intersect``.  A ``Subspace`` is an orthonormal basis and its
-dimension; one from ``Subspace.spanned`` knows its dimension first and
-keeps the parts it spans, whose basis it forms on the first read, so a
-caller that needs only the dimension forms no basis.  Every rank decision
-goes through one singular-value threshold that the caller passes,
-relative to sigma_max unless the caller names the reference magnitude.
+The package runs all of it but ``subspace_intersect``, a reference for
+the tests.  ``eig`` clusters a spectrum at an explicit tolerance and
+takes each cluster's eigenvectors as a ``kernel``; ``kernel`` and
+``real_columns`` are the subspace arithmetic the analysis needs; ``expm``
+serves the trajectory oracle and ``schur_basis`` the modal decomposition.
+Operands are small: the state dimension m = N*n is a few dozen, and the
+tall stacks ``kernel`` receives are per-eigenvalue-cluster power stacks,
+the shifted matrices M - lambda*I of ``eig`` and the m x min(dim U, dim V)
+principal-angle residual of ``subspace_intersect``.  A ``Subspace`` is an
+orthonormal basis and its dimension; one from ``Subspace.spanned`` knows
+its dimension first and keeps the parts it spans, whose basis it forms on
+the first read, so a caller that needs only the dimension forms no basis.
+Every other rank decision goes through one singular-value threshold that
+the caller passes, relative to sigma_max unless the caller names the
+reference magnitude.
 
 NumPy does all of it, ``expm`` and ``schur_basis`` included: a SciPy call
 would wake the separate OpenBLAS thread pool that SciPy ships, whose worker
@@ -35,6 +36,9 @@ import numpy as np
 RANK_TOL = 1e-10    # relative singular-value cutoff for rank decisions
 RESID_TOL = 1e-8    # eigenpair residual, relative to ||M||_2
 CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to max(1, ||M||_2)
+# The smallest relative rank cutoff: one near roundoff (about 1e-16
+# relative) reads the roundoff of a rank-deficient product as rank.
+MIN_RANK_TOL = 1e-12
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -181,15 +185,13 @@ def schur_basis(M: np.ndarray, values) -> np.ndarray:
 
 class Subspace:
     """A linear subspace, held as an orthonormal column basis.  The
-    functions that decide a rank (``from_spanning``, ``kernel``,
-    ``subspace_intersect`` and ``real_span``) take their tolerance as an
-    argument.
+    functions that decide a rank (``from_spanning``, ``kernel`` and
+    ``subspace_intersect``) take their tolerance as an argument.
 
     ``Subspace(basis)`` checks the basis it is given.  A subspace from
-    ``spanned`` is the ``real_span`` of its ``parts`` whose dimension the
-    caller has counted: it keeps the parts and the tolerance, and forms
-    its basis on the first read of ``basis``, which raises ValueError when
-    the span's rank is not the counted ``dim``."""
+    ``spanned`` is the real span of its ``parts`` whose dimension the
+    caller has counted: it keeps the parts, and forms its basis on the
+    first read of ``basis``."""
 
     def __init__(self, basis):
         b = np.asarray(basis)
@@ -220,22 +222,22 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
 
     @classmethod
-    def spanned(cls, ambient_dim: int, parts, dim: int, tol: float) -> "Subspace":
-        """The real span of ``parts`` (``real_span`` at ``tol``) in
-        ambient_dim dimensions, whose dimension the caller has counted as
-        ``dim``; the parts are formed and orthonormalized on the first read
-        of ``basis``."""
+    def spanned(cls, ambient_dim: int, parts, dim: int) -> "Subspace":
+        """The real span of the parts' ``real_columns`` in ambient_dim
+        dimensions, whose count ``dim`` is the one rank decision: the first
+        read of ``basis`` forms their ``dim`` leading left singular
+        vectors, and raises ValueError only if sigma_dim <= MIN_RANK_TOL *
+        sigma_1 (or there are fewer than ``dim`` columns)."""
         space = cls.__new__(cls)
-        space.ambient_dim, space.parts, space.dim, space.tol = ambient_dim, tuple(parts), dim, tol
+        space.ambient_dim, space.parts, space.dim = ambient_dim, tuple(parts), dim
         return space
 
     @cached_property
     def basis(self) -> np.ndarray:  # a spanned subspace's; Subspace(basis) fills it
-        basis = real_span(self.parts, self.tol).basis
-        if basis.shape[1] != self.dim:
-            raise ValueError(f"the parts span {basis.shape[1]} dimensions, "
-                             f"not the {self.dim} counted")
-        return basis
+        u, s, _ = np.linalg.svd(real_columns(self.parts), full_matrices=False)
+        if self.dim > s.size or (self.dim and not s[self.dim - 1] > MIN_RANK_TOL * s[0]):
+            raise ValueError(f"the parts do not span the {self.dim} dimensions counted")
+        return u[:, :self.dim]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -260,12 +262,11 @@ class Subspace:
         return cls(u[:, s > tol * s[0]])
 
 
-def real_span(parts, tol: float) -> Subspace:
-    """The real subspace spanned by the columns of the parts and their
-    complex conjugates, for parts that hold one cluster of each conjugate
-    pair: one real SVD of [Re P, Im P], P the parts side by side (a column
-    with no imaginary part adds none), cut at ``tol * sigma_max``.  A part
-    given as a pair (C, Z) is kron(C, Z), formed here."""
+def real_columns(parts) -> np.ndarray:
+    """Real columns that span the columns of the parts and their complex
+    conjugates, for parts that hold one cluster of each conjugate pair:
+    [Re P, Im P], P the parts side by side (a column with no imaginary part
+    adds none).  A part given as a pair (C, Z) is kron(C, Z), formed here."""
     cols = []
     for part in parts:
         if isinstance(part, tuple):  # np.kron's products, without its call overhead
@@ -275,7 +276,7 @@ def real_span(parts, tol: float) -> Subspace:
     P = np.hstack(cols)
     if np.iscomplexobj(P):
         P = np.hstack([P.real, P.imag[:, P.imag.any(axis=0)]])
-    return Subspace.from_spanning(P, tol)
+    return P
 
 
 def kernel(M, tol: float = RANK_TOL, scale: float | None = None) -> Subspace:

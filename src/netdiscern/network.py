@@ -20,8 +20,9 @@ indiscernible part is decided on the graph side alone; a collision
 cluster, whose eigenvalue is in the blocks of two or more, keeps an
 orthonormal basis X_g of Phi's generalized eigenspace.  The constants of
 the base network a variation reads are kept on it, so the variations of
-one base graph share them: the Laplacian spectrum, ||B||_2 and the
-synchronous manifold.  Each part is formed on its first read, so a
+one base graph share them: the Laplacian spectrum and ||B||_2.
+``assemble_transition`` refuses blocks that would overflow
+(``check_coupling``).  Each part is formed on its first read, so a
 variation that is only analysed, and not simulated by the oracle, never
 forms its Phibar, and the oracle's Phibar never decomposes.
 ``network_invariant_modes`` finds the modes (A v = lambda v with
@@ -97,8 +98,8 @@ class NetworkSystem:
     decomposes.  The base-side constants a variation reads are kept each
     on its own: ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected
     condition's spectrum of L, whose last bits can differ from ``alphas``,
-    from eigh), ``b_norm`` (||B||_2) and ``sync`` (the synchronous
-    manifold); so the corrected condition alone decomposes no block.
+    from eigh) and ``b_norm`` (||B||_2); so the corrected condition alone
+    decomposes no block.
 
     The union of the block spectra is clustered at 1e-6 * max(1, ||Phi||_2):
     merging clusters is exact, splitting one is not, and the copies of a
@@ -128,10 +129,7 @@ class NetworkSystem:
     conjugate too.  ``group_dims`` holds, per ``group_vectors`` entry, the
     real dimension that Z and its conjugate span, a column of a non-real
     cluster counted twice; ``cluster_copies``, per collision cluster, 2
-    when it is not real and 1 when it is.  ``zero_parts`` holds, per
-    ``group_vectors`` entry and then per collision cluster, whether a
-    block of ``alpha_groups[0]`` (alpha = 0, whose vectors hold the
-    synchronous manifold) owns one of its eigenvalues.
+    when it is not real and 1 when it is.
     """
 
     dynamics: NodeDynamics
@@ -185,7 +183,7 @@ class NetworkSystem:
 
         zs: list[list[np.ndarray]] = [[] for _ in groups]
         z_dims = [0] * len(groups)
-        clusters, copies, zero = [], [], []
+        clusters, copies = [], []
         for idx in cluster_indices(w.reshape(-1), ctol):
             imag, bound = sum(w.flat[j].imag for j in idx), len(idx) * ctol / 4
             if imag < -bound:
@@ -201,12 +199,10 @@ class NetworkSystem:
                         for i in owners]
                 clusters.append(np.hstack(cols))
                 copies.append(count)
-                zero.append(k == 0)
         group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
-        zero_parts = tuple(k == 0 for k, _ in group_vectors) + tuple(zero)
         return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
                 tuple(network_invariant_modes(dyn, self.tol)),
-                tuple(z_dims[k] for k, _ in group_vectors), tuple(copies), zero_parts)
+                tuple(z_dims[k] for k, _ in group_vectors), tuple(copies))
 
     alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
     laplacian_vectors = property(lambda self: self._parts[1])  # V
@@ -219,7 +215,6 @@ class NetworkSystem:
     modes = property(lambda self: self._parts[8])              # of the dynamics
     group_dims = property(lambda self: self._parts[9])         # per (k, Z): dim of Z and Z conj
     cluster_copies = property(lambda self: self._parts[10])    # per X_g: 2 if not real, else 1
-    zero_parts = property(lambda self: self._parts[11])        # per (k, Z), X_g: alpha = 0 owns it
 
     @cached_property
     def laplacian_values(self) -> np.ndarray:
@@ -229,16 +224,26 @@ class NetworkSystem:
     def b_norm(self) -> float:
         return float(np.linalg.norm(self.dynamics.B, 2))
 
-    @cached_property
-    def sync(self) -> Subspace:
-        return sync_manifold(self.node_count, self.node_dim)
+
+def check_coupling(dyn: NodeDynamics, L: np.ndarray) -> np.ndarray:
+    """L, once the blocks A - alpha*B of its eigenvalues are known finite:
+    alpha lies in [0, 2 max L_ii] (Gershgorin), so max|A| + 2 max L_ii
+    max|B| bounds every block entry, and a bound past float64 is a
+    ValueError."""
+    bound = (float(np.abs(dyn.A).max())  # Python floats overflow to inf without a warning
+             + float(np.diagonal(L).max(initial=0.0)) * float(np.abs(dyn.B).max()) * 2)
+    if not np.isfinite(bound):
+        raise ValueError("the blocks A - alpha*B overflow float64: the weighted "
+                         "degrees are too large for the node dynamics")
+    return L
 
 
 def assemble_transition(dyn: NodeDynamics, L, tol: float = RANK_TOL) -> NetworkSystem:
     """The network of ``dyn`` coupled through L, after ``validate_laplacian``
-    checks L; its invariant modes are found at ``tol``.  Its transition
-    matrix and modal parts are formed on first read."""
-    return NetworkSystem(dyn, validate_laplacian(L), tol)
+    and ``check_coupling`` check L; its invariant modes are found at
+    ``tol``.  Its transition matrix and modal parts are formed on first
+    read."""
+    return NetworkSystem(dyn, check_coupling(dyn, validate_laplacian(L)), tol)
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,23 @@ def test_rank_tol_at_its_floor_gives_the_default_answers(tmp_path, capsys):
         assert (report.indiscernible.dim, report.sync_overlap_dim) == (24, 3)
 
 
+@pytest.mark.parametrize("rank_tol", [0.5, 0.9])
+def test_a_large_rank_tol_reports_the_counted_basis(tmp_path, rank_tol):
+    # the count is the one rank decision: the basis is the counted number of
+    # leading singular vectors, so no second cut at rank_tol * sigma_max can
+    # disagree with it (at 0.5 such a cut keeps 7 of the 10 counted), and
+    # the sync overlap is n = 3
+    config = example_config(validate=True)
+    config["options"]["rank_tol"] = rank_tol
+    out = tmp_path / "out"
+    assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) in (0, 2)
+    report = json.loads((out / "report.json").read_text())
+    ind = report["indiscernible"]
+    assert len(ind["basis"]) == ind["ambient_dim"] * ind["dim"]
+    assert report["sync_overlap_dim"] == 3
+    assert report["extra_dim"] == ind["dim"] - 3
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
 def test_bad_tol_flag_is_a_config_error(tmp_path, capsys, tol):
     # a tolerance <= 0 would report the paper's violated condition as held
@@ -547,6 +564,56 @@ def test_overflowing_laplacian_is_an_input_error(tmp_path, capsys, command):
         assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "error: invalid config: base_graph: the weighted degrees overflow float64\n"
+    assert not out.exists()
+
+
+BLOCKS_OVERFLOW = ("the blocks A - alpha*B overflow float64: the weighted degrees are "
+                   "too large for the node dynamics")
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_a_base_whose_blocks_overflow_is_an_input_error(tmp_path, capsys, command):
+    # the paper example with edge (1,3) at 1e308: the degrees are finite,
+    # but A - alpha*B is not, and np.linalg.eig cannot decompose it; an
+    # error line, no warning, no traceback, no output
+    config = example_config(validate=True)
+    assert config["base_graph"]["edges"][1]["j"] == 3
+    config["base_graph"]["edges"][1]["w"] = 1e308
+    if command == "enumerate":
+        config["variation"] = {"enumerate": {"kinds": ["remove_edge"]}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid config: base_graph: {BLOCKS_OVERFLOW}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["base", "row", "varied"])
+def test_an_overflow_error_names_the_graph_it_is_in(tmp_path, capsys, case):
+    # every base weight at 1e308 overflows the base degrees, which is told
+    # before any reweighting of it; unit weights reweighted, or an edge
+    # added, at 1e308 keep the degrees finite but not the blocks, which the
+    # first such row, or the varied graph, is named for
+    config = example_config(validate=False)
+    command = "analyze" if case == "varied" else "enumerate"
+    if case == "base":
+        for edge in config["base_graph"]["edges"]:
+            edge["w"] = 1e308
+        config["variation"] = {"enumerate": {"kinds": ["reweight_edge"]}}
+        err = "base_graph: the weighted degrees overflow float64"
+    elif case == "row":
+        config["variation"] = {"enumerate": {"kinds": ["reweight_edge"], "reweight_to": 1e308}}
+        err = f"reweight_edge(1,2,w=1e+308): {BLOCKS_OVERFLOW}"
+    else:
+        config["variation"] = {"link": {"kind": "add_edge", "i": 1, "j": 4, "w": 1e308}}
+        err = f"varied graph: {BLOCKS_OVERFLOW}"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {err}\n"
     assert not out.exists()
 
 

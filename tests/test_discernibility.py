@@ -1003,7 +1003,6 @@ def test_analyze_demo_report(demo):
     report = analyze(demo.dyn, demo.L, demo.Lbar)
     assert report.verdict == VERDICT_EXTRA_STATES
     assert report.indiscernible.dim == 6
-    assert report.base.sync.dim == 3
     assert report.sync_overlap_dim == 3
     assert report.extra_dim == 3
     assert report.shared_modal.dim == 6
@@ -1027,7 +1026,7 @@ def test_analyze_reports_each_collision_once(demo):
 def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
     # L 1 = Lbar 1 = 0, so Delta annihilates the synchronous manifold and
     # Phi keeps it invariant: it lies in the indiscernible subspace, and
-    # the computed overlap is n on every remove_edge row, with the paper's
+    # the reported overlap is n on every remove_edge row, with the paper's
     # dynamics and with random (A, B)
     g = ring_with_chords(N)
     L = laplacian(g)
@@ -1040,23 +1039,34 @@ def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
 
 @pytest.mark.parametrize("N", [4, 12, 20, 40])
 def test_counted_dimension_and_overlap_match_the_formed_basis(N):
-    # a row counts its dimension from the modal parts and measures its
-    # sync overlap on the parts the alpha = 0 blocks own; the basis formed
-    # from every part has that rank and that overlap, on the remove_edge,
-    # add_edge and disconnect_node rows, with the paper's dynamics and
-    # with random (A, B)
-    g = ring_with_chords(N)
-    L = laplacian(g)
-    kinds = ["remove_edge", "disconnect_node"]
-    added = list(enumerate_single_link_variations(g, ["add_edge"]))
-    Lbars = [Lbar for _, _, Lbar in [*enumerate_single_link_variations(g, kinds),
-                                     *added[::10 if N == 40 else 1]]]  # 73 of 726 at N = 40
-    for dyn in (example_dynamics(), random_dynamics()):
-        for report in analyze_rows(dyn, L, Lbars):
-            ind = report.indiscernible
-            assert ind.basis.shape == (report.ambient_dim, ind.dim)
-            assert (subspace_intersect(ind, sync_manifold(N, dyn.n)).dim
-                    == report.sync_overlap_dim == dyn.n)
+    # a row counts its dimension from the modal parts and reports a sync
+    # overlap of n: L 1 = Lbar 1 = 0, so Delta annihilates the synchronous
+    # manifold and Phi keeps it invariant.  The parts' rank, decided on its
+    # own at RANK_TOL, is the counted dimension (the formed basis, the
+    # count's leading singular vectors, has it by construction), and that
+    # basis's computed overlap with the manifold is n, on the remove_edge,
+    # add_edge and disconnect_node rows of the ring with chords, of the
+    # ring with weights cycling 0.1, 0.2, 0.3, 0.7 and of two disjoint
+    # rings of N / 2 nodes, with the paper's dynamics and with random (A, B)
+    ring, half = ring_with_chords(N), ring_with_chords(N // 2).edges
+    weights = (0.1, 0.2, 0.3, 0.7)
+    graphs = [ring,
+              Graph(N, tuple((i, j, weights[k % 4]) for k, (i, j, _) in enumerate(ring.edges))),
+              Graph(N, half + tuple((i + N // 2, j + N // 2, w) for i, j, w in half))]
+    for g in graphs:
+        L = laplacian(g)
+        kinds = ["remove_edge", "disconnect_node"]
+        added = list(enumerate_single_link_variations(g, ["add_edge"]))
+        Lbars = [Lbar for _, _, Lbar in [*enumerate_single_link_variations(g, kinds),
+                                         *added[::10 if N == 40 else 1]]]  # 73 of 726 at N = 40
+        for dyn in (example_dynamics(), random_dynamics()):
+            for report in analyze_rows(dyn, L, Lbars):
+                ind = report.indiscernible
+                rank = Subspace.from_spanning(linalg.real_columns(ind.parts), RANK_TOL).dim
+                assert rank == ind.dim
+                assert ind.basis.shape == (report.ambient_dim, ind.dim)
+                assert (subspace_intersect(ind, sync_manifold(N, dyn.n)).dim
+                        == report.sync_overlap_dim == dyn.n)
 
 
 def test_a_small_reweight_keeps_the_sync_manifold_indiscernible():
@@ -1074,27 +1084,32 @@ def test_a_small_reweight_keeps_the_sync_manifold_indiscernible():
         assert report.verdict == VERDICT_EXTRA_STATES
 
 
-def test_sync_overlap_factors_an_m_by_min_dim_residual(demo, monkeypatch):
-    # the overlap is measured on the span of the parts of Q that the
-    # alpha = 0 blocks own, which holds all of Q's sync states, and the
-    # intersection hands kernel its m x min(dim, n) principal-angle
-    # residual, not a 2m x m projector stack; each base's invariant modes,
-    # whose eig takes kernels too, are found before kernel is watched
-    g = ring_with_chords(12)
+def test_a_row_hands_kernel_only_its_collision_stacks(demo, monkeypatch):
+    # the sync overlap is n by theorem, so a row measures none: with its
+    # base decomposed, kernel sees only the power stacks of the collision
+    # clusters X_g, each as wide as its cluster, and no m-row SVD; each
+    # base's invariant modes, whose eig takes kernels too, are found before
+    # kernel is watched
+    g, g8 = ring_with_chords(12), ring_with_chords(8)
     cases = [(demo.dyn, demo.L, demo.Lbar),
              (demo.dyn, laplacian(g), laplacian(without_first_edge(g))),
-             (random_dynamics(), laplacian(g), laplacian(without_first_edge(g)))]
+             (random_dynamics(), laplacian(g), laplacian(without_first_edge(g))),
+             (demo.dyn, laplacian(g8), laplacian(without_first_edge(g8)))]
     bases = [assemble_transition(dyn, L) for dyn, L, _ in cases]
     for base in bases:
         base.modes
     shapes = []
     original = linalg.kernel
-    monkeypatch.setattr(linalg, "kernel",
-                        lambda M, *args: shapes.append(M.shape) or original(M, *args))
+    watched = lambda M, *args: shapes.append(M.shape) or original(M, *args)  # noqa: E731
+    for module in (linalg, network):
+        monkeypatch.setattr(module, "kernel", watched)
     for (dyn, L, Lbar), base in zip(cases, bases):
         shapes.clear()
         report = analyze(dyn, L, Lbar, base=base)
-        assert shapes == [(report.ambient_dim, min(report.indiscernible.dim, dyn.n))]
+        widths = sorted(X.shape[1] for X in base.clusters)
+        assert len(shapes) <= len(widths)
+        assert all(cols in widths and rows != report.ambient_dim for rows, cols in shapes)
+    assert len(shapes) == 3  # N = 8: three of its four collision clusters take a stack
 
 
 def test_shared_modal_is_computed_on_first_read(demo, monkeypatch):

@@ -354,6 +354,24 @@ def _span(*cols):
     return Subspace.from_spanning(np.column_stack(cols))
 
 
+def test_spanned_basis_is_the_counted_leading_singular_vectors():
+    # the count is the rank decision: the basis is the dim leading left
+    # singular vectors of the parts' real columns, the columns the default
+    # cut keeps when they agree, and it raises only when the parts cannot
+    # hold dim dimensions (sigma_dim <= MIN_RANK_TOL * sigma_1)
+    rng = np.random.default_rng(3)
+    C, Z = rng.standard_normal((3, 2)), rng.standard_normal((2, 2)) @ [[1], [1j]]
+    parts = [(C, Z), rng.standard_normal((6, 1))]  # kron(C, Z) and its conjugate: 4, then 1
+    want = Subspace.from_spanning(linalg.real_columns(parts)).basis
+    assert want.shape == (6, 5)
+    assert Subspace.spanned(6, parts, 5).basis.tobytes() == want.tobytes()
+    assert Subspace.spanned(6, parts, 3).basis.tobytes() == want[:, :3].tobytes()
+    assert Subspace.spanned(6, [np.zeros((6, 0))], 0).basis.shape == (6, 0)
+    for space in (Subspace.spanned(6, parts, 6), Subspace.spanned(6, [np.ones((6, 2))], 2)):
+        with pytest.raises(ValueError, match="do not span"):
+            space.basis
+
+
 def _sum(U: Subspace, V: Subspace) -> Subspace:
     """U + V, spanned by both bases side by side."""
     return Subspace.from_spanning(np.hstack([U.basis, V.basis]))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from netdiscern import (
+    Graph,
     NodeDynamics,
+    analyze,
     assemble_transition,
     corrected_condition,
     eig,
@@ -12,8 +14,8 @@ from netdiscern import (
     network_invariant_modes,
     sync_manifold,
 )
-from netdiscern.example import EXAMPLE_A, EXAMPLE_B
-from netdiscern.network import unobservable_subspace
+from netdiscern.example import EXAMPLE_A, EXAMPLE_B, example_graph
+from netdiscern.network import check_coupling, unobservable_subspace
 
 from conftest import contains, multiplicity_of, random_graph, spectrum_values
 
@@ -86,6 +88,23 @@ def test_assembly_rejects_mismatched_dims():
         NodeDynamics(EXAMPLE_A, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         assemble_transition(NodeDynamics(EXAMPLE_A, EXAMPLE_B), np.ones((2, 3)))
+
+
+def test_blocks_that_overflow_are_refused_before_any_decomposition():
+    # one edge at 1e308 keeps every degree finite, but alpha reaches about
+    # 2e308, so A - alpha*B overflows and np.linalg.eig would raise a
+    # LinAlgError: the base and a varied Laplacian are refused as input
+    dyn = NodeDynamics(EXAMPLE_A, EXAMPLE_B)
+    L = laplacian(example_graph())
+    big = laplacian(Graph(4, ((1, 2, 1.0), (1, 3, 1e308), (2, 3, 1.0), (3, 4, 1.0))))
+    assert np.isfinite(big).all()
+    for call in (lambda: assemble_transition(dyn, big),
+                 lambda: analyze(dyn, L, big),
+                 lambda: analyze(dyn, L, big, base=assemble_transition(dyn, L))):
+        with pytest.raises(ValueError, match="A - alpha\\*B overflow float64"):
+            call()
+    half = big / 2  # max|A| + 2 max L_ii max|B| is about 1e308: finite
+    assert check_coupling(dyn, half) is half
 
 
 def test_dynamics_reject_an_empty_pair():
