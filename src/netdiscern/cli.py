@@ -45,7 +45,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import NetworkInvariantMode, NodeDynamics, check_coupling
+from .network import NetworkInvariantMode, NodeDynamics, assemble_transition, check_coupling
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -428,7 +428,7 @@ def _gaps_csv(summary: ValidationSummary) -> str:
 
 def _checked(context: str, check, *args):
     """check(*args), whose ValueError is an input error naming ``context``.
-    ``assemble_transition`` and ``check_pair`` repeat ``check_coupling``,
+    ``check_pair`` repeats ``check_coupling`` on each varied Laplacian,
     without the context."""
     try:
         return check(*args)
@@ -475,9 +475,10 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     validating).  Returns the process exit code."""
     dyn, base, varied = _resolve_pair(config)
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
-    L, Lbar = (_checked(context, check_coupling, dyn, _checked(context, laplacian, g))
-               for context, g in (("base_graph", base), ("varied graph", varied)))
-    report = analyze(dyn, L, Lbar, opts)
+    net = _checked("base_graph", assemble_transition, dyn, _checked("base_graph", laplacian, base))
+    Lbar = _checked("varied graph", check_coupling, dyn,
+                    _checked("varied graph", laplacian, varied))
+    report = analyze(dyn, net.laplacian, Lbar, opts, net)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(
@@ -533,7 +534,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         entries = enumerate_single_link_variations(base, kinds, reweight_to)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    _checked("base_graph", check_coupling, dyn, L)  # after the enumeration's degree checks
+    net = _checked("base_graph", assemble_transition, dyn, L)  # after the enumeration's checks
 
     variations = []  # the labels only: each varied graph and Laplacian is dropped once read
 
@@ -544,7 +545,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
 
     # the rows are decided together against one base network, as they are read
     rows = []
-    for k, report in enumerate(analyze_rows(dyn, L, laplacians(), opts)):
+    for k, report in enumerate(analyze_rows(dyn, net.laplacian, laplacians(), opts, net)):
         var, summary = variations[k], report.oracle_summary
         rows.append({
             "variation": var.describe(),

@@ -5,12 +5,12 @@ responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
 Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
-point takes the pair as (dyn, L, Lbar) and checks it first (``check_pair``),
-and a variation enters the analysis only as L - Lbar, formed as a
-Laplacian (``laplacian_difference``) so that it sends 1 to 0 whatever the
-roundoff of the two degree sums: neither Delta nor Phibar is formed here,
-and only the trajectory oracle forms Phibar.  The
-one algorithm is modal, over the eigenvalue clusters of Phi that the base
+point takes the pair as (dyn, L, Lbar) and checks it once (``check_pair``,
+a row's only check), and a variation enters the analysis only as L - Lbar,
+formed as a Laplacian (``laplacian_difference``) so that it sends 1 to 0
+whatever the roundoff of the two degree sums: neither Delta nor Phibar is
+formed here, and only the trajectory oracle forms Phibar.  The one
+algorithm is modal, over the eigenvalue clusters of Phi that the base
 ``network.NetworkSystem`` decomposes.  The common eigenvectors of L and
 Lbar are decided once per report, for every distinct alpha of L
 (``common_laplacian_vectors``), and that graph-side decision settles
@@ -69,6 +69,7 @@ from .linalg import (
     eig,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
     real_columns,
+    scaled_norm,
 )
 from .network import (
     NetworkInvariantMode,
@@ -80,28 +81,25 @@ from .network import (
 )
 from .oracle import OracleConfig, ValidationSummary, validate_subspace
 
+Common = tuple[tuple[np.ndarray, ...], float]
+Svds = tuple[tuple[np.ndarray, np.ndarray], ...]
 
-def check_pair(dyn: NodeDynamics, L, Lbar, base: NetworkSystem | None = None,
-               tol: float = RANK_TOL) -> tuple[NetworkSystem, np.ndarray]:
+
+def check_pair(dyn: NodeDynamics, L, Lbar,
+               base: NetworkSystem | None = None) -> tuple[NetworkSystem, np.ndarray]:
     """The one check of the pair every entry point takes first: node
     dynamics (A, B) and Laplacians L, Lbar of one node count.  Without
-    ``base``, it validates both (``validate_laplacian``), L as
-    ``assemble_transition`` builds the network of (dyn, L) at ``tol``.  A
-    base is a validated network, which ``analyze_rows`` passes on with
-    each Lbar it has validated: (dyn, L) must be its own (identity first:
-    a row passes the base's arrays), and Lbar finite and of L's shape.
-    Either way, Lbar must pass ``check_coupling``, as the base's L has.
-    Returns the base and Lbar as floats."""
+    ``base``, ``assemble_transition`` validates L and builds the network of
+    (dyn, L); a given base must be the network of the call's (dyn, L)
+    (identity first: a row passes the base's arrays).  Either way, Lbar
+    passes ``validate_laplacian``, has L's shape and passes
+    ``check_coupling``.  Returns the base and Lbar as floats."""
     if base is None:
-        base = assemble_transition(dyn, L, tol)
-        Lbar = validate_laplacian(Lbar)
-    else:
-        if not all(x is y or np.array_equal(x, y) for x, y in (
-                (L, base.laplacian), (dyn.A, base.dynamics.A), (dyn.B, base.dynamics.B))):
-            raise ValueError("base belongs to another network")
-        Lbar = np.asarray(Lbar, dtype=float)
-        if not np.isfinite(Lbar).all():  # validate_laplacian's first rule, and its message
-            raise ValueError("Laplacian entries must be finite")
+        base = assemble_transition(dyn, L)
+    elif not all(x is y or np.array_equal(x, y) for x, y in (
+            (L, base.laplacian), (dyn.A, base.dynamics.A), (dyn.B, base.dynamics.B))):
+        raise ValueError("base belongs to another network")
+    Lbar = validate_laplacian(Lbar)
     if Lbar.shape != base.laplacian.shape:
         raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
     return base, check_coupling(dyn, Lbar)
@@ -123,8 +121,7 @@ def laplacian_difference(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
 
 
 def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,
-                             rank_tol: float = RANK_TOL
-                             ) -> list[tuple[tuple[np.ndarray, ...], float]]:
+                             rank_tol: float = RANK_TOL) -> list[Common]:
     """The graph-side decision of each variation diff = L - Lbar of the
     stack ``diffs`` (R x N x N): the eigenvectors of L that Lbar shares,
     for every alpha group G of ``base`` (the network of L), V_G times the
@@ -140,7 +137,7 @@ def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,
     diff_v = diffs @ V
     norms = np.linalg.svd(diffs, compute_uv=False).max(axis=-1)
     cutoffs = rank_tol * norms
-    keep = np.linalg.norm(diff_v, axis=-2) <= cutoffs[:, None]  # decides a group of one vector
+    keep = scaled_norm(diff_v, -2) <= cutoffs[:, None]  # decides a group of one vector
     # a group of two or more vectors is replaced below
     cols, empty = [V[:, group] for group in groups], V[:, :0]
     common = [[cols[k] if kept[group[0]] else empty for k, group in enumerate(groups)]
@@ -171,8 +168,7 @@ def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
     return -(B @ product).reshape(*rows, X.shape[0], -1).view(X.dtype)
 
 
-def collision_svds(base: NetworkSystem, diffs: np.ndarray
-                   ) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+def collision_svds(base: NetworkSystem, diffs: np.ndarray) -> list[Svds]:
     """The singular values s and right vectors V^H of Delta X_g for each
     variation diff = L - Lbar of the stack ``diffs`` and each collision
     cluster X_g of ``base``, with Delta X_g from ``delta_product``: one
@@ -183,37 +179,40 @@ def collision_svds(base: NetworkSystem, diffs: np.ndarray
     return [tuple((s[r], vh[r]) for s, vh in per_cluster) for r in range(len(diffs))]
 
 
+def no_variation(base: NetworkSystem, common: Common) -> bool:
+    """Whether Delta = -(L - Lbar) (x) B is 0: the ||L - Lbar||_2 of the
+    row's decision ``common`` is 0, or ||B||_2 is."""
+    return common[1] == 0 or base.b_norm == 0
+
+
 def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
                            base: NetworkSystem | None = None,
-                           common: tuple[tuple[np.ndarray, ...], float] | None = None,
-                           svds: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-                           ) -> Subspace:
+                           decided: tuple[Common, Svds] | None = None) -> Subspace:
     """The exact subspace of initial states whose responses under Phi and
     Phibar, the networks of the node dynamics (A, B) coupled through L and
     Lbar, coincide for all time: the largest Phi-invariant subspace inside
     kernel(Delta), Delta = -(L - Lbar) (x) B, one eigenvalue cluster of Phi
-    at a time.  Delta is 0, and every state indiscernible, when L and Lbar
-    have the same entries off the diagonal or B = 0 (L - Lbar is formed by
-    ``laplacian_difference``).
+    at a time.  Every state is indiscernible when Delta is 0
+    (``no_variation``).
 
     An invariant subspace is the direct sum of its parts in Phi's
-    generalized eigenspaces (from ``base``, the network of (dyn, L); the
-    pair is checked by ``check_pair``).  On the space V_G (x) Z of a
-    single-alpha cluster, Delta (v (x) z) = -((L - Lbar) v) (x) (B z), and
-    no invariant part of Z lies in kernel(B) (it would hold a
-    network-invariant mode, whose eigenvalue is a collision), so the
-    indiscernible part is C_G (x) Z with C_G the common eigenvectors of the
-    group: the PBH test of the output matrix (L - Lbar) (x) B, decided on
-    the graph side alone.  ``common`` is that decision, this row of
-    ``common_laplacian_vectors``, computed when not given.  Only a
-    collision cluster X_g takes X_g * ``unobservable_subspace``(Delta X_g,
-    X_g^H Phi X_g), from the SVD of Delta X_g, ``svds`` (this row of
-    ``collision_svds``, computed when not given).  Its rank is decided
+    generalized eigenspaces (from ``base``, the network of (dyn, L)).  On
+    the space V_G (x) Z of a single-alpha cluster, Delta (v (x) z) =
+    -((L - Lbar) v) (x) (B z), and no invariant part of Z lies in kernel(B)
+    (it would hold a network-invariant mode, whose eigenvalue is a
+    collision), so the indiscernible part is C_G (x) Z with C_G the common
+    eigenvectors of the group: the PBH test of the output matrix
+    (L - Lbar) (x) B, decided on the graph side alone, by this row of
+    ``common_laplacian_vectors``.  Only a collision cluster X_g takes X_g *
+    ``unobservable_subspace``(Delta X_g, X_g^H Phi X_g), from the SVD of
+    Delta X_g (this row of ``collision_svds``).  Its rank is decided
     against ||Delta||_2 = ||L - Lbar||_2 ||B||_2, not its own norm, which
     would read the roundoff left by a cluster that Delta misses as rank;
     the stack starts from the orthonormal rows above that cutoff, and a
     cluster of rank 0 is kept whole without one.  The parts hold one
-    cluster of each conjugate pair.
+    cluster of each conjugate pair.  A call checks the pair
+    (``check_pair``) and decides, unless handed ``decided``, the (common,
+    svds) ``analyze_rows`` made for its checked row on ``base``.
 
     The result is ``Subspace.spanned``: its parts, one per entry of
     ``base.group_vectors`` (the pair (C_G, Z), for kron(C_G, Z)) and then
@@ -223,16 +222,17 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     for a non-real cluster, which stands for its conjugate
     (``base.cluster_copies``).  The first read of ``basis`` turns the parts
     into a real basis of that dimension with one SVD, Kronecker products
-    included.  Phibar is not formed, and Phi only as ``base`` reads it.
+    included.
     """
-    base, Lbar = check_pair(dyn, L, Lbar, base, tol)
-    diff, m = laplacian_difference(base.laplacian, Lbar), base.dim
-    if not (diff.any() and dyn.B.any()):  # Delta = 0
-        return Subspace.full(m)
-    if common is None:
-        [common] = common_laplacian_vectors(base, diff[None], tol)
-    if svds is None:
-        [svds] = collision_svds(base, diff[None])
+    if decided is None:
+        base, Lbar = check_pair(dyn, L, Lbar, base)
+        diffs = laplacian_difference(base.laplacian, Lbar)[None]
+        decided = common_laplacian_vectors(base, diffs, tol)[0], collision_svds(base, diffs)[0]
+    elif base is None:
+        raise ValueError("decisions are read with the base they were made on")
+    common, svds = decided
+    if no_variation(base, common):
+        return Subspace.full(base.dim)
     bases, diff_norm = common
     parts: list = [(bases[k], Z) for k, Z in base.group_vectors]  # kron(C_G, Z)
     dim = sum(bases[k].shape[1] * z_dim
@@ -248,13 +248,12 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
         else:
             parts.append(X[:, :0])
         dim += count * parts[-1].shape[1]
-    return Subspace.spanned(m, parts, dim)
+    return Subspace.spanned(base.dim, parts, dim)
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
                           base: NetworkSystem | None = None,
-                          common: tuple[tuple[np.ndarray, ...], float] | None = None
-                          ) -> Subspace:
+                          common: Common | None = None) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
     v (x) w for every common eigenpair (alpha, v) of L and Lbar with
     (lambda, w) an eigenpair of A - alpha*B, plus a (x) v over all
@@ -262,20 +261,22 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     Always contained in the indiscernible subspace.
 
     The common eigenvectors of each distinct alpha of L are ``common``,
-    the row of ``common_laplacian_vectors`` for Lbar, computed when not
-    given.  A block whose eigenvalues are pairwise at least
-    ``base.cluster_tol`` apart has n independent eigenvectors, so its
-    common vectors contribute common (x) I_n; only a block with a repeated
-    eigenvalue takes the eigenvectors of its clusters at the base's
-    ``cluster_tol`` from ``eig``.  The basis, one SVD of the
-    ``real_columns`` cut at ``rank_tol`` * sigma_max, is a real orthonormal
-    basis of the span, not a canonical one.  ``base`` is the network of
-    (dyn, L); the pair is checked by ``check_pair``."""
-    base, Lbar = check_pair(dyn, L, Lbar, base, rank_tol)
-    N, n = Lbar.shape[0], dyn.n
+    the row of ``common_laplacian_vectors`` a report passes with its base,
+    else checked (``check_pair``) and decided here.
+    A block whose eigenvalues are pairwise at least ``base.cluster_tol``
+    apart has n independent eigenvectors, so its common vectors contribute
+    common (x) I_n; only a block with a repeated eigenvalue takes the
+    eigenvectors of its clusters at the base's ``cluster_tol`` from
+    ``eig``.  The basis, one SVD of the ``real_columns`` cut at
+    ``rank_tol`` * sigma_max, is a real orthonormal basis of the span, not
+    a canonical one.  ``base`` is the network of (dyn, L)."""
     if common is None:
+        base, Lbar = check_pair(dyn, L, Lbar, base)
         [common] = common_laplacian_vectors(
             base, laplacian_difference(base.laplacian, Lbar)[None], rank_tol)
+    elif base is None:
+        raise ValueError("decisions are read with the base they were made on")
+    N, n = base.node_count, base.node_dim
     bases, _ = common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
@@ -443,7 +444,7 @@ class DiscernibilityReport:
     verdict: str
     base: NetworkSystem = field(repr=False, compare=False)
     varied_laplacian: np.ndarray = field(repr=False, compare=False)
-    common: tuple[tuple[np.ndarray, ...], float] = field(repr=False, compare=False)
+    common: Common = field(repr=False, compare=False)
     rank_tol: float
     oracle_summary: ValidationSummary | None = None
 
@@ -495,8 +496,7 @@ def analyze(
     is set the computed subspace is checked against the trajectory oracle.
     ``base`` is the network of (dyn, L), as ``analyze_rows`` takes it.
     The verdict is "no variation" exactly when Delta = -(L - Lbar) (x) B
-    is 0, i.e. when L and Lbar have the same entries off the diagonal (the
-    same edge weights) or B = 0.
+    is 0 (``no_variation``).
     """
     [report] = analyze_rows(dyn, L, [Lbar], opts, base)
     return report
@@ -515,12 +515,11 @@ def analyze_rows(
 
     ``base`` is the network of (dyn, L) from ``assemble_transition``, built
     here when not given, so each Laplacian is validated once: L by its
-    base, and each Lbar here before ``check_pair`` checks the pair.  The
-    oracle builds Phibar's network from that Lbar without validating it
-    again.  Every row reads the constants the base keeps: spec(L) and
-    ||B||_2.  A variation enters only as L - Lbar, formed once per chunk by
-    ``laplacian_difference``, which the "no variation" verdict reads too,
-    and Phibar is formed only by the oracle.
+    base, and each Lbar by ``check_pair``, the row's one check, which
+    neither ``indiscernible_subspace`` nor the oracle repeats.  Every row
+    reads the constants the base keeps: spec(L) and ||B||_2.  A variation
+    enters only as L - Lbar, formed once per chunk by
+    ``laplacian_difference``, and Phibar is formed only by the oracle.
 
     The stages whose inputs have one shape in every row are decided for
     the rows together, one stacked call each over L - Lbar: the graph-side
@@ -537,9 +536,9 @@ def analyze_rows(
     opts = opts or AnalyzeOptions()
     tol = opts.rank_tol
     if base is None:
-        base = assemble_transition(dyn, L, tol)
+        base = assemble_transition(dyn, L)
         L = base.laplacian
-    rows = (check_pair(dyn, L, validate_laplacian(Lbar), base, tol)[1] for Lbar in Lbars)
+    rows = (check_pair(dyn, L, Lbar, base)[1] for Lbar in Lbars)
     # a chunk's first row is checked before its size is read from the
     # base's clusters, so no base decomposes for a bad Lbar or for no rows
     while chunk := list(itertools.islice(rows, 1)):
@@ -547,20 +546,15 @@ def analyze_rows(
         chunk += itertools.islice(rows, max(size, 1) - 1)
         stack = np.array(chunk)
         diffs = laplacian_difference(base.laplacian, stack)
-        decided = zip(chunk, diffs, common_laplacian_vectors(base, diffs, tol),
+        decided = zip(chunk, common_laplacian_vectors(base, diffs, tol),
                       collision_svds(base, diffs),
                       corrected_conditions(base, stack, opts.eig_tol))
-        for Lbar, diff, common, svds, corrected in decided:
-            ind = indiscernible_subspace(dyn, L, Lbar, tol, base, common, svds)
-            if not (diff.any() and dyn.B.any()):
-                verdict = VERDICT_NO_VARIATION
-            elif ind.dim == base.node_dim:
-                verdict = VERDICT_DETECTABLE
-            else:
-                verdict = VERDICT_EXTRA_STATES
-            summary = None
-            if opts.validate:
-                summary = validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
+        for Lbar, common, svds, corrected in decided:
+            ind = indiscernible_subspace(dyn, L, Lbar, tol, base, (common, svds))
+            verdict = (VERDICT_NO_VARIATION if no_variation(base, common) else
+                       VERDICT_DETECTABLE if ind.dim == base.node_dim else VERDICT_EXTRA_STATES)
+            summary = (validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
+                       if opts.validate else None)
             yield DiscernibilityReport(
                 node_count=base.node_count,
                 node_dim=base.node_dim,

@@ -39,6 +39,7 @@ CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to max(1, ||M||_2)
 # The smallest relative rank cutoff: one near roundoff (about 1e-16
 # relative) reads the roundoff of a rank-deficient product as rank.
 MIN_RANK_TOL = 1e-12
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))  # about 1.5e-154: squares below it underflow
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -128,6 +129,20 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(v):
         return w.real
     return w
+
+
+def scaled_norm(M: np.ndarray, axis: int | None = None):
+    """np.linalg.norm(M, axis=axis), taken again on M over its largest
+    |entry| where the squares overflow (not finite) or underflow (below
+    about 1e-154); every norm in between keeps the plain norm's bits."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(M, axis=axis)
+    plain = (norm >= _SQRT_TINY) & (norm < np.inf)
+    if plain if axis is None else plain.all():  # a scalar's .all() costs a microsecond
+        return norm
+    peak = np.abs(M).max(axis=axis, keepdims=True)
+    peak = np.where(peak > 0, peak, 1.0)
+    return np.where(plain, norm, np.squeeze(peak, axis) * np.linalg.norm(M / peak, axis=axis))
 
 
 def eig(M, cluster_tol: float | None = None) -> Spectrum:

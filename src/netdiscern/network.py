@@ -11,11 +11,11 @@ block diagonal of the modal matrices A - alpha_i*B, and the Kronecker
 products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
 of Phi; they span the whole space only when the modal spectra of different
 alpha_i are distinct.  ``assemble_transition`` validates L and builds the
-``NetworkSystem``, the one place the blocks are decomposed, read by the
-indiscernible subspace and the shared modal span.  It sorts the
-eigenvalue clusters of Phi in two: a single-alpha cluster, whose
-eigenvalue is in the blocks of one distinct alpha only, is kept as the
-block's vectors Z for it (Phi's eigenspace is V_alpha (x) Z), so its
+``NetworkSystem`` of (A, B, L) alone, the one place the blocks are
+decomposed, read by the indiscernible subspace and the shared modal span.
+It sorts the eigenvalue clusters of Phi in two: a single-alpha cluster,
+whose eigenvalue is in the blocks of one distinct alpha only, is kept as
+the block's vectors Z for it (Phi's eigenspace is V_alpha (x) Z), so its
 indiscernible part is decided on the graph side alone; a collision
 cluster, whose eigenvalue is in the blocks of two or more, keeps an
 orthonormal basis X_g of Phi's generalized eigenspace.  The constants of
@@ -51,6 +51,7 @@ from .linalg import (
     cluster_indices,
     eig,
     kernel,
+    scaled_norm,
     schur_basis,
 )
 
@@ -134,7 +135,6 @@ class NetworkSystem:
 
     dynamics: NodeDynamics
     laplacian: np.ndarray
-    tol: float = RANK_TOL  # the rank tolerance the invariant modes are found at
 
     @property
     def node_count(self) -> int:
@@ -201,7 +201,7 @@ class NetworkSystem:
                 copies.append(count)
         group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
         return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
-                tuple(network_invariant_modes(dyn, self.tol)),
+                tuple(network_invariant_modes(dyn)),
                 tuple(z_dims[k] for k, _ in group_vectors), tuple(copies))
 
     alphas = property(lambda self: self._parts[0])             # eigenvalues of L, ascending
@@ -238,12 +238,11 @@ def check_coupling(dyn: NodeDynamics, L: np.ndarray) -> np.ndarray:
     return L
 
 
-def assemble_transition(dyn: NodeDynamics, L, tol: float = RANK_TOL) -> NetworkSystem:
+def assemble_transition(dyn: NodeDynamics, L) -> NetworkSystem:
     """The network of ``dyn`` coupled through L, after ``validate_laplacian``
-    and ``check_coupling`` check L; its invariant modes are found at
-    ``tol``.  Its transition matrix and modal parts are formed on first
-    read."""
-    return NetworkSystem(dyn, check_coupling(dyn, validate_laplacian(L)), tol)
+    and ``check_coupling`` check L: it depends on (A, B, L) alone.  Its
+    transition matrix and modal parts are formed on first read."""
+    return NetworkSystem(dyn, check_coupling(dyn, validate_laplacian(L)))
 
 
 @dataclass(frozen=True)
@@ -264,14 +263,15 @@ def unobservable_subspace(C, A, tol: float = RANK_TOL) -> Subspace:
     stacking; kernels are unaffected by row scaling, and the
     renormalization keeps spectral radii > 1 from overflowing the stack.
     Once a block is numerically zero, so is every later one, and the
-    stack stops there.
+    stack stops there.  The norms are ``scaled_norm``'s, which neither
+    overflow nor underflow (a unit R keeps ||R A||_F <= ||A||_F).
     """
     m = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A)))
+    scale = max(1.0, float(scaled_norm(A)))
     blocks = []
     R = C
     for _ in range(m):
-        nr = float(np.linalg.norm(R))
+        nr = float(scaled_norm(R))
         if nr <= 1e-14 * scale:
             break
         R = R / nr
@@ -282,19 +282,17 @@ def unobservable_subspace(C, A, tol: float = RANK_TOL) -> Subspace:
     return kernel(np.vstack(blocks), tol)
 
 
-def network_invariant_modes(
-    dyn: NodeDynamics, tol: float = RANK_TOL
-) -> list[NetworkInvariantMode]:
+def network_invariant_modes(dyn: NodeDynamics) -> list[NetworkInvariantMode]:
     """All eigenpairs of A restricted to kernel(B).
 
     The restriction is taken on the largest A-invariant subspace contained
-    in kernel(B) (``unobservable_subspace(B, A)``); eigenvectors of A
-    inside kernel(B) live exactly there.  With Q its orthonormal basis,
-    the modes are Q times the eigenvectors of Q^H A Q from ``eig``: unit
-    vectors, real for a real eigenvalue, in its sorted order.  Returns the
-    empty list when kernel(B) holds no eigenvector of A.
+    in kernel(B) (``unobservable_subspace(B, A)`` at ``RANK_TOL``, so the
+    modes depend on (A, B) alone); eigenvectors of A inside kernel(B) live
+    exactly there.  With Q its orthonormal basis, the modes are Q times the
+    eigenvectors of Q^H A Q from ``eig``: unit vectors, real for a real
+    eigenvalue, in its sorted order, or none.
     """
-    core = unobservable_subspace(dyn.B, dyn.A, tol)
+    core = unobservable_subspace(dyn.B, dyn.A)
     if core.dim == 0:
         return []
 

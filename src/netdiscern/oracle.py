@@ -76,13 +76,6 @@ class OracleConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _check_pair(phi: NetworkSystem, phibar: NetworkSystem) -> None:
-    if phi.phi.shape != phibar.phi.shape:
-        raise ValueError(
-            f"dimension mismatch: {phi.phi.shape} vs {phibar.phi.shape}"
-        )
-
-
 def _block_len(m: int, s: int) -> int:
     """Grid times or powers per block: the largest stack a block holds,
     (B, m, max(m, s)) in float64, stays within _BLOCK_BYTES."""
@@ -262,12 +255,10 @@ def validate_subspace(
     states with an equal-weight component in V's orthocomplement (gap must
     exceed rel_tol), and report pass/fail counts with the worst gaps."""
     cfg = cfg or OracleConfig()
-    _check_pair(phi, phibar)
     m = phi.phi.shape[0]
-    if V.ambient_dim != m:
-        raise ValueError(
-            f"dimension mismatch: subspace ambient {V.ambient_dim}, system {m}"
-        )
+    if phibar.phi.shape != (m, m) or V.ambient_dim != m:
+        raise ValueError(f"dimension mismatch: Phi {phi.phi.shape}, Phibar "
+                         f"{phibar.phi.shape}, subspace ambient {V.ambient_dim}")
     rng = np.random.default_rng(cfg.seed)
     s = cfg.sample_count
     Q = V.basis

@@ -636,6 +636,52 @@ def test_an_overflowing_variation_is_an_input_error(tmp_path, capsys, kinds):
     assert not out.exists()
 
 
+def large_weight_runs(tmp_path, weight):
+    """The example with base edge (1,3) at ``weight`` and the oracle off,
+    run as analyze on its shipped variation (which removes that edge),
+    analyze with link remove_edge(1,2) and enumerate over all four kinds:
+    per run, the dimensions and verdicts it writes."""
+    runs = []
+    for case in ("shipped", "link", "enumerate"):
+        config = example_config(validate=False)
+        assert config["base_graph"]["edges"][1]["j"] == 3
+        config["base_graph"]["edges"][1]["w"] = weight
+        if case == "link":
+            config["variation"] = {"link": {"kind": "remove_edge", "i": 1, "j": 2}}
+        elif case == "enumerate":
+            config["variation"] = {"enumerate": {"kinds": [
+                "remove_edge", "add_edge", "reweight_edge", "disconnect_node"],
+                "reweight_to": 2.5}}
+        out = tmp_path / f"{weight:g}-{case}"
+        command = "enumerate" if case == "enumerate" else "analyze"
+        assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 0
+        if command == "enumerate":
+            rows = json.loads((out / "variations.json").read_text())["rows"]
+            runs.append([(r["indiscernible_dim"], r["extra_dim"], r["verdict"]) for r in rows])
+        else:
+            report = json.loads((out / "report.json").read_text())
+            runs.append((report["indiscernible"]["dim"], report["extra_dim"], report["verdict"]))
+    return runs
+
+
+@pytest.mark.parametrize("weight", [1e160, 1e200, 1e300])
+def test_large_edge_weights_overflow_no_norm(tmp_path, capsys, weight):
+    # the squares of entries past about 1e154 overflow a plain 2-norm: the
+    # column norms of (L - Lbar)V and the Frobenius norms of the collision
+    # stacks are taken again on the rescaled entries where they are not
+    # finite, so no RuntimeWarning is raised, every run exits 0, and every
+    # dimension and verdict is the one at 1e100, whose norms are finite.
+    # This checks consistency across weights only, not correctness: in
+    # rational arithmetic both analyze runs have dimension 6 at every
+    # weight from 3 to 1e300, where these floating-point runs read 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runs = large_weight_runs(tmp_path, weight)
+        assert runs == large_weight_runs(tmp_path, 1e100)
+    assert len(runs[2]) == 14
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
     # each output of an atomic write has 0o666 less the umask, as open()

@@ -637,8 +637,8 @@ def test_every_entry_point_rejects_the_base_of_another_network():
     # the ring with chords of 6 nodes minus its first edge against the
     # decomposition of the 6-node path: a base is matched to (A, B, L)
     # wherever one is taken, not only by analyze, and Lbar must have L's
-    # shape; without a base each entry point validates Lbar as a
-    # Laplacian, and analyze validates it with one as well
+    # shape; with or without a base each entry point validates Lbar as a
+    # Laplacian
     dyn = uniform_dynamics(np.random.default_rng(0))
     g = ring_with_chords(6)
     L, Lbar = laplacian(g), laplacian(without_first_edge(g))
@@ -651,6 +651,7 @@ def test_every_entry_point_rejects_the_base_of_another_network():
         "shared_modal_subspace": lambda base, Lbar: shared_modal_subspace(
             dyn, L, Lbar, RANK_TOL, base),
         "corrected_condition": lambda base, Lbar: corrected_condition(dyn, L, Lbar, base=base),
+        "check_pair": lambda base, Lbar: discernibility.check_pair(dyn, L, Lbar, base),
     }
     own = assemble_transition(dyn, L)
     infinite, skewed, shifted_rows = Lbar.copy(), Lbar.copy(), Lbar + np.eye(6)
@@ -663,21 +664,17 @@ def test_every_entry_point_rejects_the_base_of_another_network():
             call(own, laplacian(Graph(5, ((1, 2, 1.0),))))
         for bad, message in ((infinite, "finite"), (skewed, "not symmetric"),
                              (shifted_rows, "rows do not sum to zero")):
-            with pytest.raises(ValueError, match=message):
-                call(None, bad)
+            for base in (None, own):
+                with pytest.raises(ValueError, match=message):
+                    call(base, bad)
         call(own, Lbar)  # the network's own decomposition is accepted
-    for bad, message in ((infinite, "finite"), (skewed, "not symmetric"),
-                         (shifted_rows, "rows do not sum to zero")):
-        with pytest.raises(ValueError, match=message):
-            analyze(dyn, L, bad, base=own)
     shifted = NodeDynamics(dyn.A, 2 * dyn.B)  # same L, other dynamics
     with pytest.raises(ValueError, match="another network"):
         shared_modal_subspace(shifted, L, Lbar, RANK_TOL, own)
 
 
 def test_a_base_rejects_a_non_finite_lbar():
-    # with a base, Lbar is the caller's and is not validated as a
-    # Laplacian: an inf or nan entry is still rejected, with
+    # with a base, an inf or nan entry of Lbar is rejected, with
     # validate_laplacian's own message, before an SVD or eigenvalue solver
     # reads it
     dyn = uniform_dynamics(np.random.default_rng(0))
@@ -703,6 +700,54 @@ def test_a_base_rejects_a_non_finite_lbar():
             with pytest.raises(ValueError) as got:
                 call(Lbar)
             assert str(got.value) == str(want.value), name
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 14_000])
+def test_each_row_is_checked_once(monkeypatch, chunk_bytes):
+    # the 66 rows of the 12-node ring with chords: analyze_rows checks each
+    # Lbar through check_pair alone, once, and forms L - Lbar once per
+    # chunk; indiscernible_subspace, handed the row's decisions, neither
+    # checks the pair again nor forms the difference
+    if chunk_bytes is not None:
+        monkeypatch.setattr(discernibility, "_CHUNK_BYTES", chunk_bytes)
+    calls = Counter()
+    for name in ("check_pair", "validate_laplacian", "check_coupling", "laplacian_difference"):
+        def counted(*args, _name=name, _call=getattr(discernibility, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(discernibility, name, counted)
+    g = ring_with_chords(12)
+    Lbars = [Lvar for _, _, Lvar in enumerate_single_link_variations(
+        g, ["remove_edge", "add_edge"])]
+    dyn, L = example_dynamics(), laplacian(g)
+    base = assemble_transition(dyn, L)
+    size = discernibility._CHUNK_BYTES // max([L.nbytes] + [X.nbytes for X in base.clusters])
+    chunks = -(-len(Lbars) // size)
+    assert len(list(analyze_rows(dyn, L, Lbars, base=base))) == len(Lbars) == 66
+    assert (chunks == 1) == (chunk_bytes is None)
+    assert calls == {"check_pair": 66, "validate_laplacian": 66, "check_coupling": 66,
+                     "laplacian_difference": chunks}
+
+
+def test_decisions_are_read_with_their_base():
+    # the decisions analyze_rows makes are read on the base they were made
+    # on: handed without it, indiscernible_subspace and shared_modal_subspace
+    # raise instead of failing on a missing base or set of SVDs
+    dyn, g = example_dynamics(), ring_with_chords(6)
+    L, Lbar = laplacian(g), laplacian(without_first_edge(g))
+    [report] = analyze_rows(dyn, L, [Lbar])
+    base = report.base
+    diffs = (L - Lbar)[None]
+    decided = (report.common, discernibility.collision_svds(base, diffs)[0])
+    with pytest.raises(ValueError, match="with the base they were made on"):
+        indiscernible_subspace(dyn, L, Lbar, RANK_TOL, None, decided)
+    with pytest.raises(ValueError, match="with the base they were made on"):
+        shared_modal_subspace(dyn, L, Lbar, RANK_TOL, None, report.common)
+    got = indiscernible_subspace(dyn, L, Lbar, RANK_TOL, base, decided)
+    assert got.dim == report.indiscernible.dim
+    assert got.basis.tobytes() == report.indiscernible.basis.tobytes()
+    got = shared_modal_subspace(dyn, L, Lbar, RANK_TOL, base, report.common)
+    assert got.basis.tobytes() == report.shared_modal.basis.tobytes()
 
 
 def report_fields(report):
@@ -1082,6 +1127,18 @@ def test_a_small_reweight_keeps_the_sync_manifold_indiscernible():
         report = analyze(example_dynamics(), L, laplacian(g.with_edge_reweighted(1, 2, w)))
         assert (report.indiscernible.dim, report.sync_overlap_dim) == (5, 3)
         assert report.verdict == VERDICT_EXTRA_STATES
+
+
+@pytest.mark.parametrize("w", [1e-3, 1e-170, 1e-300])
+def test_a_tiny_added_edge_is_a_variation(w):
+    # an edge of weight w added to the 4-node path: the entries of
+    # (L - Lbar)V, about w, square to 0 below about 1e-154, and a plain
+    # 2-norm read their group as untouched (dimension 12, every state);
+    # the rescaled norm gives 8 at every w, as rational arithmetic does
+    g = Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)))
+    Lbar = laplacian(Graph(4, g.edges + ((1, 4, w),)))
+    report = analyze(example_dynamics(), laplacian(g), Lbar)
+    assert (report.indiscernible.dim, report.verdict) == (8, VERDICT_EXTRA_STATES)
 
 
 def test_a_row_hands_kernel_only_its_collision_stacks(demo, monkeypatch):

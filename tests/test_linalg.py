@@ -674,3 +674,43 @@ def test_expm_matches_scipy_on_the_ring_transitions(t):
     for L in (laplacian(g), laplacian(without_first_edge(g))):
         phi = assemble_transition(dyn, L).phi
         assert relative_gap(expm(phi, t), scipy.linalg.expm(phi * t)) <= 1e-12
+
+
+def test_scaled_norm_keeps_finite_norms_and_rescales_overflow():
+    # a finite norm is the plain np.linalg.norm bit for bit; where squaring
+    # the entries overflows, the norm is taken on the rescaled entries, with
+    # no RuntimeWarning, and the finite columns of the same call keep their
+    # plain bits
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((3, 5, 4))
+    assert linalg.scaled_norm(M[0]) == np.linalg.norm(M[0])
+    assert linalg.scaled_norm(M, -2).tobytes() == np.linalg.norm(M, axis=-2).tobytes()
+    big = M.copy()
+    big[1, :, 2] *= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        frobenius = linalg.scaled_norm(big[1])
+        columns = linalg.scaled_norm(big, -2)
+    assert frobenius == pytest.approx(1e300 * np.linalg.norm(M[1, :, 2]), rel=1e-14)
+    assert columns[1, 2] == pytest.approx(1e300 * np.linalg.norm(M[1, :, 2]), rel=1e-14)
+    finite = np.ones(columns.shape, dtype=bool)
+    finite[1, 2] = False
+    assert columns[finite].tobytes() == np.linalg.norm(M, axis=-2)[finite].tobytes()
+
+
+def test_scaled_norm_rescales_underflow():
+    # squared entries below about 1e-154 underflow, to 0 at last: such a
+    # norm is taken on the rescaled entries, a zero norm stays 0, and the
+    # other columns keep their plain bits
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((5, 4))
+    tiny = M.copy()
+    tiny[:, 1] *= 1e-170
+    tiny[:, 3] = 0.0
+    assert np.linalg.norm(tiny[:, 1]) == 0.0
+    columns = linalg.scaled_norm(tiny, -2)
+    assert columns[1] == pytest.approx(1e-170 * np.linalg.norm(M[:, 1]), rel=1e-14)
+    assert columns[3] == 0.0
+    assert columns[[0, 2]].tobytes() == np.linalg.norm(M, axis=-2)[[0, 2]].tobytes()
+    assert linalg.scaled_norm(tiny[:, 1]) == pytest.approx(columns[1], rel=1e-15)
+    assert linalg.scaled_norm(np.zeros((2, 2))) == 0.0

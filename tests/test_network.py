@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netdiscern import (
+    AnalyzeOptions,
     Graph,
     NodeDynamics,
     analyze,
@@ -14,7 +15,7 @@ from netdiscern import (
     network_invariant_modes,
     sync_manifold,
 )
-from netdiscern.example import EXAMPLE_A, EXAMPLE_B, example_graph
+from netdiscern.example import EXAMPLE_A, EXAMPLE_B, example_graph, example_modified_graph
 from netdiscern.network import check_coupling, unobservable_subspace
 
 from conftest import contains, multiplicity_of, random_graph, spectrum_values
@@ -152,6 +153,30 @@ def test_zero_b_makes_every_eigenpair_invariant():
     A = np.diag([2.0, 5.0, -1.0])
     modes = network_invariant_modes(NodeDynamics(A, np.zeros((3, 3))))
     assert sorted(m.value.real for m in modes) == [-1.0, 2.0, 5.0]
+
+
+def test_invariant_modes_depend_on_the_dynamics_alone():
+    # (A, B) with one real eigenvector v of A in kernel(B): the base network
+    # is (A, B, L) alone, so an analysis at rank_tol 0.5 reports the modes
+    # of the default bit for bit (found at the analysis's rank tolerance,
+    # this mode's vector moved in its last bits)
+    rng = np.random.default_rng(0)
+    n = 3
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    P = np.column_stack([v, rng.standard_normal((n, n - 1))])
+    A = P @ np.diag(rng.standard_normal(n)) @ np.linalg.inv(P)
+    B = rng.standard_normal((n, n)) @ (np.eye(n) - np.outer(v, v))
+    dyn = NodeDynamics(A, B)
+    L, Lbar = laplacian(example_graph()), laplacian(example_modified_graph())
+
+    def modes(opts):
+        return [(complex(m.value), m.vector.tobytes())
+                for m in analyze(dyn, L, Lbar, opts).invariant_modes]
+
+    default = modes(AnalyzeOptions())
+    assert len(default) == 1
+    assert modes(AnalyzeOptions(rank_tol=0.5)) == default
 
 
 def test_invariant_mode_spans_network_eigenvectors(demo):
