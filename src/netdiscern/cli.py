@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -436,7 +437,9 @@ def _checked(context: str, check, *args):
         raise ConfigError(f"invalid config: {context}: {exc}") from exc
 
 
-def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Graph]:
+def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Callable[[np.ndarray], np.ndarray]]:
+    """The dynamics, the base graph and the varied Laplacian as a function
+    of the base's: a modified graph's own, or the link's edit of it."""
     dyn = _parse_dynamics(config)
     if "base_graph" not in config:
         raise ConfigError("invalid config: missing base_graph")
@@ -451,33 +454,28 @@ def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Graph]:
                 "invalid config: node counts differ between base and modified graphs "
                 f"({base.node_count} vs {varied.node_count})"
             )
-    elif "link" in variation:
-        link = _parse_link(variation["link"])
-        try:
-            varied = link.apply(base)
-        except ValueError as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
-    elif "enumerate" in variation:
+        return dyn, base, lambda L: laplacian(varied)
+    if "link" in variation:
+        return dyn, base, _parse_link(variation["link"]).apply
+    if "enumerate" in variation:
         raise ConfigError(
             "invalid config: this scenario enumerates variations; "
             "use the enumerate subcommand"
         )
-    else:
-        raise ConfigError(
-            "invalid config: variation must contain modified_graph, link, or enumerate"
-        )
-    return dyn, base, varied
+    raise ConfigError(
+        "invalid config: variation must contain modified_graph, link, or enumerate"
+    )
 
 
 def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
                 cli_validate: bool = False) -> int:
     """Analyze one explicit variation; writes report.json (+ gaps.csv when
     validating).  Returns the process exit code."""
-    dyn, base, varied = _resolve_pair(config)
+    dyn, base, vary = _resolve_pair(config)
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
     net = _checked("base_graph", assemble_transition, dyn, _checked("base_graph", laplacian, base))
     Lbar = _checked("varied graph", check_coupling, dyn,
-                    _checked("varied graph", laplacian, varied))
+                    _checked("varied graph", vary, net.laplacian))
     report = analyze(dyn, net.laplacian, Lbar, opts, net)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -536,10 +534,10 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         raise ConfigError(f"invalid config: {exc}") from exc
     net = _checked("base_graph", assemble_transition, dyn, L)  # after the enumeration's checks
 
-    variations = []  # the labels only: each varied graph and Laplacian is dropped once read
+    variations = []  # the labels only: each varied Laplacian is dropped once read
 
     def laplacians():
-        for var, _, Lvar in entries:
+        for var, Lvar in entries:
             variations.append(var)
             yield _checked(var.describe(), check_coupling, dyn, Lvar)
 

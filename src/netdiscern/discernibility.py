@@ -7,9 +7,10 @@ form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
 Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
 point takes the pair as (dyn, L, Lbar) and checks it once (``check_pair``,
 a row's only check), and a variation enters the analysis only as L - Lbar,
-formed as a Laplacian (``laplacian_difference``) so that it sends 1 to 0
-whatever the roundoff of the two degree sums: neither Delta nor Phibar is
-formed here, and only the trajectory oracle forms Phibar.  The one
+formed by the Laplacian rule of ``graphs.laplacian_of`` on Lbar - L
+(``laplacian_difference``) so that it sends 1 to 0 whatever the roundoff
+of the two degree sums: neither Delta nor Phibar is formed here, and only
+the trajectory oracle forms Phibar.  The one
 algorithm is modal, over the eigenvalue clusters of Phi that the base
 ``network.NetworkSystem`` decomposes.  The common eigenvectors of L and
 Lbar are decided once per report, for every distinct alpha of L
@@ -59,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import validate_laplacian
+from .graphs import laplacian_of, validate_laplacian
 from .linalg import (
     MIN_RANK_TOL,
     RANK_TOL,
@@ -106,18 +107,13 @@ def check_pair(dyn: NodeDynamics, L, Lbar,
 
 
 def laplacian_difference(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
-    """L - Lbar, or L minus each Laplacian of a stack Lbar, formed as a
-    Laplacian: the differences off the diagonal, and minus their row sums
-    on it.  L and Lbar each round their own degree sums, so their plain
-    difference has row sums of roundoff, which the cutoff
-    rank_tol * ||L - Lbar||_2 of a small reweight reads as a touched
-    alpha = 0 direction; this one sends 1 to 0 up to the roundoff of its
-    own entries."""
-    diff = L - Lbar
-    i = np.arange(L.shape[-1])
-    diff[..., i, i] = 0.0
-    diff[..., i, i] = -diff.sum(axis=-1)
-    return diff
+    """L - Lbar, or L minus each Laplacian of a stack Lbar, as the
+    Laplacian of the weight change: ``graphs.laplacian_of(Lbar - L)``.  L
+    and Lbar each round their own degree sums, so their plain difference
+    has row sums of roundoff, which the cutoff rank_tol * ||L - Lbar||_2
+    of a small reweight reads as a touched alpha = 0 direction; this one
+    sends 1 to 0 up to the roundoff of its own entries."""
+    return laplacian_of(Lbar - L)
 
 
 def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,

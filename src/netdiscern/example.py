@@ -42,7 +42,7 @@ def example_graph() -> Graph:
 
 def example_modified_graph() -> Graph:
     """The varied topology: the base graph with edge (1,3) removed."""
-    return example_graph().with_edge_removed(1, 3)
+    return Graph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)))
 
 
 def example_config(validate: bool = True) -> dict:

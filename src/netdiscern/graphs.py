@@ -1,4 +1,11 @@
-"""Weighted undirected graphs, Laplacians, and single-link variations."""
+"""Weighted undirected graphs, their Laplacians, and single-link variations.
+
+One rule forms every Laplacian (``laplacian_of``): for a weight matrix W,
+0.0 - W off the diagonal and 0.0 - the row sum of that on it.  A graph's
+Laplacian is the rule on its weights (``laplacian``), and a single-link
+variation is an edit of those weights, read back from the base Laplacian
+(``LinkVariation.apply``): no varied graph is built.
+"""
 
 from __future__ import annotations
 
@@ -52,45 +59,6 @@ class Graph:
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        i, j = min(i, j), max(i, j)
-        return any(e[0] == i and e[1] == j for e in self.edges)
-
-    def absent_pairs(self) -> list[tuple[int, int]]:
-        present = {(e[0], e[1]) for e in self.edges}
-        return [
-            (i, j)
-            for i, j in itertools.combinations(range(1, self.node_count + 1), 2)
-            if (i, j) not in present
-        ]
-
-    def with_edge_removed(self, i: int, j: int) -> "Graph":
-        i, j = min(i, j), max(i, j)
-        if not self.has_edge(i, j):
-            raise ValueError(f"cannot remove: no edge ({i},{j})")
-        kept = tuple(e for e in self.edges if (e[0], e[1]) != (i, j))
-        return Graph(self.node_count, kept)
-
-    def with_edge_added(self, i: int, j: int, w: float = 1.0) -> "Graph":
-        if self.has_edge(i, j):
-            raise ValueError(f"cannot add: edge ({min(i,j)},{max(i,j)}) exists")
-        return Graph(self.node_count, self.edges + ((i, j, w),))
-
-    def with_edge_reweighted(self, i: int, j: int, w: float) -> "Graph":
-        i, j = min(i, j), max(i, j)
-        if not self.has_edge(i, j):
-            raise ValueError(f"cannot reweight: no edge ({i},{j})")
-        new = tuple((a, b, w if (a, b) == (i, j) else wt) for a, b, wt in self.edges)
-        return Graph(self.node_count, new)
-
-    def with_node_disconnected(self, node: int) -> "Graph":
-        """Remove all edges incident to ``node``; the node itself stays so
-        the network keeps its state dimension."""
-        if not (1 <= node <= self.node_count):
-            raise ValueError(f"node {node} out of range")
-        kept = tuple(e for e in self.edges if node not in (e[0], e[1]))
-        return Graph(self.node_count, kept)
-
     def adjacency(self) -> np.ndarray:
         W = np.zeros((self.node_count, self.node_count))
         for i, j, w in self.edges:
@@ -99,16 +67,26 @@ class Graph:
         return W
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Weighted graph Laplacian: degree on the diagonal, negated edge
-    weights off it.  Rows sum to zero by construction.  Finite weights can
-    still sum to a degree past float64; that raises ValueError."""
-    W = g.adjacency()
+def laplacian_of(W: np.ndarray) -> np.ndarray:
+    """The Laplacian rule, for one weight matrix W or a stack of them:
+    0.0 - W off the diagonal and 0.0 - the row sum of that on it; W's own
+    diagonal is not read.  Rows sum to zero up to the roundoff of their
+    own entries, and the ``0.0 -`` keeps +0.0 where a row has no weight.
+    Finite weights can still sum past float64; that raises ValueError."""
+    M = 0.0 - W
+    i = np.arange(M.shape[-1])
+    M[..., i, i] = 0.0
     with np.errstate(over="ignore"):
-        degrees = W.sum(axis=1)
-    if not np.all(np.isfinite(degrees)):
+        sums = M.sum(axis=-1)
+    if not np.isfinite(sums).all():
         raise ValueError("the weighted degrees overflow float64")
-    return np.diag(degrees) - W
+    M[..., i, i] = 0.0 - sums
+    return M
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """The weighted graph Laplacian: ``laplacian_of`` g's weights."""
+    return laplacian_of(g.adjacency())
 
 
 def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
@@ -157,17 +135,38 @@ class LinkVariation:
             if not self.new_weight > 0:
                 raise ValueError("new_weight must be positive")
 
-    def apply(self, g: Graph) -> Graph:
-        if self.kind == "remove_edge":
-            return g.with_edge_removed(*self.target)
+    def apply(self, L: np.ndarray) -> np.ndarray:
+        """Lbar for L = laplacian(g): g's weights, read off L, edited by
+        this variation, then ``laplacian_of`` them.  An edge is a nonzero
+        entry of L off the diagonal.  Raises ValueError when the edit does
+        not fit g (an absent edge to remove or reweight, a present one to
+        add, a self-loop, a node out of range) or the degrees overflow."""
+        W = 0.0 - np.asarray(L, dtype=float)
+        N = W.shape[-1]
+        if self.kind == "disconnect_node":
+            node = self.target
+            if not 1 <= node <= N:
+                raise ValueError(f"node {node} out of range")
+            W[node - 1, :] = W[:, node - 1] = 0.0
+            return laplacian_of(W)
+        i, j = self.target
+        present = 1 <= i < j <= N and W[i - 1, j - 1] != 0.0
         if self.kind == "add_edge":
+            if present:
+                raise ValueError(f"cannot add: edge ({i},{j}) exists")
+            if i == j:
+                raise ValueError(f"self-loop at node {i}")
+            if not (1 <= i and j <= N):
+                raise ValueError(f"edge ({i},{j}) out of range 1..{N}")
             w = 1.0 if self.new_weight is None else self.new_weight
-            return g.with_edge_added(*self.target, w)
-        if self.kind == "reweight_edge":
-            if self.new_weight is None:
-                raise ValueError("reweight_edge requires new_weight")
-            return g.with_edge_reweighted(*self.target, self.new_weight)
-        return g.with_node_disconnected(self.target)  # disconnect_node
+        elif self.kind == "reweight_edge" and self.new_weight is None:
+            raise ValueError("reweight_edge requires new_weight")
+        elif not present:
+            raise ValueError(f"cannot {self.kind.removesuffix('_edge')}: no edge ({i},{j})")
+        else:
+            w = 0.0 if self.kind == "remove_edge" else self.new_weight
+        W[i - 1, j - 1] = W[j - 1, i - 1] = w
+        return laplacian_of(W)
 
     def describe(self) -> str:
         """The row label: the weight in ``:g`` form when that reads back as
@@ -188,17 +187,19 @@ def enumerate_single_link_variations(
     g: Graph,
     kinds: set[str] | tuple[str, ...] | list[str],
     reweight_to: float | None = None,
-) -> Iterator[tuple[LinkVariation, Graph, np.ndarray]]:
+) -> Iterator[tuple[LinkVariation, np.ndarray]]:
     """All single-link variations of the requested kinds, in deterministic
-    order (kind, then node indices).  Added links default to weight 1;
-    reweighting needs an explicit ``reweight_to``.  Each entry carries the
-    varied graph and its Laplacian.
+    order (kind, then node indices), each with its Laplacian Lbar.  The
+    edges, the absent pairs and the touched nodes are read from
+    ``g.edges``.  Added links default to weight 1; reweighting needs an
+    explicit ``reweight_to``.
 
-    The kinds, ``reweight_to`` and the degrees of every reweighted graph
+    The kinds, ``reweight_to`` and the degrees of every reweighted Lbar
     are checked here, at the call: reweighting is the one kind that can
-    raise a degree past float64 (an added link weighs 1).  The entries are
-    yielded one by one, each built when it is read, so a caller that keeps
-    only what it reports holds one varied graph at a time."""
+    raise a degree past float64 (an added link weighs 1).  Each Lbar is
+    an edit of ``laplacian(g)`` (``LinkVariation.apply``), formed when its
+    pair is read, so a caller that keeps only what it reports holds one
+    Lbar at a time."""
     if not all(isinstance(kind, str) for kind in kinds):
         raise ValueError(f"variation kinds must be strings, got {list(kinds)!r}")
     kinds = set(kinds)
@@ -208,25 +209,21 @@ def enumerate_single_link_variations(
     if "reweight_edge" in kinds and reweight_to is None:
         raise ValueError("reweight_edge enumeration requires reweight_to")
 
+    L = laplacian(g)
+    edges = [(i, j) for i, j, _ in g.edges]
     variations: list[LinkVariation] = []
     if "remove_edge" in kinds:
-        for i, j, _ in g.edges:
-            variations.append(LinkVariation("remove_edge", (i, j)))
+        variations += [LinkVariation("remove_edge", e) for e in edges]
     if "add_edge" in kinds:
-        for i, j in g.absent_pairs():
-            variations.append(LinkVariation("add_edge", (i, j), 1.0))
+        present = set(edges)
+        variations += [LinkVariation("add_edge", p, 1.0)
+                       for p in itertools.combinations(range(1, g.node_count + 1), 2)
+                       if p not in present]
     if "reweight_edge" in kinds:
-        for i, j, _ in g.edges:
-            variations.append(LinkVariation("reweight_edge", (i, j), reweight_to))
-            laplacian(variations[-1].apply(g))  # raises now if its degrees overflow
+        for e in edges:
+            variations.append(LinkVariation("reweight_edge", e, reweight_to))
+            variations[-1].apply(L)  # raises now if its degrees overflow
     if "disconnect_node" in kinds:
-        touched = sorted({v for i, j, _ in g.edges for v in (i, j)})
-        for node in touched:
-            variations.append(LinkVariation("disconnect_node", node))
-
-    def entries():
-        for var in variations:
-            varied = var.apply(g)
-            yield var, varied, laplacian(varied)
-
-    return entries()
+        variations += [LinkVariation("disconnect_node", v)
+                       for v in sorted({v for e in edges for v in e})]
+    return ((var, var.apply(L)) for var in variations)

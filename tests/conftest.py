@@ -9,6 +9,7 @@ assertions honest instead of tolerance-washed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from netdiscern.example import (
     example_graph,
     example_modified_graph,
 )
-from netdiscern.graphs import Graph
+from netdiscern.graphs import Graph, LinkVariation
 from netdiscern.linalg import RANK_TOL, RESID_TOL, canonical_sign, cluster_indices
 from netdiscern.oracle import _gap_columns
 
@@ -134,25 +135,35 @@ def random_graph(rng: np.random.Generator, node_count: int, p: float = 0.5) -> G
     return Graph(node_count, tuple(edges))
 
 
-def random_single_variation(rng: np.random.Generator, g: Graph) -> Graph:
-    """Apply one random single-link change; the result always differs."""
+def absent_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The node pairs (i < j) that no edge of g joins, in order."""
+    present = {(i, j) for i, j, _ in g.edges}
+    return [p for p in itertools.combinations(range(1, g.node_count + 1), 2)
+            if p not in present]
+
+
+def random_single_variation(rng: np.random.Generator, g: Graph) -> np.ndarray:
+    """The Laplacian of one random single-link change of g; it always
+    differs from laplacian(g)."""
     kinds = ["remove_edge", "reweight_edge", "disconnect_node"]
-    if g.absent_pairs():
+    if absent_pairs(g):
         kinds.append("add_edge")
     kind = kinds[int(rng.integers(len(kinds)))]
     if kind == "remove_edge":
         i, j, _ = g.edges[int(rng.integers(len(g.edges)))]
-        return g.with_edge_removed(i, j)
-    if kind == "add_edge":
-        pairs = g.absent_pairs()
-        i, j = pairs[int(rng.integers(len(pairs)))]
-        return g.with_edge_added(i, j, float(rng.choice(DYADIC_WEIGHTS)))
-    if kind == "reweight_edge":
+        var = LinkVariation(kind, (i, j))
+    elif kind == "add_edge":
+        pairs = absent_pairs(g)
+        var = LinkVariation(kind, pairs[int(rng.integers(len(pairs)))],
+                            float(rng.choice(DYADIC_WEIGHTS)))
+    elif kind == "reweight_edge":
         i, j, w = g.edges[int(rng.integers(len(g.edges)))]
         other = DYADIC_WEIGHTS[DYADIC_WEIGHTS != w]
-        return g.with_edge_reweighted(i, j, float(rng.choice(other)))
-    touched = sorted({v for i, j, _ in g.edges for v in (i, j)})
-    return g.with_node_disconnected(touched[int(rng.integers(len(touched)))])
+        var = LinkVariation(kind, (i, j), float(rng.choice(other)))
+    else:
+        touched = sorted({v for i, j, _ in g.edges for v in (i, j)})
+        var = LinkVariation(kind, touched[int(rng.integers(len(touched)))])
+    return var.apply(laplacian(g))
 
 
 def random_instance(rng: np.random.Generator):
@@ -161,10 +172,10 @@ def random_instance(rng: np.random.Generator):
     N = int(rng.integers(2, 6))
     n = int(rng.integers(1, 5))
     g = random_graph(rng, N)
-    gbar = random_single_variation(rng, g)
+    Lbar = random_single_variation(rng, g)
     A = rng.uniform(-1.0, 1.0, (n, n))
     B = rng.uniform(-0.6, 0.6, (n, n))
-    return NodeDynamics(A, B), laplacian(g), laplacian(gbar)
+    return NodeDynamics(A, B), laplacian(g), Lbar
 
 
 def ring_with_chords(N: int) -> Graph:
@@ -174,8 +185,9 @@ def ring_with_chords(N: int) -> Graph:
     return Graph(N, tuple(sorted((i + 1, j + 1, 1.0) for i, j in pairs if i != j)))
 
 
-def without_first_edge(g: Graph) -> Graph:
-    return g.with_edge_removed(*g.edges[0][:2])
+def without_first_edge(g: Graph) -> np.ndarray:
+    """The Laplacian of g without its first edge."""
+    return LinkVariation("remove_edge", g.edges[0][:2]).apply(laplacian(g))
 
 
 def component_count(g: Graph) -> int:

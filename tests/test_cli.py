@@ -14,6 +14,7 @@ import pytest
 
 from netdiscern import (
     AnalyzeOptions,
+    LinkVariation,
     Subspace,
     analyze,
     assemble_transition,
@@ -206,8 +207,9 @@ def test_canonical_json_float_templates_match_the_reference():
     rng = np.random.default_rng(23)
     pairs = [[float(x), float(y)] for x, y in rng.standard_normal((12, 2))]
     g = ring_with_chords(12)
-    report = report_to_dict(analyze(example_dynamics(), laplacian(g),
-                                     laplacian(g.with_edge_removed(*g.edges[0][:2]))))
+    L = laplacian(g)
+    report = report_to_dict(analyze(example_dynamics(), L,
+                                     LinkVariation("remove_edge", g.edges[0][:2]).apply(L)))
     docs = [
         EDGE_FLOATS,
         {"basis": EDGE_FLOATS + rng.standard_normal(50).tolist(), "value": [-0.0, 5e-324]},
@@ -361,7 +363,7 @@ def test_rank_tol_at_its_floor_gives_the_default_answers(tmp_path, capsys):
     assert "indiscernible dim 2 (sync 2, extra 0)" in outputs[0]
     graph = ring_with_chords(12)
     L = laplacian(graph)
-    Lbar = laplacian(graph.with_edge_removed(*graph.edges[0][:2]))
+    Lbar = LinkVariation("remove_edge", graph.edges[0][:2]).apply(L)
     dyn = example_dynamics()
     for opts in (AnalyzeOptions(), AnalyzeOptions(rank_tol=1e-12)):
         report = analyze(dyn, L, Lbar, opts)
@@ -614,6 +616,27 @@ def test_an_overflow_error_names_the_graph_it_is_in(tmp_path, capsys, case):
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, write_config(tmp_path, config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: invalid config: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("link, err", [
+    ({"kind": "remove_edge", "i": 4, "j": 1}, "cannot remove: no edge (1,4)"),
+    ({"kind": "reweight_edge", "i": 1, "j": 4, "w": 2.0}, "cannot reweight: no edge (1,4)"),
+    ({"kind": "reweight_edge", "i": 1, "j": 2}, "reweight_edge requires new_weight"),
+    ({"kind": "add_edge", "i": 2, "j": 1}, "cannot add: edge (1,2) exists"),
+    ({"kind": "add_edge", "i": 2, "j": 2}, "self-loop at node 2"),
+    ({"kind": "add_edge", "i": 1, "j": 5}, "edge (1,5) out of range 1..4"),
+    ({"kind": "disconnect_node", "node": 5}, "node 5 out of range"),
+])
+def test_a_link_that_does_not_fit_the_base_names_the_varied_graph(tmp_path, capsys, link, err):
+    # the link is applied to the base's Laplacian once the base is built,
+    # so an edit that does not fit the base graph is told as the varied
+    # graph's error, as a modified graph's is: one error line, no output
+    config = example_config(validate=False)
+    config["variation"] = {"link": link}
+    out = tmp_path / "out"
+    assert main(["analyze", write_config(tmp_path, config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: varied graph: {err}\n"
     assert not out.exists()
 
 
@@ -910,10 +933,11 @@ def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
         "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
     assert run_enumerate(config, str(tmp_path)) == 0
     assert len(json.loads((tmp_path / "variations.json").read_text())["rows"]) == 66
-    expected = [laplacian(graph)] + [Lvar for _, _, Lvar in enumerate_single_link_variations(
+    expected = [laplacian(graph)] + [Lvar for _, Lvar in enumerate_single_link_variations(
         graph, ["remove_edge", "add_edge"])]
     assert [M.tobytes() for M in calls] == [M.tobytes() for M in expected]
-    L, Lbar = laplacian(graph), laplacian(graph.with_node_disconnected(1))
+    L = laplacian(graph)
+    Lbar = LinkVariation("disconnect_node", 1).apply(L)
     for opts in (AnalyzeOptions(), AnalyzeOptions(validate=True)):
         calls.clear()
         analyze(example_dynamics(), L, Lbar, opts)
@@ -936,7 +960,7 @@ def test_enumerate_rows_form_no_indiscernible_basis(tmp_path, monkeypatch):
     assert len(made) == 66 and not any("basis" in vars(space) for space in made)
     made.clear()
     report_to_dict(analyze(example_dynamics(), laplacian(graph),
-                           laplacian(graph.with_node_disconnected(1))))
+                           LinkVariation("disconnect_node", 1).apply(laplacian(graph))))
     assert len(made) == 1 and "basis" in vars(made[0])
 
 
@@ -973,7 +997,7 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
 
     entries = list(enumerate_single_link_variations(graph, ["remove_edge", "add_edge"]))
     assert len(entries) == 66
-    for _, _, Lvar in entries:
+    for _, Lvar in entries:
         analyze(dyn, L, Lvar, base=dec).shared_modal
     assert calls["shared_modal_subspace"] == 66
     w, _ = dec.block_eig
@@ -1000,7 +1024,7 @@ def test_enumerate_rows_never_cluster_collisions(tmp_path, monkeypatch):
     assert len(rows) == 92 and all(r["corrected_condition"] == "violated" for r in rows)
     # the reported analysis does read them, through the same name
     report = analyze(example_dynamics(), laplacian(graph),
-                     laplacian(graph.with_node_disconnected(1)))
+                     LinkVariation("disconnect_node", 1).apply(laplacian(graph)))
     with pytest.raises(AssertionError, match="clustered"):
         report_to_dict(report)
 
@@ -1057,7 +1081,7 @@ def test_only_the_oracle_forms_the_varied_transition_matrix(tmp_path, monkeypatc
     assert np.array_equal(built[0], L)
     assert not any(np.array_equal(Lbar, L) for Lbar in built[1:])
 
-    dyn, Lbar = example_dynamics(), laplacian(graph.with_node_disconnected(2))
+    dyn, Lbar = example_dynamics(), LinkVariation("disconnect_node", 2).apply(L)
     for validate, want in ((False, [L]), (True, [L, Lbar])):
         built.clear()
         report = analyze(dyn, L, Lbar, AnalyzeOptions(validate=validate))

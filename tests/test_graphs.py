@@ -1,5 +1,6 @@
 """Graphs, Laplacians, spectra, and single-link variation enumeration."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from netdiscern import (
     laplacian,
     validate_laplacian,
 )
+from netdiscern.discernibility import laplacian_difference
+from netdiscern.graphs import VARIATION_KINDS
 from netdiscern.example import example_graph, example_modified_graph
 
 from conftest import component_count, edge_weight, multiplicity_of, random_graph, spectrum_values
@@ -36,6 +39,11 @@ EXPECTED_LBAR = np.array(
 )
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float arrays, signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -56,7 +64,7 @@ def test_graphs_differ_by_one_link():
     expected[0, 0] = expected[2, 2] = 1.0
     expected[0, 2] = expected[2, 0] = -1.0
     assert np.array_equal(diff, expected)
-    assert example_graph().with_edge_removed(1, 3) == example_modified_graph()
+    assert np.array_equal(LinkVariation("remove_edge", (1, 3)).apply(EXPECTED_L), EXPECTED_LBAR)
 
 
 def test_laplacian_of_edgeless_graph_is_zero():
@@ -187,8 +195,8 @@ def test_connected_graph_has_uniform_null_vector(demo):
 def test_enumerate_remove_only(demo):
     out = list(enumerate_single_link_variations(demo.graph, {"remove_edge"}))
     assert len(out) == 4
-    removed = [g for _, g, _ in out]
-    assert demo.graph_bar in removed  # the (1,3) removal reproduces the path
+    # the (1,3) removal reproduces the path
+    assert any(np.array_equal(Lbar, demo.Lbar) for _, Lbar in out)
 
 
 def test_enumerate_add_on_complete_graph():
@@ -200,32 +208,31 @@ def test_enumerate_remove_and_add_counts(demo):
     # C(4,2) = 6 pairs: 4 present, 2 absent
     out = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
     assert len(out) == 6
-    kinds = [v.kind for v, _, _ in out]
+    kinds = [v.kind for v, _ in out]
     assert kinds == ["remove_edge"] * 4 + ["add_edge"] * 2
 
 
 def test_enumerate_is_deterministic(demo):
     first = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
     second = list(enumerate_single_link_variations(demo.graph, {"remove_edge", "add_edge"}))
-    assert [v.describe() for v, _, _ in first] == [v.describe() for v, _, _ in second]
-    for (_, g1, l1), (_, g2, l2) in zip(first, second):
-        assert g1 == g2
+    assert [v.describe() for v, _ in first] == [v.describe() for v, _ in second]
+    for (_, l1), (_, l2) in zip(first, second):
         assert np.array_equal(l1, l2)
 
 
 def test_removals_reapplied_reconstruct_base(demo):
-    for var, varied, _ in enumerate_single_link_variations(demo.graph, {"remove_edge"}):
+    for var, Lbar in enumerate_single_link_variations(demo.graph, {"remove_edge"}):
         i, j = var.target
-        assert varied.with_edge_added(i, j, edge_weight(demo.graph, i, j)) == demo.graph
+        readded = LinkVariation("add_edge", (i, j), edge_weight(demo.graph, i, j)).apply(Lbar)
+        assert same_bits(readded, demo.L)
 
 
 def test_enumerate_disconnect_node(demo):
-    out = enumerate_single_link_variations(demo.graph, {"disconnect_node"})
-    assert [v.target for v, _, _ in out] == [1, 2, 3, 4]
-    for var, varied, L in out:
-        assert varied.node_count == demo.graph.node_count  # N stays fixed
-        assert not any(var.target in (i, j) for i, j, _ in varied.edges)
-        assert np.all(L[var.target - 1] == 0.0)
+    out = list(enumerate_single_link_variations(demo.graph, {"disconnect_node"}))
+    assert [v.target for v, _ in out] == [1, 2, 3, 4]
+    for var, L in out:
+        assert L.shape == demo.L.shape  # N stays fixed
+        assert np.all(L[var.target - 1] == 0.0) and np.all(L[:, var.target - 1] == 0.0)
 
 
 def test_enumerate_reweight_requires_weight(demo):
@@ -235,7 +242,7 @@ def test_enumerate_reweight_requires_weight(demo):
         demo.graph, {"reweight_edge"}, reweight_to=0.5
     ))
     assert len(out) == 4
-    assert all(v.new_weight == 0.5 for v, _, _ in out)
+    assert all(v.new_weight == 0.5 for v, _ in out)
 
 
 def test_enumerate_rejects_unknown_kind(demo):
@@ -248,11 +255,11 @@ def test_link_variation_validation():
         LinkVariation("mystery", (1, 2))
     with pytest.raises(ValueError):
         LinkVariation("add_edge", (1, 2), new_weight=-1.0)
-    g = example_graph()
-    with pytest.raises(ValueError):
-        LinkVariation("add_edge", (1, 2)).apply(g)  # edge already present
-    with pytest.raises(ValueError):
-        LinkVariation("remove_edge", (1, 4)).apply(g)  # edge absent
+    L = laplacian(example_graph())
+    with pytest.raises(ValueError, match=r"cannot add: edge \(1,2\) exists"):
+        LinkVariation("add_edge", (1, 2)).apply(L)
+    with pytest.raises(ValueError, match=r"cannot remove: no edge \(1,4\)"):
+        LinkVariation("remove_edge", (1, 4)).apply(L)
 
 
 def test_describe_names_the_weight_it_applies():
@@ -267,3 +274,68 @@ def test_describe_names_the_weight_it_applies():
                       1e-7: "reweight_edge(1,2,w=1e-07)"}
     assert LinkVariation("add_edge", (1, 3), 1.0).describe() == "add_edge(1,3,w=1)"
     assert LinkVariation("remove_edge", (1, 3)).describe() == "remove_edge(1,3)"
+
+
+def edited_graph(g: Graph, var: LinkVariation) -> Graph:
+    """The reference for ``var.apply``: g's edge list edited by var, built
+    as a new Graph, which raises on a self-loop or a node out of range.  An
+    edit that does not fit g raises the message ``apply`` gives."""
+    N, kind = g.node_count, var.kind
+    if kind == "disconnect_node":
+        if not 1 <= var.target <= N:
+            raise ValueError(f"node {var.target} out of range")
+        return Graph(N, tuple(e for e in g.edges if var.target not in e[:2]))
+    (i, j), present = var.target, var.target in {e[:2] for e in g.edges}
+    if kind == "add_edge":
+        if present:
+            raise ValueError(f"cannot add: edge ({i},{j}) exists")
+        return Graph(N, g.edges + ((i, j, 1.0 if var.new_weight is None else var.new_weight),))
+    if kind == "reweight_edge" and var.new_weight is None:
+        raise ValueError("reweight_edge requires new_weight")
+    if not present:
+        raise ValueError(f"cannot {kind.removesuffix('_edge')}: no edge ({i},{j})")
+    kept = tuple(e for e in g.edges if e[:2] != (i, j))
+    return Graph(N, kept if kind == "remove_edge" else kept + ((i, j, var.new_weight),))
+
+
+def test_apply_equals_the_laplacian_of_the_edited_graph():
+    # non-dyadic weights, so the degree sums round: every kind, every target
+    # in and out of range, and three new weights, against the Laplacian of
+    # the edited graph and diag(degrees) - W of its weights, bit for bit
+    # (signs of zeros included), or against its error
+    rng = np.random.default_rng(2024)
+    checked = raised = 0
+    for trial in range(60):
+        N = int(rng.integers(1, 8))
+        if trial % 3 == 0:
+            weights = lambda: float(rng.uniform(0.01, 3.0))  # noqa: E731
+        elif trial % 3 == 1:
+            weights = lambda: float(10.0 ** rng.uniform(-8, 8))  # noqa: E731
+        else:
+            weights = lambda: float(rng.choice([0.1, 0.3, 0.7]))  # noqa: E731
+        g = Graph(N, tuple((i, j, weights())
+                           for i, j in itertools.combinations(range(1, N + 1), 2)
+                           if rng.random() < 0.5))
+        L = laplacian(g)
+        for kind in VARIATION_KINDS:
+            targets = (range(0, N + 2) if kind == "disconnect_node"
+                       else itertools.combinations_with_replacement(range(0, N + 2), 2))
+            for target, w in itertools.product(targets, (None, 0.37, 1e-5)):
+                var = LinkVariation(kind, target, w)
+                try:
+                    edited = edited_graph(g, var)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        var.apply(L)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                    continue
+                Lbar, W = var.apply(L), edited.adjacency()
+                assert same_bits(Lbar, laplacian(edited)), (g, var)
+                assert same_bits(Lbar, np.diag(W.sum(axis=1)) - W), (g, var)
+                diff = L - Lbar
+                np.fill_diagonal(diff, 0.0)
+                np.fill_diagonal(diff, -diff.sum(axis=1))
+                assert np.array_equal(laplacian_difference(L, Lbar), diff)
+                checked += 1
+    assert checked > 1000 and raised > 1000

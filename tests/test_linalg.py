@@ -671,7 +671,7 @@ def test_expm_matches_scipy_across_norms_and_sizes():
 @pytest.mark.parametrize("t", [0.1, 5.0])
 def test_expm_matches_scipy_on_the_ring_transitions(t):
     dyn, g = example_dynamics(), ring_with_chords(8)
-    for L in (laplacian(g), laplacian(without_first_edge(g))):
+    for L in (laplacian(g), without_first_edge(g)):
         phi = assemble_transition(dyn, L).phi
         assert relative_gap(expm(phi, t), scipy.linalg.expm(phi * t)) <= 1e-12
 
