@@ -25,6 +25,7 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -36,7 +37,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze, analyze_rows
+from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze, analyze_rows, check_pair
 from .example import example_config
 from .graphs import (
     Graph,
@@ -428,9 +429,7 @@ def _gaps_csv(summary: ValidationSummary) -> str:
 
 
 def _checked(context: str, check, *args):
-    """check(*args), whose ValueError is an input error naming ``context``.
-    ``check_pair`` repeats ``check_coupling`` on each varied Laplacian,
-    without the context."""
+    """check(*args), whose ValueError is an input error naming ``context``."""
     try:
         return check(*args)
     except ValueError as exc:
@@ -529,31 +528,31 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     try:
         if reweight_to is not None:
             reweight_to = _real(reweight_to, "reweight_to")
-        entries = enumerate_single_link_variations(base, kinds, reweight_to)
+        entries = enumerate_single_link_variations(L, kinds, reweight_to)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     net = _checked("base_graph", assemble_transition, dyn, L)  # after the enumeration's checks
 
-    variations = []  # the labels only: each varied Laplacian is dropped once read
-
-    def laplacians():
-        for var, Lvar in entries:
-            variations.append(var)
-            yield _checked(var.describe(), check_coupling, dyn, Lvar)
-
-    # the rows are decided together against one base network, as they are read
+    pending = collections.deque()  # each (variation, Lbar) read and not yet reported
+    laplacians = (pending.append(entry) or entry[1] for entry in entries)
+    # the rows are checked and decided a chunk at a time, against one base
     rows = []
-    for k, report in enumerate(analyze_rows(dyn, net.laplacian, laplacians(), opts, net)):
-        var, summary = variations[k], report.oracle_summary
-        rows.append({
-            "variation": var.describe(),
-            "kind": var.kind,
-            "indiscernible_dim": int(report.indiscernible.dim),
-            "extra_dim": int(report.extra_dim),
-            "corrected_condition": report.corrected.verdict,
-            "verdict": report.verdict,
-            "oracle_passed": None if summary is None else bool(summary.passed),
-        })
+    try:
+        for report in analyze_rows(dyn, net.laplacian, laplacians, opts, net):
+            var, summary = pending.popleft()[0], report.oracle_summary
+            rows.append({
+                "variation": var.describe(),
+                "kind": var.kind,
+                "indiscernible_dim": int(report.indiscernible.dim),
+                "extra_dim": int(report.extra_dim),
+                "corrected_condition": report.corrected.verdict,
+                "verdict": report.verdict,
+                "oracle_passed": None if summary is None else bool(summary.passed),
+            })
+    except ValueError:  # a chunk failed its check: name its first row that fails alone
+        for var, Lvar in pending:
+            _checked(var.describe(), check_pair, dyn, net.laplacian, [Lvar], net)
+        raise
 
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(

@@ -4,49 +4,40 @@ An initial state x is indiscernible for (Phi, Phibar) when the natural
 responses coincide for all time: e^{Phi t} x = e^{Phibar t} x for every
 t >= 0, equivalently Phi^k x = Phibar^k x for every k >= 0.  Those states
 form the largest Phi-invariant subspace inside kernel(Delta), Delta = Phi -
-Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  So every entry
-point takes the pair as (dyn, L, Lbar) and checks it once (``check_pair``,
-a row's only check), and a variation enters the analysis only as L - Lbar,
-formed by the Laplacian rule of ``graphs.laplacian_of`` on Lbar - L
-(``laplacian_difference``) so that it sends 1 to 0 whatever the roundoff
-of the two degree sums: neither Delta nor Phibar is formed here, and only
-the trajectory oracle forms Phibar.  The one
-algorithm is modal, over the eigenvalue clusters of Phi that the base
-``network.NetworkSystem`` decomposes.  The common eigenvectors of L and
-Lbar are decided once per report, for every distinct alpha of L
-(``common_laplacian_vectors``), and that graph-side decision settles
-every single-alpha cluster: its indiscernible part is the common vectors
-(x) the block's vectors for it (the PBH test of the output matrix
-(L - Lbar) (x) B).  Only a collision cluster, whose eigenvalue the blocks
-of two or more alphas share, takes a small
-``network.unobservable_subspace`` stack on Delta X_g, applied by a
-reshape (``delta_product``); these clusters add the states beyond the
-shared eigenvectors that the paper's corrected condition is about.  That
-stack over the whole network computes the same subspace without the
-modal split, but loses rank as N grows; it is the tests' desk-scale
-reference.  The subspace is kept as these parts, its dimension their
-count (``linalg.Subspace.spanned``), the row's one rank decision, and
-its basis, as many leading singular vectors of the parts as counted, is
-formed on the first read: an ``enumerate`` row never forms it.  L 1 =
-Lbar 1 = 0, so the synchronous manifold 1 (x) C^n is indiscernible by
-theorem, and the states beyond it number dim - n.  The shared modal span
-reads the same graph-side decision, which the report keeps; a report
-computes the span on its first read, so an ``enumerate`` row, which does
-not report it, never does.  The corrected condition reports each
-cross-block collision once, as one cluster of the block spectra from
-``linalg.cluster_indices``, formed on the first read of its
-``collisions``: a row reports only the verdict.
+Phibar = -(L - Lbar) (x) B for one node dynamics (A, B).  Every entry
+point checks the pair once (``check_pair``), and a variation enters only
+as L - Lbar, formed by the Laplacian rule on Lbar - L
+(``laplacian_difference``), which sends 1 to 0 whatever the roundoff of
+the two degree sums; only the trajectory oracle forms Phibar.
 
-An alpha group of one Laplacian vector has rank 0 or 1, so the norm of its
-image decides it: only groups of two or more take an SVD, one batched SVD
-per group size.  Everything that depends on the base network alone, its
-Laplacian spectrum and ||B||_2, is kept on the base ``network.NetworkSystem``
-that the rows of ``enumerate`` share.  Those rows are decided together by
-``analyze_rows``, of which ``analyze`` is the batch of one: each stage
-whose inputs have one shape in every row, the graph-side decision, the
-SVD of Delta X_g of each collision cluster (``collision_svds``) and the
-corrected condition (``corrected_conditions``), is one stacked call over
-the rows' L - Lbar, in chunks under a fixed byte budget.  A row then computes on its own only
+The one algorithm is modal, over the eigenvalue clusters of Phi that the
+base ``network.NetworkSystem`` decomposes.  The common eigenvectors of L
+and Lbar, decided for every distinct alpha of L
+(``common_laplacian_vectors``), settle every single-alpha cluster: its
+indiscernible part is the common vectors (x) the block's vectors for it
+(the PBH test of the output matrix (L - Lbar) (x) B).  Only a collision
+cluster, whose eigenvalue the blocks of two or more alphas share, takes a
+small ``network.unobservable_subspace`` stack on Delta X_g, applied by a
+reshape (``delta_product``); these add the states beyond the shared
+eigenvectors that the paper's corrected condition is about.  That stack
+over the whole network gives the same subspace without the modal split,
+but loses rank as N grows; it is the tests' desk-scale reference.  The
+subspace is kept as these parts, its dimension their count
+(``linalg.Subspace.spanned``), the row's one rank decision, and its
+basis is formed on the first read, which an ``enumerate`` row never
+makes.  L 1 = Lbar 1 = 0, so the synchronous manifold 1 (x) C^n is
+indiscernible by theorem, and the states beyond it number dim - n.  A
+report forms the shared modal span, and the corrected condition's
+collisions (each one cluster of the block spectra, from
+``linalg.cluster_indices``), on their first read too: a row reports only
+the verdict.
+
+The rows of ``enumerate`` share the base, which keeps what depends on it
+alone (spec(L), ||B||_2), and ``analyze_rows`` decides them together
+(``analyze`` is its batch of one): the pair check, the graph-side
+decision, each collision cluster's SVD of Delta X_g (``collision_svds``)
+and the corrected condition (``corrected_conditions``) are each one
+stacked call over a chunk of rows.  A row then computes on its own only
 its indiscernible parts and their count, the oracle and its report.
 """
 
@@ -86,24 +77,32 @@ Common = tuple[tuple[np.ndarray, ...], float]
 Svds = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def check_pair(dyn: NodeDynamics, L, Lbar,
+def check_pair(dyn: NodeDynamics, L, Lbars,
                base: NetworkSystem | None = None) -> tuple[NetworkSystem, np.ndarray]:
-    """The one check of the pair every entry point takes first: node
-    dynamics (A, B) and Laplacians L, Lbar of one node count.  Without
-    ``base``, ``assemble_transition`` validates L and builds the network of
-    (dyn, L); a given base must be the network of the call's (dyn, L)
-    (identity first: a row passes the base's arrays).  Either way, Lbar
-    passes ``validate_laplacian``, has L's shape and passes
-    ``check_coupling``.  Returns the base and Lbar as floats."""
+    """The one check every entry point takes first, of node dynamics
+    (A, B), a Laplacian L and Laplacians ``Lbars`` (a chunk of rows, or
+    one).  Without ``base``, ``assemble_transition`` validates L and builds
+    the network of (dyn, L); a given base must be that network (identity
+    first: a row passes the base's arrays).  The Lbars, as one stack, pass
+    ``validate_laplacian``, have L's shape and pass ``check_coupling``; a
+    stack that fails is checked again an Lbar at a time, for the error of
+    its first bad one alone.  Returns the base and the stack."""
     if base is None:
         base = assemble_transition(dyn, L)
     elif not all(x is y or np.array_equal(x, y) for x, y in (
             (L, base.laplacian), (dyn.A, base.dynamics.A), (dyn.B, base.dynamics.B))):
         raise ValueError("base belongs to another network")
-    Lbar = validate_laplacian(Lbar)
-    if Lbar.shape != base.laplacian.shape:
-        raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
-    return base, check_coupling(dyn, Lbar)
+    try:
+        stack = np.asarray(Lbars, dtype=float)
+        if stack.shape[1:] == base.laplacian.shape:
+            return base, check_coupling(dyn, validate_laplacian(stack))
+    except ValueError:  # a bad Lbar, or Lbars of other shapes
+        pass
+    for Lbar in map(validate_laplacian, Lbars):
+        if Lbar.shape != base.laplacian.shape:
+            raise ValueError(f"dimension mismatch: {base.laplacian.shape} vs {Lbar.shape}")
+        check_coupling(dyn, Lbar)
+    return base, np.empty((0, *base.laplacian.shape))  # no Lbars
 
 
 def laplacian_difference(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
@@ -121,35 +120,30 @@ def common_laplacian_vectors(base: NetworkSystem, diffs: np.ndarray,
     """The graph-side decision of each variation diff = L - Lbar of the
     stack ``diffs`` (R x N x N): the eigenvectors of L that Lbar shares,
     for every alpha group G of ``base`` (the network of L), V_G times the
-    kernel of diff V_G, decided against ``rank_tol`` * ||diff||_2.  The
-    norms take one batched SVD without factors (np.linalg.norm(diff, 2)
-    is its largest value), and the images one product diffs V.  A group
-    of one vector has rank 0 or 1, so the norm of its image decides it
-    without an SVD; the groups of each larger size share one batched thin
-    SVD over rows x groups, whose s and V^H are those of the full one.
+    kernel of diff V_G, decided against ``rank_tol`` * ||diff||_2 (the
+    largest value of one batched SVD without factors).  A group of one
+    vector has rank 0 or 1, so the norm of its image decides it; the groups
+    of each larger size share one batched thin SVD over rows x groups.
     Returns, per row, the bases, indexed like ``base.alpha_groups``, and
     ||diff||_2."""
     V, groups = base.laplacian_vectors, base.alpha_groups
     diff_v = diffs @ V
     norms = np.linalg.svd(diffs, compute_uv=False).max(axis=-1)
     cutoffs = rank_tol * norms
-    keep = scaled_norm(diff_v, -2) <= cutoffs[:, None]  # decides a group of one vector
-    # a group of two or more vectors is replaced below
+    # a group of one vector is kept whole or dropped; a larger one is replaced below
+    kept = (scaled_norm(diff_v, -2) <= cutoffs[:, None])[:, [group[0] for group in groups]]
     cols, empty = [V[:, group] for group in groups], V[:, :0]
-    common = [[cols[k] if kept[group[0]] else empty for k, group in enumerate(groups)]
-              for kept in keep]
-    by_size: dict[int, list[int]] = {}
-    for k, group in enumerate(groups):
-        if len(group) > 1:
-            by_size.setdefault(len(group), []).append(k)
-    for ks in by_size.values():
+    common = [[col if keep else empty for col, keep in zip(cols, row)] for row in kept.tolist()]
+    for size in sorted({len(group) for group in groups} - {1}):
+        ks = [k for k, group in enumerate(groups) if len(group) == size]
         idx = np.array([groups[k] for k in ks])
         _, s, vh = np.linalg.svd(diff_v[:, :, idx].transpose(0, 2, 1, 3), full_matrices=False)
         ranks = (s > cutoffs[:, None, None]).sum(axis=-1).tolist()
+        # one product per (row, group): a stacked one rounds otherwise
         for row, row_ranks, vh_row in zip(common, ranks, vh):
             for k, rank, vhk in zip(ks, row_ranks, vh_row):
                 row[k] = cols[k] @ vhk[rank:].T
-    return [(tuple(row), float(norm)) for row, norm in zip(common, norms)]
+    return [(tuple(row), norm) for row, norm in zip(common, norms.tolist())]
 
 
 def delta_product(diff: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -206,9 +200,9 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     would read the roundoff left by a cluster that Delta misses as rank;
     the stack starts from the orthonormal rows above that cutoff, and a
     cluster of rank 0 is kept whole without one.  The parts hold one
-    cluster of each conjugate pair.  A call checks the pair
-    (``check_pair``) and decides, unless handed ``decided``, the (common,
-    svds) ``analyze_rows`` made for its checked row on ``base``.
+    cluster of each conjugate pair.  Unless handed ``decided``, the
+    (common, svds) ``analyze_rows`` made on ``base``, a call checks the
+    pair (``check_pair``) and decides it.
 
     The result is ``Subspace.spanned``: its parts, one per entry of
     ``base.group_vectors`` (the pair (C_G, Z), for kron(C_G, Z)) and then
@@ -221,8 +215,8 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     included.
     """
     if decided is None:
-        base, Lbar = check_pair(dyn, L, Lbar, base)
-        diffs = laplacian_difference(base.laplacian, Lbar)[None]
+        base, Lbars = check_pair(dyn, L, [Lbar], base)
+        diffs = laplacian_difference(base.laplacian, Lbars)
         decided = common_laplacian_vectors(base, diffs, tol)[0], collision_svds(base, diffs)[0]
     elif base is None:
         raise ValueError("decisions are read with the base they were made on")
@@ -267,9 +261,9 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
     ``rank_tol`` * sigma_max, is a real orthonormal basis of the span, not
     a canonical one.  ``base`` is the network of (dyn, L)."""
     if common is None:
-        base, Lbar = check_pair(dyn, L, Lbar, base)
+        base, Lbars = check_pair(dyn, L, [Lbar], base)
         [common] = common_laplacian_vectors(
-            base, laplacian_difference(base.laplacian, Lbar)[None], rank_tol)
+            base, laplacian_difference(base.laplacian, Lbars), rank_tol)
     elif base is None:
         raise ValueError("decisions are read with the base they were made on")
     N, n = base.node_count, base.node_dim
@@ -355,52 +349,56 @@ def corrected_condition(
     more alphas is one collision, and the condition holds when there is
     none, i.e. when the minimum cross-block gap exceeds ``tol``.  The
     clusters are formed on the first read of ``collisions``, and only when
-    the condition is violated.
-
-    spec(L) is the ``laplacian_values`` that ``base``, the network of
-    (dyn, L), keeps; the pair is checked by ``check_pair``, which builds
-    the base when it is not given, and decided as a stack of one by
-    ``corrected_conditions``."""
-    base, Lbar = check_pair(dyn, L, Lbar, base)
-    [result] = corrected_conditions(base, Lbar[None], tol)
+    the condition is violated.  spec(L) is the ``laplacian_values`` of
+    ``base``, the network of (dyn, L); the pair is checked by
+    ``check_pair`` and decided as a stack of one."""
+    base, Lbars = check_pair(dyn, L, [Lbar], base)
+    [result] = corrected_conditions(base, Lbars, tol)
     return result
 
 
 def corrected_conditions(base: NetworkSystem, Lbars: np.ndarray,
                          tol: float) -> list[CorrectedConditionResult]:
     """The corrected condition of ``base`` against each Laplacian of the
-    stack ``Lbars`` (R x N x N), as ``corrected_condition`` states it: one
-    eigvalsh of the stack, and one eigvals of the blocks A - alpha*B of
-    every alpha the rows hold, each bit pattern once, split back per row.
-    A row's spectra are real when all of its eigenvalues are, as a call on
-    its blocks alone returns them."""
+    stack ``Lbars`` (R x N x N), as ``corrected_condition`` states it, for
+    the rows together: one eigvalsh, one sort for every row's distinct
+    alphas (``linalg.distinct_values``), one eigvals of the blocks of each
+    alpha bit pattern, and a sweep for every row's least cross gap, which
+    holds R x 2Nn values, not (2Nn)^2 per row.  A row's spectra are real
+    when all of its eigenvalues are, as its blocks alone give them."""
     A, B, n = base.dynamics.A, base.dynamics.B, base.node_dim
-    spec = base.laplacian_values
-    alphas = [np.array(distinct_values(np.concatenate([spec, values]), tol))
-              for values in np.linalg.eigvalsh(Lbars)]
-    # bitwise equal alphas give one block: each is decomposed once, numbered
-    # by its bit pattern's first appearance
-    index: dict[int, int] = {}
-    block_of = [index.setdefault(bits, len(index))
-                for bits in np.concatenate(alphas).view(np.int64).tolist()]
-    distinct = np.array(list(index), dtype=np.int64).view(np.float64)
-    stacked = np.linalg.eigvals(A - np.multiply.outer(distinct, B))[block_of]
-    results, end = [], 0
-    for row in alphas:
-        k, start = len(row), end
-        end += k
-        spectra = stacked[start:end]
-        if np.iscomplexobj(spectra) and not spectra.imag.any():
-            spectra = spectra.real.copy()
-        flat = spectra.reshape(-1)
-        gaps = np.abs(flat[:, None] - flat[None, :])
-        # same-alpha pairs are no cross gap: fill the diagonal blocks of the
-        # (alpha, member, alpha, member) view; one alpha leaves only inf
-        same = np.arange(k)
-        gaps.reshape(k, n, k, n)[same, :, same, :] = np.inf
-        min_gap = float(gaps.min(initial=np.inf))
-        results.append(CorrectedConditionResult(min_gap > tol, min_gap, float(tol), row, spectra))
-    return results
+    values, R = np.linalg.eigvalsh(Lbars), len(Lbars)
+    alphas, counts = distinct_values(np.concatenate(
+        (np.repeat(base.laplacian_values[None], R, axis=0), values), axis=1), tol)
+    # bitwise equal alphas of different rows give one block, decomposed once
+    bits, block_of = (np.unique(alphas.view(np.int64), return_inverse=True) if R > 1
+                      else (alphas.view(np.int64), slice(None)))
+    stacked = np.linalg.eigvals(A - np.multiply.outer(bits.view(np.float64), B))[block_of]
+    # each row's values on a line, sorted by real part, own the place of each
+    # one's alpha; NaN pads, sorted last and passed over by fmin, fill a row
+    ends, k = np.cumsum(counts), int(counts.max())
+    z = stacked
+    if len(alphas) < R * k:
+        z = np.full((R * k, n), np.nan, stacked.dtype)
+        z[np.arange(len(alphas)) + np.repeat(np.arange(R) * k - ends + counts, counts)] = stacked
+    order = np.argsort(z.reshape(R, k * n).real, axis=1)
+    z, own = z.reshape(R, k * n)[np.arange(R)[:, None], order], order // n
+    # the least |z_i - z_j| of different alphas, by offsets w = j - i: pairs
+    # farther apart differ more in real part, so once no real-part gap at w
+    # is below a row's least, the pairwise minimum's pair is found (and
+    # abs(x + 0j) is |x|, so a real row among complex ones keeps its float)
+    gaps = np.full(R, np.inf)
+    for w in range(1, k * n):
+        d = z[:, w:] - z[:, :-w]
+        gaps = np.fmin(gaps, np.fmin.reduce(
+            np.where(own[:, w:] != own[:, :-w], np.abs(d), np.inf), axis=1))
+        if not (np.fmin.reduce(d.real, axis=1) < gaps).any():
+            break
+    real = (~z.imag.any(axis=1)).tolist() if np.iscomplexobj(z) else [False] * R
+    return [CorrectedConditionResult(gap > tol, gap, float(tol), alphas[a:b],
+                                     stacked[a:b].real.copy() if as_real else stacked[a:b])
+            for gap, a, b, as_real in zip(gaps.tolist(), (ends - counts).tolist(),
+                                           ends.tolist(), real)]
 
 
 @dataclass(frozen=True)
@@ -511,56 +509,43 @@ def analyze_rows(
 
     ``base`` is the network of (dyn, L) from ``assemble_transition``, built
     here when not given, so each Laplacian is validated once: L by its
-    base, and each Lbar by ``check_pair``, the row's one check, which
-    neither ``indiscernible_subspace`` nor the oracle repeats.  Every row
-    reads the constants the base keeps: spec(L) and ||B||_2.  A variation
-    enters only as L - Lbar, formed once per chunk by
-    ``laplacian_difference``, and Phibar is formed only by the oracle.
-
-    The stages whose inputs have one shape in every row are decided for
-    the rows together, one stacked call each over L - Lbar: the graph-side
-    decision (``common_laplacian_vectors``), the SVD of Delta X_g of each
-    collision cluster (``collision_svds``) and the corrected condition
-    (``corrected_conditions``).  The rest of a row is its own: its
-    indiscernible parts and their count, whose shapes depend on its
-    decision, the oracle and the report.  A row forms its indiscernible
-    basis only when the oracle or a report reads it.  The rows are read in
-    chunks, each as many rows as keep the largest stacked array within
-    _CHUNK_BYTES, and a chunk is validated, decided and yielded before the
-    next is read, so memory stays flat however many rows there are.
+    base, and the Lbars by one ``check_pair`` per chunk of rows, which
+    neither ``indiscernible_subspace`` nor the oracle repeats.  The stages
+    whose inputs have one shape in every row are one stacked call each
+    over L - Lbar: ``common_laplacian_vectors``, ``collision_svds`` and
+    ``corrected_conditions``.  The rest of a row is its own: its
+    indiscernible parts and their count, the oracle and the report.  The
+    first chunk holds as many rows as keep its Lbars within _CHUNK_BYTES;
+    it and each later chunk are decided in stacks that keep the largest
+    stacked array within it, and yielded before the next chunk is read.
     """
     opts = opts or AnalyzeOptions()
     tol = opts.rank_tol
     if base is None:
         base = assemble_transition(dyn, L)
         L = base.laplacian
-    rows = (check_pair(dyn, L, Lbar, base)[1] for Lbar in Lbars)
-    # a chunk's first row is checked before its size is read from the
-    # base's clusters, so no base decomposes for a bad Lbar or for no rows
-    while chunk := list(itertools.islice(rows, 1)):
-        size = _CHUNK_BYTES // max([base.laplacian.nbytes] + [X.nbytes for X in base.clusters])
-        chunk += itertools.islice(rows, max(size, 1) - 1)
-        stack = np.array(chunk)
-        diffs = laplacian_difference(base.laplacian, stack)
-        decided = zip(chunk, common_laplacian_vectors(base, diffs, tol),
-                      collision_svds(base, diffs),
-                      corrected_conditions(base, stack, opts.eig_tol))
-        for Lbar, common, svds, corrected in decided:
-            ind = indiscernible_subspace(dyn, L, Lbar, tol, base, (common, svds))
-            verdict = (VERDICT_NO_VARIATION if no_variation(base, common) else
-                       VERDICT_DETECTABLE if ind.dim == base.node_dim else VERDICT_EXTRA_STATES)
-            summary = (validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
-                       if opts.validate else None)
-            yield DiscernibilityReport(
-                node_count=base.node_count,
-                node_dim=base.node_dim,
-                indiscernible=ind,
-                invariant_modes=base.modes,
-                corrected=corrected,
-                verdict=verdict,
-                base=base,
-                varied_laplacian=Lbar,
-                common=common,
-                rank_tol=tol,
-                oracle_summary=summary,
-            )
+    # the base's clusters are read only once a chunk is checked, so no base
+    # decomposes for a bad Lbar or for no rows
+    nbytes = base.laplacian.nbytes
+    rows, size = iter(Lbars), max(_CHUNK_BYTES // nbytes, 1)
+    while chunk := list(itertools.islice(rows, size)):
+        checked = check_pair(dyn, L, chunk, base)[1]
+        size = max(_CHUNK_BYTES // max([nbytes] + [X.nbytes for X in base.clusters]), 1)
+        for start in range(0, len(checked), size):
+            stack = checked[start:start + size]
+            diffs = laplacian_difference(base.laplacian, stack)
+            decided = zip(stack, common_laplacian_vectors(base, diffs, tol),
+                          collision_svds(base, diffs),
+                          corrected_conditions(base, stack, opts.eig_tol))
+            for Lbar, common, svds, corrected in decided:
+                ind = indiscernible_subspace(dyn, L, Lbar, tol, base, (common, svds))
+                verdict = (VERDICT_NO_VARIATION if no_variation(base, common)
+                           else VERDICT_DETECTABLE if ind.dim == base.node_dim
+                           else VERDICT_EXTRA_STATES)
+                summary = (validate_subspace(base, NetworkSystem(dyn, Lbar), ind, opts.oracle)
+                           if opts.validate else None)
+                yield DiscernibilityReport(
+                    node_count=base.node_count, node_dim=base.node_dim, indiscernible=ind,
+                    invariant_modes=base.modes, corrected=corrected, verdict=verdict,
+                    base=base, varied_laplacian=Lbar, common=common, rank_tol=tol,
+                    oracle_summary=summary)

@@ -76,12 +76,17 @@ def laplacian_of(W: np.ndarray) -> np.ndarray:
     M = 0.0 - W
     i = np.arange(M.shape[-1])
     M[..., i, i] = 0.0
+    M[..., i, i] = _degrees(M)
+    return M
+
+
+def _degrees(M: np.ndarray) -> np.ndarray:
+    """The rule's diagonal of rows M of 0.0 - W with 0.0 on the diagonal."""
     with np.errstate(over="ignore"):
-        sums = M.sum(axis=-1)
+        sums = np.add.reduce(M, axis=-1)
     if not np.isfinite(sums).all():
         raise ValueError("the weighted degrees overflow float64")
-    M[..., i, i] = 0.0 - sums
-    return M
+    return 0.0 - sums
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -90,24 +95,26 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
-    """Check the Laplacian invariants: square, finite, symmetric, zero row
-    sums and nonpositive off the diagonal, the last three to an absolute
-    ``tol * max(1, max |L_ij|)``.  Returns L as a float array; raises
-    ValueError on a violation."""
+    """Check the Laplacian invariants of L or of each of a stack: square,
+    finite, symmetric, zero row sums and nonpositive off the diagonal, the
+    last three to an absolute ``tol * max(1, max |L_ij|)``.  Returns L as
+    floats; raises ValueError at the first bad matrix's first violation."""
     L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError(f"Laplacian must be square, got shape {L.shape}")
-    if not np.all(np.isfinite(L)):
-        raise ValueError("Laplacian entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
-    if np.abs(L - L.T).max(initial=0.0) > tol * scale:
-        raise ValueError("Laplacian is not symmetric")
-    rowsum = np.abs(L @ np.ones(L.shape[0]))
-    if rowsum.size and rowsum.max() > tol * scale:
-        raise ValueError(f"Laplacian rows do not sum to zero (max {rowsum.max():.3e})")
-    off = L - np.diag(np.diag(L))
-    if off.size and off.max(initial=0.0) > tol * scale:
-        raise ValueError("Laplacian has positive off-diagonal entries")
+    stack = L if L.ndim == 3 else L[None]
+    if L.ndim not in (2, 3) or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"Laplacian must be square, got shape {stack.shape[1:]}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = np.where(finite[:, None, None], stack, 0.0)  # a non-finite one fails first
+    bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    rowsum = np.abs(stack @ np.ones(stack.shape[1])).max(axis=1, initial=0.0)
+    skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    off = stack.max(axis=(1, 2), initial=0.0, where=~np.eye(stack.shape[1], dtype=bool))
+    fails = np.array([~finite, skew > bound, rowsum > bound, off > bound])
+    if fails.any():
+        row = int(fails.any(axis=0).argmax())
+        raise ValueError(("Laplacian entries must be finite", "Laplacian is not symmetric",
+                          f"Laplacian rows do not sum to zero (max {rowsum[row]:.3e})",
+                          "Laplacian has positive off-diagonal entries")[fails[:, row].argmax()])
     return L
 
 
@@ -136,21 +143,22 @@ class LinkVariation:
                 raise ValueError("new_weight must be positive")
 
     def apply(self, L: np.ndarray) -> np.ndarray:
-        """Lbar for L = laplacian(g): g's weights, read off L, edited by
-        this variation, then ``laplacian_of`` them.  An edge is a nonzero
-        entry of L off the diagonal.  Raises ValueError when the edit does
-        not fit g (an absent edge to remove or reweight, a present one to
-        add, a self-loop, a node out of range) or the degrees overflow."""
-        W = 0.0 - np.asarray(L, dtype=float)
-        N = W.shape[-1]
+        """Lbar for L = laplacian(g): g's weights, read off L (an edge is a
+        nonzero entry off the diagonal), edited, under ``laplacian_of``'s
+        rule, which for a link changes only its entries and its nodes'
+        degrees.  Raises ValueError when the edit does not fit g (an absent
+        edge to remove or reweight, a present one to add, a self-loop, a
+        node out of range) or the degrees overflow."""
+        Lbar = np.array(L, dtype=float)
+        N = Lbar.shape[-1]
         if self.kind == "disconnect_node":
             node = self.target
             if not 1 <= node <= N:
                 raise ValueError(f"node {node} out of range")
-            W[node - 1, :] = W[:, node - 1] = 0.0
-            return laplacian_of(W)
+            Lbar[node - 1, :] = Lbar[:, node - 1] = 0.0
+            return laplacian_of(0.0 - Lbar)
         i, j = self.target
-        present = 1 <= i < j <= N and W[i - 1, j - 1] != 0.0
+        present = 1 <= i < j <= N and Lbar[i - 1, j - 1] != 0.0
         if self.kind == "add_edge":
             if present:
                 raise ValueError(f"cannot add: edge ({i},{j}) exists")
@@ -165,8 +173,11 @@ class LinkVariation:
             raise ValueError(f"cannot {self.kind.removesuffix('_edge')}: no edge ({i},{j})")
         else:
             w = 0.0 if self.kind == "remove_edge" else self.new_weight
-        W[i - 1, j - 1] = W[j - 1, i - 1] = w
-        return laplacian_of(W)
+        a, b = i - 1, j - 1
+        Lbar[a, b] = Lbar[b, a] = 0.0 - w
+        Lbar[a, a] = Lbar[b, b] = 0.0
+        Lbar[a, a], Lbar[b, b] = _degrees(Lbar[a:b + 1:b - a])  # rows a < b
+        return Lbar
 
     def describe(self) -> str:
         """The row label: the weight in ``:g`` form when that reads back as
@@ -184,22 +195,20 @@ class LinkVariation:
 
 
 def enumerate_single_link_variations(
-    g: Graph,
+    L: np.ndarray,
     kinds: set[str] | tuple[str, ...] | list[str],
     reweight_to: float | None = None,
 ) -> Iterator[tuple[LinkVariation, np.ndarray]]:
-    """All single-link variations of the requested kinds, in deterministic
-    order (kind, then node indices), each with its Laplacian Lbar.  The
-    edges, the absent pairs and the touched nodes are read from
-    ``g.edges``.  Added links default to weight 1; reweighting needs an
-    explicit ``reweight_to``.
-
-    The kinds, ``reweight_to`` and the degrees of every reweighted Lbar
-    are checked here, at the call: reweighting is the one kind that can
-    raise a degree past float64 (an added link weighs 1).  Each Lbar is
-    an edit of ``laplacian(g)`` (``LinkVariation.apply``), formed when its
-    pair is read, so a caller that keeps only what it reports holds one
-    Lbar at a time."""
+    """All single-link variations of the requested kinds of the graph g
+    of L = laplacian(g), whose edges are L's nonzero entries off the
+    diagonal, in deterministic order (kind, then node indices), each with
+    its Laplacian Lbar.  Added links default to weight 1; reweighting
+    needs an explicit ``reweight_to``.  The kinds, ``reweight_to`` and the
+    degrees of every reweighted Lbar are checked at the call: reweighting
+    is the one kind that can raise a degree past float64 (an added link
+    weighs 1).  Each Lbar is an edit of L (``LinkVariation.apply``),
+    formed when its pair is read, so a caller that keeps only what it
+    reports holds one Lbar at a time."""
     if not all(isinstance(kind, str) for kind in kinds):
         raise ValueError(f"variation kinds must be strings, got {list(kinds)!r}")
     kinds = set(kinds)
@@ -209,15 +218,14 @@ def enumerate_single_link_variations(
     if "reweight_edge" in kinds and reweight_to is None:
         raise ValueError("reweight_edge enumeration requires reweight_to")
 
-    L = laplacian(g)
-    edges = [(i, j) for i, j, _ in g.edges]
+    edges = [(i + 1, j + 1) for i, j in np.argwhere(np.triu(L, 1)).tolist()]
     variations: list[LinkVariation] = []
     if "remove_edge" in kinds:
         variations += [LinkVariation("remove_edge", e) for e in edges]
     if "add_edge" in kinds:
         present = set(edges)
         variations += [LinkVariation("add_edge", p, 1.0)
-                       for p in itertools.combinations(range(1, g.node_count + 1), 2)
+                       for p in itertools.combinations(range(1, len(L) + 1), 2)
                        if p not in present]
     if "reweight_edge" in kinds:
         for e in edges:

@@ -106,17 +106,25 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def distinct_values(values, tol: float) -> list[float]:
-    """Distinct representatives of a real value set at absolute tolerance,
-    ascending: the mean of each single-linkage cluster, which on the
-    sorted reals is a run split wherever neighbours are not less than
-    ``tol`` apart.  The mean is np.mean's own sum and division, the same
-    bits without its per-call overhead; a run of one is its value + 0.0,
-    which is that mean (both turn -0.0 into 0.0) without a reduction."""
-    v = np.sort(np.asarray(values, dtype=float))
-    cuts = [0, *(np.flatnonzero(~(np.diff(v) < tol)) + 1).tolist(), len(v)]
-    return [float(v[a] + 0.0) if b == a + 1 else float(np.add.reduce(v[a:b]) / (b - a))
-            for a, b in zip(cuts, cuts[1:]) if b > a]
+def distinct_values(values, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct representatives of each real value set of a stack (..., K)
+    at absolute tolerance, ascending, in one flat array, and each set's
+    count: the mean of each run of the sorted values split where neighbours
+    are not less than ``tol`` apart, with np.mean's bits (a run of under 8
+    summed from 0.0 in order, all runs at once; a longer one by np.add.reduce)."""
+    shape, v = np.shape(values)[:-1], np.sort(np.asarray(values, dtype=float), axis=-1)
+    v = v.reshape(math.prod(shape), v.shape[-1])
+    starts = np.ones(v.shape, dtype=bool)  # each set's first value starts a run
+    starts[:, 1:] = ~(v[:, 1:] - v[:, :-1] < tol)
+    flat, first = v.reshape(-1), starts.reshape(-1).nonzero()[0]
+    bounds = np.concatenate((first, [flat.size]))
+    length = bounds[1:] - first
+    sums = flat[first] + 0.0  # 0.0 + the first value: -0.0 turns to 0.0
+    for k in range(1, min(int(length.max(initial=0)), 7)):
+        sums[length > k] += flat[first[length > k] + k]
+    for r in np.flatnonzero(length >= 8).tolist():
+        sums[r] = np.add.reduce(flat[first[r]:bounds[r + 1]])
+    return sums / length, starts.sum(axis=-1).reshape(shape)
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:

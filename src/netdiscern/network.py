@@ -226,12 +226,12 @@ class NetworkSystem:
 
 
 def check_coupling(dyn: NodeDynamics, L: np.ndarray) -> np.ndarray:
-    """L, once the blocks A - alpha*B of its eigenvalues are known finite:
-    alpha lies in [0, 2 max L_ii] (Gershgorin), so max|A| + 2 max L_ii
-    max|B| bounds every block entry, and a bound past float64 is a
-    ValueError."""
+    """L, one Laplacian or a stack, once the blocks A - alpha*B of its
+    eigenvalues are known finite: alpha lies in [0, 2 max L_ii]
+    (Gershgorin), so max|A| + 2 max L_ii max|B|, L_ii over the stack,
+    bounds every block entry, and a bound past float64 is a ValueError."""
     bound = (float(np.abs(dyn.A).max())  # Python floats overflow to inf without a warning
-             + float(np.diagonal(L).max(initial=0.0)) * float(np.abs(dyn.B).max()) * 2)
+             + float(np.diagonal(L, 0, -2, -1).max(initial=0.0)) * float(np.abs(dyn.B).max()) * 2)
     if not np.isfinite(bound):
         raise ValueError("the blocks A - alpha*B overflow float64: the weighted "
                          "degrees are too large for the node dynamics")

@@ -9,8 +9,11 @@ assertions honest instead of tolerance-washed.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,41 @@ def ring_with_chords(N: int) -> Graph:
 def without_first_edge(g: Graph) -> np.ndarray:
     """The Laplacian of g without its first edge."""
     return LinkVariation("remove_edge", g.edges[0][:2]).apply(laplacian(g))
+
+
+BAD_ROWS = {
+    "non-finite": "Laplacian entries must be finite",
+    "skewed": "Laplacian is not symmetric",
+    "shifted": "Laplacian rows do not sum to zero (max 1.000e+00)",
+    "overflow": ("the blocks A - alpha*B overflow float64: the weighted degrees are "
+                 "too large for the node dynamics"),
+}
+
+
+def bad_row(kind, L, Lbar):
+    """Lbar spoiled for one check of check_pair: an infinite entry, one
+    entry off its mirror, a row sum of 1, or an edge (1,2) at 1e308, a
+    Laplacian whose blocks overflow."""
+    bad = Lbar.copy()
+    if kind == "non-finite":
+        bad[3, 3] = np.inf
+    elif kind == "skewed":
+        bad[0, 5] -= 1.0
+    elif kind == "shifted":
+        bad[4, 4] += 1.0
+    else:
+        bad = LinkVariation("reweight_edge", (1, 2), 1e308).apply(L)
+    return bad
+
+
+def bench_inputs():
+    """The benchmark's seeded input generator, bench/inputs.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def component_count(g: Graph) -> int:

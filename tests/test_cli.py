@@ -18,6 +18,7 @@ from netdiscern import (
     Subspace,
     analyze,
     assemble_transition,
+    cli,
     discernibility,
     enumerate_single_link_variations,
     graphs,
@@ -31,7 +32,7 @@ from netdiscern.example import example_config, example_dynamics
 from netdiscern.linalg import cluster_indices
 from netdiscern.network import NetworkSystem
 
-from conftest import ring_with_chords
+from conftest import BAD_ROWS, bad_row, ring_with_chords
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -918,30 +919,56 @@ def test_jobs_flag_leaves_outputs_unchanged(tmp_path, capsys):
 
 def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
     # the 66 rows of the 12-node ring with chords share one base, a
-    # validated network: assemble_transition validates L once, and each
-    # row validates its Lbar once, where the parent validated both per
-    # row; a standalone analyze validates each of its two Laplacians once,
-    # also when the oracle builds Phibar from the Lbar it validated
+    # validated network: assemble_transition validates L once, and the
+    # rows, one chunk, are validated in one call whose stack holds each
+    # Lbar once, in order; a standalone analyze validates each of its two
+    # Laplacians once, also when the oracle builds Phibar from the Lbar it
+    # validated
     calls = []
     validate = graphs.validate_laplacian
     for module in (network, discernibility):
         monkeypatch.setattr(module, "validate_laplacian",
-                            lambda L: calls.append(L) or validate(L))
+                            lambda L: calls.append(np.copy(L)) or validate(L))
     graph = ring_with_chords(12)
     config = enumerate_config(["remove_edge", "add_edge"])
     config["base_graph"] = {
         "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
     assert run_enumerate(config, str(tmp_path)) == 0
     assert len(json.loads((tmp_path / "variations.json").read_text())["rows"]) == 66
-    expected = [laplacian(graph)] + [Lvar for _, Lvar in enumerate_single_link_variations(
-        graph, ["remove_edge", "add_edge"])]
-    assert [M.tobytes() for M in calls] == [M.tobytes() for M in expected]
     L = laplacian(graph)
+    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(L, ["remove_edge", "add_edge"])]
+    assert [M.shape for M in calls] == [(12, 12), (66, 12, 12)]
+    assert [M.tobytes() for M in calls] == [L.tobytes(), np.array(Lbars).tobytes()]
     Lbar = LinkVariation("disconnect_node", 1).apply(L)
     for opts in (AnalyzeOptions(), AnalyzeOptions(validate=True)):
         calls.clear()
         analyze(example_dynamics(), L, Lbar, opts)
+        assert [M.shape for M in calls] == [(12, 12), (1, 12, 12)]
         assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "skewed", "shifted", "overflow"])
+def test_a_bad_row_is_named_for_its_variation(tmp_path, capsys, monkeypatch, kind):
+    # row 30 of the 66 of the 12-node ring with chords, in the middle of
+    # the one chunk they are checked in, fails one check: the run exits 1
+    # with one error line, naming that row's variation and the message its
+    # Laplacian gives alone, and writes no output
+    graph = ring_with_chords(12)
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 12, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    L = laplacian(graph)
+    entries = list(enumerate_single_link_variations(L, ["remove_edge", "add_edge"]))
+    var, Lbar = entries[30]
+    entries[30] = var, bad_row(kind, L, Lbar)
+    monkeypatch.setattr(cli, "enumerate_single_link_variations", lambda *args: iter(entries))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["enumerate", write_config(tmp_path, config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid config: {var.describe()}: {BAD_ROWS[kind]}\n"
+    assert not out.exists()
 
 
 def test_enumerate_rows_form_no_indiscernible_basis(tmp_path, monkeypatch):
@@ -995,7 +1022,7 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     assert len(rows) == 66
     assert calls == {"eig": 0, "shared_modal_subspace": 0}
 
-    entries = list(enumerate_single_link_variations(graph, ["remove_edge", "add_edge"]))
+    entries = list(enumerate_single_link_variations(laplacian(graph), ["remove_edge", "add_edge"]))
     assert len(entries) == 66
     for _, Lvar in entries:
         analyze(dyn, L, Lvar, base=dec).shared_modal

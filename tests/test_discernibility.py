@@ -1,6 +1,7 @@
 """Indiscernible subspaces: the modal algorithm against the stacked reference,
 decompositions, verdicts."""
 
+import itertools
 import pickle
 from collections import Counter
 
@@ -44,7 +45,10 @@ from netdiscern.linalg import (
 from netdiscern.network import unobservable_subspace
 
 from conftest import (
+    BAD_ROWS,
     absent_pairs,
+    bad_row,
+    bench_inputs,
     contains,
     max_angle,
     max_sine,
@@ -407,7 +411,7 @@ def test_shared_base_changes_no_report_byte(demo):
         L = laplacian(g)
         base = assemble_transition(dyn, L)
         entries = list(enumerate_single_link_variations(
-            g, ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5))
+            laplacian(g), ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"], 2.5))
         assert len(entries) == rows
         for _, Lbar in entries:
             alone = canonical_json(report_to_dict(analyze(dyn, L, Lbar)))
@@ -622,7 +626,7 @@ def reference_cases(demo):
     L = laplacian(C4)
     yield "jordan", JORDAN_DYN, L, LinkVariation("remove_edge", (1, 4)).apply(L)
     g = ring_with_chords(12)
-    for label, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+    for label, Lvar in enumerate_single_link_variations(laplacian(g), ["remove_edge", "add_edge"]):
         yield f"ring-12-{label}", example_dynamics(), laplacian(g), Lvar
 
 
@@ -681,7 +685,7 @@ def test_delta_product_matches_the_formed_delta(N, collisions):
     L = laplacian(g)
     dec = assemble_transition(dyn, L)
     assert len(dec.clusters) == collisions
-    for _, Lbar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+    for _, Lbar in enumerate_single_link_variations(laplacian(g), ["remove_edge", "add_edge"]):
         delta = dec.phi - assemble_transition(dyn, Lbar).phi
         for X in dec.clusters:
             want = delta @ X
@@ -722,7 +726,7 @@ def test_every_entry_point_rejects_the_base_of_another_network():
         "shared_modal_subspace": lambda base, Lbar: shared_modal_subspace(
             dyn, L, Lbar, RANK_TOL, base),
         "corrected_condition": lambda base, Lbar: corrected_condition(dyn, L, Lbar, base=base),
-        "check_pair": lambda base, Lbar: discernibility.check_pair(dyn, L, Lbar, base),
+        "check_pair": lambda base, Lbar: discernibility.check_pair(dyn, L, [Lbar], base),
     }
     own = assemble_transition(dyn, L)
     infinite, skewed, shifted_rows = Lbar.copy(), Lbar.copy(), Lbar + np.eye(6)
@@ -759,7 +763,7 @@ def test_a_base_rejects_a_non_finite_lbar():
             dyn, L, Lbar, RANK_TOL, own),
         "corrected_condition": lambda Lbar: corrected_condition(dyn, L, Lbar, base=own),
         "analyze": lambda Lbar: analyze(dyn, L, Lbar, base=own),
-        "check_pair": lambda Lbar: discernibility.check_pair(dyn, L, Lbar, own),
+        "check_pair": lambda Lbar: discernibility.check_pair(dyn, L, [Lbar], own),
     }
     for value in (np.inf, -np.inf, np.nan):
         Lbar = without_first_edge(g)
@@ -773,31 +777,53 @@ def test_a_base_rejects_a_non_finite_lbar():
             assert str(got.value) == str(want.value), name
 
 
+def chunk_plan(base, count):
+    """The sizes of the chunks analyze_rows reads ``count`` rows in, and
+    of the stacks it decides each chunk in: the first chunk by L's bytes
+    alone, then every stack, and each chunk after the first, by the
+    largest of L's and the collision clusters' bytes."""
+    budget = discernibility._CHUNK_BYTES
+    first = budget // base.laplacian.nbytes
+    size = budget // max([base.laplacian.nbytes] + [X.nbytes for X in base.clusters])
+    chunks = [min(first, count)]
+    while sum(chunks) < count:
+        chunks.append(min(size, count - sum(chunks)))
+    stacks = [min(size, chunk - start) for chunk in chunks for start in range(0, chunk, size)]
+    return chunks, stacks
+
+
 @pytest.mark.parametrize("chunk_bytes", [None, 14_000])
 def test_each_row_is_checked_once(monkeypatch, chunk_bytes):
-    # the 66 rows of the 12-node ring with chords: analyze_rows checks each
-    # Lbar through check_pair alone, once, and forms L - Lbar once per
-    # chunk; indiscernible_subspace, handed the row's decisions, neither
+    # the 66 rows of the 12-node ring with chords: analyze_rows checks them
+    # through check_pair alone, one call per chunk, whose one stack holds
+    # each Lbar once, in order, and forms L - Lbar once per stack it
+    # decides; indiscernible_subspace, handed the row's decisions, neither
     # checks the pair again nor forms the difference
     if chunk_bytes is not None:
         monkeypatch.setattr(discernibility, "_CHUNK_BYTES", chunk_bytes)
-    calls = Counter()
+    calls, validated = Counter(), []
     for name in ("check_pair", "validate_laplacian", "check_coupling", "laplacian_difference"):
         def counted(*args, _name=name, _call=getattr(discernibility, name)):
             calls[_name] += 1
+            if _name == "validate_laplacian":
+                validated.append(np.copy(args[0]))
             return _call(*args)
         monkeypatch.setattr(discernibility, name, counted)
     g = ring_with_chords(12)
     Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(
-        g, ["remove_edge", "add_edge"])]
+        laplacian(g), ["remove_edge", "add_edge"])]
     dyn, L = example_dynamics(), laplacian(g)
     base = assemble_transition(dyn, L)
-    size = discernibility._CHUNK_BYTES // max([L.nbytes] + [X.nbytes for X in base.clusters])
-    chunks = -(-len(Lbars) // size)
+    chunks, stacks = chunk_plan(base, len(Lbars))
     assert len(list(analyze_rows(dyn, L, Lbars, base=base))) == len(Lbars) == 66
-    assert (chunks == 1) == (chunk_bytes is None)
-    assert calls == {"check_pair": 66, "validate_laplacian": 66, "check_coupling": 66,
-                     "laplacian_difference": chunks}
+    if chunk_bytes is None:
+        assert chunks == stacks == [66]
+    else:
+        assert len(stacks) > len(chunks) > 1
+    assert calls == {"check_pair": len(chunks), "validate_laplacian": len(chunks),
+                     "check_coupling": len(chunks), "laplacian_difference": len(stacks)}
+    assert [len(M) for M in validated] == chunks
+    assert np.concatenate(validated).tobytes() == np.array(Lbars).tobytes()
 
 
 def test_decisions_are_read_with_their_base():
@@ -845,10 +871,11 @@ def stacked_row_cases():
     for name, dyn in (("paper", paper), ("random", rand),
                       ("zero-b", NodeDynamics(paper.A, np.zeros((3, 3))))):
         for reweight_to in (2.5, 1.0):
-            Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(g, kinds, reweight_to)]
+            Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(
+                laplacian(g), kinds, reweight_to)]
             yield f"{name}-w{reweight_to}", dyn, laplacian(g), Lbars
     g = ring_with_chords(8)
-    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(g, kinds, 2.5)]
+    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(laplacian(g), kinds, 2.5)]
     yield "paper-ring-8", paper, laplacian(g), Lbars
     g = ring_with_chords(12)
     L = laplacian(g)
@@ -884,27 +911,61 @@ def test_stacked_rows_equal_the_batch_of_one(monkeypatch, chunk_bytes):
 
 def test_stacked_rows_are_decided_in_chunks_as_they_are_read(monkeypatch):
     # the rows' stacks stay within the byte budget: the graph-side decision
-    # sees at most one chunk of rows at a time, and a row past the chunks
-    # read so far is not validated yet
+    # sees at most one stack of rows at a time, and a row past the chunks
+    # read so far is neither read nor checked yet
     monkeypatch.setattr(discernibility, "_CHUNK_BYTES", 14_000)
     stacks, validated = [], []
     decide, validate = discernibility.common_laplacian_vectors, discernibility.validate_laplacian
     monkeypatch.setattr(discernibility, "common_laplacian_vectors",
                         lambda *args: stacks.append(len(args[1])) or decide(*args))
     monkeypatch.setattr(discernibility, "validate_laplacian",
-                        lambda L: validated.append(1) or validate(L))
+                        lambda L: validated.append(len(L)) or validate(L))
     g = ring_with_chords(12)
-    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(g, ["remove_edge"])]
+    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(laplacian(g), ["remove_edge"])]
     dyn, L = example_dynamics(), laplacian(g)
     base = assemble_transition(dyn, L)
-    row_bytes = max([L.nbytes] + [X.nbytes for X in base.clusters])
-    size = 14_000 // row_bytes
-    assert 1 < size < len(Lbars)
-    rows = analyze_rows(dyn, L, Lbars, base=base)
+    chunks, sizes = chunk_plan(base, len(Lbars))
+    assert 1 < sizes[0] < chunks[0] < len(Lbars)  # the first chunk is decided in stacks
+    taken = []
+    rows = analyze_rows(dyn, L, (taken.append(1) or Lbar for Lbar in Lbars), base=base)
     next(rows)
-    assert stacks == [size] and len(validated) == size
+    assert len(taken) == chunks[0] and validated == chunks[:1] and stacks == sizes[:1]
     assert len(list(rows)) == len(Lbars) - 1
-    assert sum(stacks) == len(Lbars) and max(stacks) == size
+    assert validated == chunks and stacks == sizes and sum(stacks) == len(Lbars)
+    assert max(stacks) == sizes[0]
+
+
+@pytest.mark.parametrize("kind", BAD_ROWS)
+@pytest.mark.parametrize("chunk_bytes", [None, 14_000])
+def test_a_bad_row_in_a_chunk_raises_its_own_message(monkeypatch, kind, chunk_bytes):
+    # row 30 of the 66 of the 12-node ring with chords, in the middle of a
+    # chunk, fails one check: its chunk raises the message the row gives
+    # alone, before any of the chunk's rows is decided
+    if chunk_bytes is not None:
+        monkeypatch.setattr(discernibility, "_CHUNK_BYTES", chunk_bytes)
+    g = ring_with_chords(12)
+    dyn, L = example_dynamics(), laplacian(g)
+    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(
+        laplacian(g), ["remove_edge", "add_edge"])]
+    Lbars[30] = bad_row(kind, L, Lbars[30])
+    base = assemble_transition(dyn, L)
+    with pytest.raises(ValueError) as alone:
+        discernibility.check_pair(dyn, L, [Lbars[30]], base)
+    assert str(alone.value) == BAD_ROWS[kind]
+    chunks, _ = chunk_plan(base, len(Lbars))
+    bounds = list(itertools.accumulate([0] + chunks))
+    start, end = next((a, b) for a, b in zip(bounds, bounds[1:]) if a <= 30 < b)
+    assert start < 30 < end - 1  # row 30 is inside its chunk
+    decided = []
+    with pytest.raises(ValueError) as got:
+        for report in analyze_rows(dyn, L, Lbars, base=base):
+            decided.append(report)
+    assert str(got.value) == BAD_ROWS[kind] and len(decided) == start
+    # a later bad row does not mask an earlier one
+    later = bad_row("skewed" if kind != "skewed" else "shifted", L, Lbars[31])
+    with pytest.raises(ValueError) as got:
+        discernibility.check_pair(dyn, L, Lbars[:31] + [later] + Lbars[32:], base)
+    assert str(got.value) == BAD_ROWS[kind]
 
 
 def test_no_base_decomposes_before_a_row_is_checked(monkeypatch):
@@ -1022,8 +1083,8 @@ def reference_collisions(dyn, L, Lbar, tol):
     """Every cluster of the block spectra scanned, with no shortcut on the
     minimum cross gap and none for one-member clusters; and that minimum
     over the pairs a boolean owner mask selects."""
-    alphas = np.array(distinct_values(
-        np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol))
+    alphas, _ = distinct_values(
+        np.concatenate([np.linalg.eigvalsh(L), np.linalg.eigvalsh(Lbar)]), tol)
     flat = np.linalg.eigvals(dyn.A - np.multiply.outer(alphas, dyn.B)).reshape(-1)
     owner = np.repeat(np.arange(len(alphas)), dyn.n)
     cross = owner[:, None] != owner[None, :]
@@ -1043,7 +1104,8 @@ def test_corrected_condition_shortcut_changes_no_result():
     verdicts = Counter()
     for N in (5, 6, 8, 12):
         g = ring_with_chords(N)
-        variations = list(enumerate_single_link_variations(g, ["remove_edge", "add_edge"]))
+        variations = list(enumerate_single_link_variations(
+            laplacian(g), ["remove_edge", "add_edge"]))
         for dyn in (uniform_dynamics(rng), example_dynamics()):
             for _, Lbar in variations[::3]:
                 L = laplacian(g)
@@ -1054,6 +1116,84 @@ def test_corrected_condition_shortcut_changes_no_result():
                 assert result.holds == (not want)
                 verdicts[result.verdict] += 1
     assert verdicts["holds"] > 0 and verdicts["violated"] > 0
+
+
+def reference_corrected_conditions(base, Lbars, tol):
+    """The corrected condition of each Lbar decided one row at a time:
+    the row's distinct alphas from its own sorted union of spectra, each
+    a run's np.add.reduce over its length, and its least cross gap the
+    minimum of the full (k n) x (k n) matrix of its block spectra's
+    pairwise gaps with the same-alpha blocks filled with inf."""
+    A, B, n = base.dynamics.A, base.dynamics.B, base.node_dim
+    results = []
+    for values in np.linalg.eigvalsh(Lbars):
+        v = np.sort(np.concatenate([base.laplacian_values, values]))
+        cuts = [0, *(np.flatnonzero(~(np.diff(v) < tol)) + 1).tolist(), len(v)]
+        alphas = np.array([float(v[a] + 0.0) if b == a + 1
+                           else float(np.add.reduce(v[a:b]) / (b - a))
+                           for a, b in zip(cuts, cuts[1:]) if b > a])
+        spectra = np.linalg.eigvals(A - np.multiply.outer(alphas, B))
+        k = len(alphas)
+        flat = spectra.reshape(-1)
+        gaps = np.abs(flat[:, None] - flat[None, :])
+        same = np.arange(k)
+        gaps.reshape(k, n, k, n)[same, :, same, :] = np.inf
+        min_gap = float(gaps.min(initial=np.inf))
+        results.append(discernibility.CorrectedConditionResult(
+            min_gap > tol, min_gap, float(tol), alphas, spectra))
+    return results
+
+
+def corrected_condition_cases():
+    """(name, dynamics, L, Lbars): the screen and validate plans of the
+    benchmark at seeds 0-2 (their enumerations, and the paper example),
+    random dynamics, with complex block spectra, over every kind of
+    variation of the 12-node ring with chords, disconnected nodes
+    included, and the star on 12 nodes, whose union of spectra holds a
+    run of 8 or more values at alpha = 1."""
+    inputs = bench_inputs()
+    for workload in ("screen", "validate"):
+        for seed in range(3):
+            for call in inputs.make_plan(workload, seed):
+                dyn = NodeDynamics(call.A, call.B)
+                Lbars = [laplacian(Graph(call.N, edges)) for _, edges in call.varied]
+                yield (f"{workload}-{seed}-{call.command}", dyn,
+                       laplacian(Graph(call.N, call.edges)), Lbars)
+    kinds = ["remove_edge", "add_edge", "reweight_edge", "disconnect_node"]
+    L = laplacian(ring_with_chords(12))
+    for seed in range(3):
+        Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(L, kinds, 2.5)]
+        yield f"random-{seed}", uniform_dynamics(np.random.default_rng(seed)), L, Lbars
+    L = laplacian(Graph(12, tuple((1, j, 1.0) for j in range(2, 13))))
+    Lbars = [Lvar for _, Lvar in enumerate_single_link_variations(L, kinds, 2.5)]
+    yield "star", example_dynamics(), L, Lbars
+
+
+def corrected_fields(result):
+    return (result.holds, np.float64(result.min_cross_gap).tobytes(), result.tol,
+            result.alphas.dtype, result.alphas.tobytes(), result.spectra.dtype,
+            result.spectra.shape, result.spectra.tobytes(), result.collisions)
+
+
+def test_stacked_corrected_conditions_match_the_row_by_row_reference():
+    # every field of every row, decided as one stack, as the rows of a
+    # chunk, and alone, has the bits of the row-by-row reference
+    complex_rows = long_runs = 0
+    for name, dyn, L, Lbars in corrected_condition_cases():
+        base = assemble_transition(dyn, L)
+        want = [corrected_fields(r) for r in reference_corrected_conditions(base, Lbars, 1e-8)]
+        assert [corrected_fields(r) for r in
+                discernibility.corrected_conditions(base, np.array(Lbars), 1e-8)] == want, name
+        for start in range(0, len(Lbars), 7):
+            got = discernibility.corrected_conditions(base, np.array(Lbars[start:start + 7]), 1e-8)
+            assert [corrected_fields(r) for r in got] == want[start:start + 7], name
+        for Lbar, fields in zip(Lbars, want):
+            assert corrected_fields(corrected_condition(dyn, L, Lbar, base=base)) == fields, name
+        complex_rows += sum(fields[5] == complex for fields in want)
+        if name == "star":
+            union = np.concatenate([base.laplacian_values, np.linalg.eigvalsh(Lbars[0])])
+            long_runs += np.sum(np.abs(union - 1.0) < 1e-8) >= 8
+    assert complex_rows > 0 and long_runs == 1
 
 
 def test_corrected_condition_alone_decomposes_no_block(demo, monkeypatch):
@@ -1150,7 +1290,7 @@ def test_sync_overlap_is_the_node_dimension_on_every_ring_row(N):
     L = laplacian(g)
     for dyn in (example_dynamics(), random_dynamics()):
         base = assemble_transition(dyn, L)
-        for _, Lbar in enumerate_single_link_variations(g, ["remove_edge"]):
+        for _, Lbar in enumerate_single_link_variations(laplacian(g), ["remove_edge"]):
             report = analyze(dyn, L, Lbar, base=base)
             assert report.sync_overlap_dim == dyn.n
 
@@ -1174,8 +1314,8 @@ def test_counted_dimension_and_overlap_match_the_formed_basis(N):
     for g in graphs:
         L = laplacian(g)
         kinds = ["remove_edge", "disconnect_node"]
-        added = list(enumerate_single_link_variations(g, ["add_edge"]))
-        Lbars = [Lbar for _, Lbar in [*enumerate_single_link_variations(g, kinds),
+        added = list(enumerate_single_link_variations(laplacian(g), ["add_edge"]))
+        Lbars = [Lbar for _, Lbar in [*enumerate_single_link_variations(laplacian(g), kinds),
                                          *added[::10 if N == 40 else 1]]]  # 73 of 726 at N = 40
         for dyn in (example_dynamics(), random_dynamics()):
             for report in analyze_rows(dyn, L, Lbars):

@@ -204,11 +204,11 @@ def test_schur_basis_is_an_exact_invariant_basis(name):
 
 def test_distinct_values_chains_and_sorts():
     # 0 and 1.2e-8 are farther apart than tol, but 0.6e-8 links them
-    reps = distinct_values([1.0, 1.2e-8, -1.0, 0.0, 0.6e-8], 1e-8)
-    assert len(reps) == 3
+    reps, count = distinct_values([1.0, 1.2e-8, -1.0, 0.0, 0.6e-8], 1e-8)
+    assert count == len(reps) == 3
     assert reps[0] == -1.0 and reps[2] == 1.0
     assert reps[1] == pytest.approx(0.6e-8, rel=1e-12)
-    assert reps == sorted(reps)
+    assert reps.tolist() == sorted(reps.tolist())
 
 
 def union_find_clusters(values, tol):
@@ -274,16 +274,37 @@ def test_cluster_indices_matches_union_find():
 
 
 def test_distinct_values_matches_union_find_means_bitwise():
+    # each value set alone, and stacks of them: a stack's representatives
+    # are its sets' own, set after set, with each set's count
     cases = [(v.real, tol) for v, tol in clustering_cases()]
     rng = np.random.default_rng(21)
     for _ in range(20):
         # Laplacian-like spectra: repeated values up to roundoff
         values = rng.integers(0, 6, 30) + 1e-12 * rng.standard_normal(30)
         cases.append((values, 1e-8))
+    for size in (8, 9, 15, 16, 17, 40):
+        # runs of 8 or more values, which np.add.reduce sums pairwise
+        values = np.r_[np.full(size, 1.0) + 1e-12 * rng.standard_normal(size),
+                       rng.uniform(2, 3, 5)]
+        cases.append((rng.permutation(values), 1e-8))
     for values, tol in cases:
-        got = np.array(distinct_values(values, tol))
+        got, count = distinct_values(values, tol)
         want = np.array(reference_distinct_values(values, tol))
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() and count.shape == () and count == len(want)
+    stacks = {}
+    for values, tol in cases:
+        stacks.setdefault((len(values), tol), []).append(values)
+    stacks[30, 1e-8].append(np.full(30, -0.0))
+    assert len(stacks[30, 1e-8]) > 20 and any(len(s) > 1 for s in stacks.values())
+    for (_, tol), rows in stacks.items():
+        want = [np.array(reference_distinct_values(row, tol)) for row in rows]
+        got, counts = distinct_values(np.array(rows), tol)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert counts.tolist() == [len(w) for w in want]
+        # a stack of stacks counts per set, in the same order
+        got, counts = distinct_values(np.array(rows)[None, :, :], tol)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert counts.shape == (1, len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 """Trajectory oracle: gap measurement and subspace validation."""
 
-import importlib.util
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +23,7 @@ from netdiscern.example import example_dynamics
 from netdiscern.graphs import Graph
 from netdiscern.linalg import Subspace, expm
 
-from conftest import random_instance, ring_with_chords, state_gap, without_first_edge
+from conftest import bench_inputs, random_instance, ring_with_chords, state_gap, without_first_edge
 
 P2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -321,7 +318,7 @@ def validation_cases(demo):
     cases = [(demo.phi, demo.phibar, indiscernible_subspace(demo.dyn, demo.L, demo.Lbar))]
     dyn, g = example_dynamics(), ring_with_chords(8)
     base = assemble_transition(dyn, laplacian(g))
-    for _, Lvar in enumerate_single_link_variations(g, ["remove_edge", "add_edge"]):
+    for _, Lvar in enumerate_single_link_variations(laplacian(g), ["remove_edge", "add_edge"]):
         report = analyze(dyn, base.laplacian, Lvar, base=base)
         cases.append((base, assemble_transition(dyn, Lvar), report.indiscernible))
     return cases
@@ -445,16 +442,6 @@ def test_validate_ladder_without_power_overflow():
 def test_validate_dimension_mismatch(demo):
     with pytest.raises(ValueError):
         validate_subspace(demo.phi, demo.phibar, Subspace.full(5))
-
-
-def bench_inputs():
-    """The benchmark's seeded input generator, bench/inputs.py."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def validate_plan_checks(seeds):
