@@ -37,7 +37,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze, analyze_rows, check_pair
+from .discernibility import AnalyzeOptions, DiscernibilityReport, analyze_rows, check_pair
+from .discernibility import analyze  # noqa: F401 - looked up here by the benchmark's tracer test
 from .example import example_config
 from .graphs import (
     Graph,
@@ -47,7 +48,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import Subspace
-from .network import NetworkInvariantMode, NodeDynamics, assemble_transition, check_coupling
+from .network import NetworkInvariantMode, NodeDynamics, assemble_transition
 from .oracle import DEFAULT_TIME_GRID, OracleConfig, ValidationSummary
 
 
@@ -436,6 +437,22 @@ def _checked(context: str, check, *args):
         raise ConfigError(f"invalid config: {context}: {exc}") from exc
 
 
+def _reports(dyn: NodeDynamics, net, rows, opts: AnalyzeOptions, name=str):
+    """(label, report) for each (label, Lbar) of ``rows``, in order, from
+    ``analyze_rows`` on the base ``net``.  When a chunk fails, its first row
+    that fails alone is an input error named ``name(label)``; any other
+    ValueError propagates unchanged."""
+    pending = collections.deque()  # each row read and not yet reported
+    laplacians = (pending.append(row) or row[1] for row in rows)
+    try:
+        for report in analyze_rows(dyn, net.laplacian, laplacians, opts, net):
+            yield pending.popleft()[0], report
+    except ValueError:
+        for label, Lbar in pending:
+            _checked(name(label), check_pair, dyn, net.laplacian, [Lbar], net)
+        raise
+
+
 def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Callable[[np.ndarray], np.ndarray]]:
     """The dynamics, the base graph and the varied Laplacian as a function
     of the base's: a modified graph's own, or the link's edit of it."""
@@ -461,9 +478,7 @@ def _resolve_pair(config: dict) -> tuple[NodeDynamics, Graph, Callable[[np.ndarr
             "invalid config: this scenario enumerates variations; "
             "use the enumerate subcommand"
         )
-    raise ConfigError(
-        "invalid config: variation must contain modified_graph, link, or enumerate"
-    )
+    raise ConfigError("invalid config: variation must contain modified_graph, link, or enumerate")
 
 
 def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
@@ -473,31 +488,21 @@ def run_analyze(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     dyn, base, vary = _resolve_pair(config)
     opts = _analyze_options(_parse_options(config), cli_tol, cli_seed, cli_validate)
     net = _checked("base_graph", assemble_transition, dyn, _checked("base_graph", laplacian, base))
-    Lbar = _checked("varied graph", check_coupling, dyn,
-                    _checked("varied graph", vary, net.laplacian))
-    report = analyze(dyn, net.laplacian, Lbar, opts, net)
+    Lbar = _checked("varied graph", vary, net.laplacian)
+    [(_, report)] = _reports(dyn, net, [("varied graph", Lbar)], opts)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(
-        os.path.join(out_dir, "report.json"), canonical_json(report_to_dict(report))
-    )
+    _write_atomic(os.path.join(out_dir, "report.json"), canonical_json(report_to_dict(report)))
     if report.oracle_summary is not None:
-        _write_atomic(
-            os.path.join(out_dir, "gaps.csv"), _gaps_csv(report.oracle_summary)
-        )
+        _write_atomic(os.path.join(out_dir, "gaps.csv"), _gaps_csv(report.oracle_summary))
 
     print(f"verdict: {report.verdict}")
-    print(
-        f"indiscernible dim {report.indiscernible.dim} "
-        f"(sync {report.node_dim}, extra {report.extra_dim}); "
-        f"corrected condition {report.corrected.verdict}"
-    )
+    print(f"indiscernible dim {report.indiscernible.dim} (sync {report.node_dim}, "
+          f"extra {report.extra_dim}); corrected condition {report.corrected.verdict}")
     if report.oracle_summary is not None:
         s = report.oracle_summary
-        print(
-            f"oracle: inside {s.inside_pass}/{s.inside_total}, "
-            f"outside {s.outside_pass}/{s.outside_total}"
-        )
+        print(f"oracle: inside {s.inside_pass}/{s.inside_total}, "
+              f"outside {s.outside_pass}/{s.outside_total}")
         if not s.passed:
             print("oracle validation FAILED", file=sys.stderr)
             return 2
@@ -533,31 +538,22 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
         raise ConfigError(f"invalid config: {exc}") from exc
     net = _checked("base_graph", assemble_transition, dyn, L)  # after the enumeration's checks
 
-    pending = collections.deque()  # each (variation, Lbar) read and not yet reported
-    laplacians = (pending.append(entry) or entry[1] for entry in entries)
     # the rows are checked and decided a chunk at a time, against one base
     rows = []
-    try:
-        for report in analyze_rows(dyn, net.laplacian, laplacians, opts, net):
-            var, summary = pending.popleft()[0], report.oracle_summary
-            rows.append({
-                "variation": var.describe(),
-                "kind": var.kind,
-                "indiscernible_dim": int(report.indiscernible.dim),
-                "extra_dim": int(report.extra_dim),
-                "corrected_condition": report.corrected.verdict,
-                "verdict": report.verdict,
-                "oracle_passed": None if summary is None else bool(summary.passed),
-            })
-    except ValueError:  # a chunk failed its check: name its first row that fails alone
-        for var, Lvar in pending:
-            _checked(var.describe(), check_pair, dyn, net.laplacian, [Lvar], net)
-        raise
+    for var, report in _reports(dyn, net, entries, opts, LinkVariation.describe):
+        summary = report.oracle_summary
+        rows.append({
+            "variation": var.describe(),
+            "kind": var.kind,
+            "indiscernible_dim": int(report.indiscernible.dim),
+            "extra_dim": int(report.extra_dim),
+            "corrected_condition": report.corrected.verdict,
+            "verdict": report.verdict,
+            "oracle_passed": None if summary is None else bool(summary.passed),
+        })
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(
-        os.path.join(out_dir, "variations.json"), canonical_json({"rows": rows})
-    )
+    _write_atomic(os.path.join(out_dir, "variations.json"), canonical_json({"rows": rows}))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     columns = ["variation", "indiscernible_dim", "extra_dim", "corrected_condition"]
@@ -568,10 +564,8 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
     width = max([len(r["variation"]) for r in rows] + [len("variation")])
     print(f"{'variation':<{width}}  ind_dim  extra_dim  corrected")
     for row in rows:
-        print(
-            f"{row['variation']:<{width}}  {row['indiscernible_dim']:>7}  "
-            f"{row['extra_dim']:>9}  {row['corrected_condition']}"
-        )
+        print(f"{row['variation']:<{width}}  {row['indiscernible_dim']:>7}  "
+              f"{row['extra_dim']:>9}  {row['corrected_condition']}")
     if opts.validate and any(row["oracle_passed"] is False for row in rows):
         print("oracle validation FAILED", file=sys.stderr)
         return 2
@@ -580,9 +574,7 @@ def run_enumerate(config: dict, out_dir: str, cli_tol=None, cli_seed=None,
 
 def run_paper_example(out_dir: str, cli_tol=None, cli_seed=None) -> int:
     """Run the bundled scenario with oracle validation enabled."""
-    return run_analyze(
-        example_config(validate=True), out_dir, cli_tol, cli_seed, cli_validate=True
-    )
+    return run_analyze(example_config(validate=True), out_dir, cli_tol, cli_seed, True)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +624,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = load_config(args.config)
-            return run_analyze(config, args.out, args.tol, args.seed, args.validate)
-        if args.command == "enumerate":
-            config = load_config(args.config)
-            return run_enumerate(config, args.out, args.tol, args.seed, args.validate)
-        return run_paper_example(args.out, args.tol, args.seed)
+        if args.command == "paper-example":
+            return run_paper_example(args.out, args.tol, args.seed)
+        run = run_analyze if args.command == "analyze" else run_enumerate
+        return run(load_config(args.config), args.out, args.tol, args.seed, args.validate)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -60,6 +60,7 @@ from .linalg import (
     distinct_values,
     eig,
     kernel,  # noqa: F401 - looked up here by the benchmark's tracer test
+    kron,
     real_columns,
     scaled_norm,
 )
@@ -282,8 +283,8 @@ def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL
             i = int(group[0])
             eigvecs = np.eye(n) if simple[i] else np.hstack(
                 [p.vectors for p in eig(base.blocks[i], base.cluster_tol).eigenpairs])
-            cols.append(np.kron(C, eigvecs))
-    cols += [np.kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
+            cols.append(kron(C, eigvecs))
+    cols += [kron(np.eye(N), mode.vector[:, None]) for mode in base.modes]
     return Subspace.from_spanning(real_columns(cols), rank_tol)
 
 
@@ -419,6 +420,9 @@ class AnalyzeOptions:
             raise ValueError(f"tol must be finite and > 0, got {self.eig_tol!r}")
 
 
+_DEFAULT_OPTIONS = AnalyzeOptions()  # frozen, so every call without opts shares it
+
+
 @dataclass(frozen=True)
 class DiscernibilityReport:
     """Everything the analysis produces for one (L, Lbar) pair.
@@ -519,7 +523,7 @@ def analyze_rows(
     it and each later chunk are decided in stacks that keep the largest
     stacked array within it, and yielded before the next chunk is read.
     """
-    opts = opts or AnalyzeOptions()
+    opts = opts or _DEFAULT_OPTIONS
     tol = opts.rank_tol
     if base is None:
         base = assemble_transition(dyn, L)

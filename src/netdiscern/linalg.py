@@ -4,8 +4,9 @@ intersection of two subspaces and the matrix exponential.
 The package runs all of it but ``subspace_intersect``, a reference for
 the tests.  ``eig`` clusters a spectrum at an explicit tolerance and
 takes each cluster's eigenvectors as a ``kernel``; ``kernel`` and
-``real_columns`` are the subspace arithmetic the analysis needs; ``expm``
-serves the trajectory oracle and ``schur_basis`` the modal decomposition.
+``real_columns`` are the subspace arithmetic the analysis needs; ``kron``
+forms every Kronecker product of the package; ``expm`` serves the
+trajectory oracle and ``schur_basis`` the modal decomposition.
 Operands are small: the state dimension m = N*n is a few dozen, and the
 tall stacks ``kernel`` receives are per-eigenvalue-cluster power stacks,
 the shifted matrices M - lambda*I of ``eig`` and the m x min(dim U, dim V)
@@ -285,18 +286,21 @@ class Subspace:
         return cls(u[:, s > tol * s[0]])
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices, bit for bit: its products a_ij * b_kl,
+    formed by broadcasting into the (p*r) x (q*s) result for a p x q and
+    b r x s, without np.kron's call overhead."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def real_columns(parts) -> np.ndarray:
     """Real columns that span the columns of the parts and their complex
     conjugates, for parts that hold one cluster of each conjugate pair:
     [Re P, Im P], P the parts side by side (a column with no imaginary part
-    adds none).  A part given as a pair (C, Z) is kron(C, Z), formed here."""
-    cols = []
-    for part in parts:
-        if isinstance(part, tuple):  # np.kron's products, without its call overhead
-            C, Z = part
-            part = (C[:, None, :, None] * Z[:, None]).reshape(C.shape[0] * Z.shape[0], -1)
-        cols.append(part)
-    P = np.hstack(cols)
+    adds none).  A part given as a pair (C, Z) is ``kron(C, Z)``, formed
+    here, so a subspace that only counts its parts never forms it."""
+    P = np.hstack([kron(*part) if isinstance(part, tuple) else part for part in parts])
     if np.iscomplexobj(P):
         P = np.hstack([P.real, P.imag[:, P.imag.any(axis=0)]])
     return P

@@ -6,27 +6,28 @@ a Laplacian L, evolves under the block transition matrix
 
     Phi = I_N (x) A  -  L (x) B .
 
-When L is symmetric with eigenpairs (alpha_i, v_i), Phi is similar to the
-block diagonal of the modal matrices A - alpha_i*B, and the Kronecker
-products v_i (x) w_ij of Laplacian and modal eigenvectors are eigenvectors
-of Phi; they span the whole space only when the modal spectra of different
-alpha_i are distinct.  ``assemble_transition`` validates L and builds the
-``NetworkSystem`` of (A, B, L) alone, the one place the blocks are
-decomposed, read by the indiscernible subspace and the shared modal span.
-It sorts the eigenvalue clusters of Phi in two: a single-alpha cluster,
-whose eigenvalue is in the blocks of one distinct alpha only, is kept as
-the block's vectors Z for it (Phi's eigenspace is V_alpha (x) Z), so its
-indiscernible part is decided on the graph side alone; a collision
-cluster, whose eigenvalue is in the blocks of two or more, keeps an
-orthonormal basis X_g of Phi's generalized eigenspace.  The constants of
-the base network a variation reads are kept on it, so the variations of
-one base graph share them: the Laplacian spectrum and ||B||_2.
-``assemble_transition`` refuses blocks that would overflow
+When L is symmetric with eigenpairs (alpha_i, v_i), Phi is orthogonally
+similar to the block diagonal of the modal matrices A - alpha_i*B (so
+||Phi||_2 is their largest 2-norm), and the Kronecker products
+v_i (x) w_ij (``linalg.kron``) of Laplacian and modal eigenvectors are
+eigenvectors of Phi; they span the whole space only when the modal spectra
+of different alpha_i are distinct.  ``assemble_transition`` validates L
+and builds the ``NetworkSystem`` of (A, B, L) alone, the one place the
+blocks are decomposed, read by the indiscernible subspace and the shared
+modal span.  It sorts the eigenvalue clusters of Phi in two: a
+single-alpha cluster, whose eigenvalue is in the blocks of one distinct
+alpha only, is kept as the block's vectors Z for it (Phi's eigenspace is
+V_alpha (x) Z), so its indiscernible part is decided on the graph side
+alone; a collision cluster, whose eigenvalue is in the blocks of two or
+more, keeps an orthonormal basis X_g of Phi's generalized eigenspace.  The
+constants of the base network a variation reads are kept on it, so the
+variations of one base graph share them: the Laplacian spectrum and
+||B||_2.  ``assemble_transition`` refuses blocks that would overflow
 (``check_coupling``).  Each part is formed on its first read, so a
 variation that is only analysed, and not simulated by the oracle, never
 forms its Phibar, and the oracle's Phibar never decomposes.
-``network_invariant_modes`` finds the modes (A v = lambda v with
-B v = 0) that put an eigenvalue in Phi for every topology.
+``network_invariant_modes`` finds the modes (A v = lambda v with B v = 0)
+that put an eigenvalue in Phi for every topology.
 
 ``unobservable_subspace`` is the one power stack, the largest A-invariant
 subspace inside kernel(C): the invariant-mode core (C = B), the solve of
@@ -51,6 +52,7 @@ from .linalg import (
     cluster_indices,
     eig,
     kernel,
+    kron,
     scaled_norm,
     schur_basis,
 )
@@ -94,13 +96,15 @@ class NetworkSystem:
     hashing are by identity, as for ``NodeDynamics``.
 
     Every part is computed on its first read and kept, so every
-    ``enumerate`` row reads the one shared base value, and a network the
-    oracle only simulates forms ``phi`` and ``norm2`` (||phi||_2) but never
-    decomposes.  The base-side constants a variation reads are kept each
-    on its own: ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected
-    condition's spectrum of L, whose last bits can differ from ``alphas``,
-    from eigh) and ``b_norm`` (||B||_2); so the corrected condition alone
-    decomposes no block.
+    ``enumerate`` row reads the one shared base value.  ``phi`` is formed
+    only for a collision cluster's X_g^H Phi X_g and for the oracle, which
+    never decomposes the networks it simulates; ``norm2`` = ||Phi||_2 is
+    the largest ||A - alpha*B||_2 over ``laplacian_values``: no SVD of Phi.
+    The base-side constants a variation reads are kept each on its own:
+    ``laplacian_values`` (np.linalg.eigvalsh(L), the corrected condition's
+    spectrum of L, whose last bits can differ from ``alphas``, from eigh)
+    and ``b_norm`` (||B||_2); so the corrected condition alone decomposes
+    no block.
 
     The union of the block spectra is clustered at 1e-6 * max(1, ||Phi||_2):
     merging clusters is exact, splitting one is not, and the copies of a
@@ -150,15 +154,14 @@ class NetworkSystem:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        L, dyn, m = self.laplacian, self.dynamics, self.dim
-        # np.kron(I, A) - np.kron(L, B): np.kron's products, without its call overhead
-        eye = np.eye(self.node_count)
-        return (eye[:, None, :, None] * dyn.A[None, :, None, :]
-                - L[:, None, :, None] * dyn.B[None, :, None, :]).reshape(m, m)
+        dyn = self.dynamics
+        return kron(np.eye(self.node_count), dyn.A) - kron(self.laplacian, dyn.B)
 
     @cached_property
     def norm2(self) -> float:
-        return float(np.linalg.norm(self.phi, 2))
+        dyn = self.dynamics
+        blocks = dyn.A[None] - self.laplacian_values[:, None, None] * dyn.B[None]
+        return float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
 
     @cached_property
     def _parts(self) -> tuple:  # in the order below: one eigh of L, one batched eig
@@ -195,9 +198,8 @@ class NetworkSystem:
                 zs[k].append(block_basis(groups[k][0], idx))
                 z_dims[k] += count * zs[k][-1].shape[1]
             else:
-                cols = [(V[:, i, None, None] * block_basis(i, idx)).reshape(self.dim, -1)
-                        for i in owners]
-                clusters.append(np.hstack(cols))
+                clusters.append(np.hstack([kron(V[:, i, None], block_basis(i, idx))
+                                           for i in owners]))
                 copies.append(count)
         group_vectors = tuple((k, np.hstack(z)) for k, z in enumerate(zs) if z)
         return (alphas, V, groups, blocks, (w, W), ctol, group_vectors, tuple(clusters),
@@ -314,5 +316,4 @@ def sync_manifold(N: int, n: int) -> Subspace:
     """States with all nodes identical: span{1 (x) e_k}, dimension n."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    ones = np.ones((N, 1)) / np.sqrt(N)
-    return Subspace(np.kron(ones, np.eye(n)))
+    return Subspace(kron(np.ones((N, 1)) / np.sqrt(N), np.eye(n)))

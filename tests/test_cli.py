@@ -28,7 +28,8 @@ from netdiscern import (
 )
 from netdiscern.cli import (ConfigError, _build_parser, _time_grid_from, canonical_json,
                             load_config, main, report_to_dict, run_enumerate)
-from netdiscern.example import example_config, example_dynamics
+from netdiscern.example import (example_config, example_dynamics, example_graph,
+                                example_modified_graph)
 from netdiscern.linalg import cluster_indices
 from netdiscern.network import NetworkSystem
 
@@ -515,7 +516,7 @@ def test_oracle_options_are_strict(tmp_path, capsys, option, literal, message):
 
 def test_oracle_plan_bounds_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
     # one past the sample bound is an input error before the analysis starts
-    monkeypatch.setattr("netdiscern.cli.analyze", None)  # never reached
+    monkeypatch.setattr("netdiscern.cli.analyze_rows", None)  # never reached
     config = example_config(validate=True)
     config["options"]["sample_count"] = oracle.MAX_SAMPLE_COUNT + 1
     out = tmp_path / "out"
@@ -947,6 +948,21 @@ def test_each_laplacian_is_validated_once(tmp_path, monkeypatch):
         assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
 
 
+def test_analyze_checks_its_varied_laplacian_once(tmp_path, monkeypatch):
+    # analyze takes enumerate's path: the base checks the coupling of L,
+    # and its one row's check_pair that of a 1 x N x N stack holding Lbar
+    calls = []
+    check = network.check_coupling
+    for module in (network, discernibility, cli):
+        monkeypatch.setattr(module, "check_coupling",
+                            lambda dyn, L: calls.append(np.copy(L)) or check(dyn, L),
+                            raising=False)
+    assert main(["paper-example", "--out", str(tmp_path)]) == 0
+    L, Lbar = laplacian(example_graph()), laplacian(example_modified_graph())
+    assert [M.shape for M in calls] == [(4, 4), (1, 4, 4)]
+    assert [M.tobytes() for M in calls] == [L.tobytes(), Lbar.tobytes()]
+
+
 @pytest.mark.parametrize("kind", ["non-finite", "skewed", "shifted", "overflow"])
 def test_a_bad_row_is_named_for_its_variation(tmp_path, capsys, monkeypatch, kind):
     # row 30 of the 66 of the 12-node ring with chords, in the middle of
@@ -1056,27 +1072,57 @@ def test_enumerate_rows_never_cluster_collisions(tmp_path, monkeypatch):
         report_to_dict(report)
 
 
-def test_enumerate_validate_takes_one_norm_of_the_base(tmp_path, monkeypatch):
-    # the decomposition and every row's oracle read the 2-norm kept on the
-    # one shared base system
+def test_enumerate_validate_factors_no_transition_matrix(tmp_path, monkeypatch):
+    # ||Phi||_2, read by the base's clustering width and by each row's
+    # oracle for Phi and Phibar, comes from the n x n blocks: no SVD and no
+    # 2-norm of the base's or any row's Nn x Nn transition matrix is taken
     graph = ring_with_chords(8)
     config = enumerate_config(["remove_edge", "add_edge"])
     config["base_graph"] = {
         "nodes": 8, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
-    phi = assemble_transition(example_dynamics(), laplacian(graph)).phi
-    base_norms = []
-    norm = np.linalg.norm
+    L = laplacian(graph)
+    Lbars = [Lbar for _, Lbar in enumerate_single_link_variations(L, ["remove_edge", "add_edge"])]
+    phis = [assemble_transition(example_dynamics(), M).phi for M in [L] + Lbars]
+    factored = []
+    svd, norm = np.linalg.svd, np.linalg.norm
 
-    def counting(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.shape(x) == phi.shape and np.array_equal(x, phi):
-            base_norms.append(ord)
+    def is_phi(x):
+        return np.shape(x) == phis[0].shape and any(np.array_equal(x, phi) for phi in phis)
+
+    def counting_svd(x, *args, **kwargs):
+        if is_phi(x):
+            factored.append("svd")
+        return svd(x, *args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and is_phi(x):
+            factored.append("norm")
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     assert run_enumerate(config, str(tmp_path), cli_validate=True) == 0
     rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
     assert len(rows) == 28 and all(row["oracle_passed"] for row in rows)
-    assert len(base_norms) == 1
+    assert factored == []
+
+
+def test_no_kronecker_product_calls_np_kron(tmp_path, monkeypatch):
+    # every Kronecker product is linalg.kron: a report, with its bases and
+    # its shared modal span, and enumerate with the oracle never call np.kron
+    def refuse(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    graph = ring_with_chords(8)
+    L = laplacian(graph)
+    report = analyze(example_dynamics(), L, LinkVariation("remove_edge", (1, 2)).apply(L),
+                     AnalyzeOptions(validate=True))
+    assert report_to_dict(report)["oracle"]["passed"]
+    config = enumerate_config(["remove_edge", "add_edge"])
+    config["base_graph"] = {
+        "nodes": 8, "edges": [{"i": i, "j": j, "w": w} for i, j, w in graph.edges]}
+    assert run_enumerate(config, str(tmp_path), cli_validate=True) == 0
 
 
 def test_only_the_oracle_forms_the_varied_transition_matrix(tmp_path, monkeypatch):

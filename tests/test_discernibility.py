@@ -777,6 +777,22 @@ def test_a_base_rejects_a_non_finite_lbar():
             assert str(got.value) == str(want.value), name
 
 
+def test_analyze_without_options_builds_no_oracle_config(monkeypatch):
+    # the default options are built once, at import: a call without opts
+    # converts and checks no oracle time grid
+    built = []
+    post_init = OracleConfig.__post_init__
+    monkeypatch.setattr(OracleConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    L = laplacian(ring_with_chords(6))
+    for _ in range(2):
+        report = analyze(example_dynamics(), L, without_first_edge(ring_with_chords(6)))
+        assert report.oracle_summary is None
+    assert built == []
+    AnalyzeOptions()
+    assert len(built) == 1
+
+
 def chunk_plan(base, count):
     """The sizes of the chunks analyze_rows reads ``count`` rows in, and
     of the stacks it decides each chunk in: the first chunk by L's bytes

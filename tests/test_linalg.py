@@ -393,6 +393,22 @@ def test_spanned_basis_is_the_counted_leading_singular_vectors():
             space.basis
 
 
+def test_kron_equals_np_kron_bitwise():
+    # every Kronecker product of the package is linalg.kron: np.kron's
+    # shape, dtype and bits, for real and complex operands, column vectors
+    # and operands without columns
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((3, 4))
+    cplx = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    column = rng.standard_normal((5, 1))
+    for a, b in [(real, cplx), (cplx, real), (cplx, cplx), (real, real.T), (column, real),
+                 (real, column), (column, cplx[:, :1]), (np.eye(4), real),
+                 (real[:, :0], cplx), (cplx, real[:, :0]), (column[:, :0], column[:, :0])]:
+        got, want = linalg.kron(a, b), np.kron(a, b)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
 def _sum(U: Subspace, V: Subspace) -> Subspace:
     """U + V, spanned by both bases side by side."""
     return Subspace.from_spanning(np.hstack([U.basis, V.basis]))

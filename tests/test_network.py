@@ -6,6 +6,7 @@ import pytest
 from netdiscern import (
     AnalyzeOptions,
     Graph,
+    LinkVariation,
     NodeDynamics,
     analyze,
     assemble_transition,
@@ -18,7 +19,8 @@ from netdiscern import (
 from netdiscern.example import EXAMPLE_A, EXAMPLE_B, example_graph, example_modified_graph
 from netdiscern.network import check_coupling, unobservable_subspace
 
-from conftest import contains, multiplicity_of, random_graph, spectrum_values
+from conftest import (bench_inputs, contains, multiplicity_of, random_graph, ring_with_chords,
+                      spectrum_values)
 
 P2_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -69,6 +71,36 @@ def test_demo_network_spectrum_contains_sync_values(demo):
 def test_reconstruction_is_exact(demo):
     rebuilt = np.kron(np.eye(4), demo.dyn.A) - np.kron(demo.L, demo.dyn.B)
     assert np.array_equal(demo.phi.phi, rebuilt)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("N", [4, 12, 40, 160])
+@pytest.mark.parametrize("dynamics", ["paper", "random0", "random1"])
+def test_norm2_is_the_largest_block_norm(N, dynamics):
+    # Phi is orthogonally similar to the blocks A - alpha_i*B, so ||Phi||_2
+    # is read off them, within 8 ulps of the dense SVD's; random dynamics
+    # give blocks with complex spectra
+    if dynamics == "paper":
+        dyn = NodeDynamics(EXAMPLE_A, EXAMPLE_B)
+    else:
+        rng = np.random.default_rng(int(dynamics[-1]))
+        dyn = NodeDynamics(*bench_inputs().random_dynamics(rng))
+    net = assemble_transition(dyn, laplacian(ring_with_chords(N)))
+    dense = np.linalg.norm(net.phi, 2)
+    assert abs(net.norm2 - dense) <= 8 * EPS * dense
+
+
+@pytest.mark.parametrize("link", [None, (1, 3), (1, 2)])
+def test_norm2_reads_the_blocks_at_large_weights(link):
+    # the paper example with edge (1,3) at 1e7, and its two variations
+    L = laplacian(Graph(4, ((1, 2, 1.0), (1, 3, 1e7), (2, 3, 1.0), (3, 4, 1.0))))
+    if link is not None:
+        L = LinkVariation("remove_edge", link).apply(L)
+    net = assemble_transition(NodeDynamics(EXAMPLE_A, EXAMPLE_B), L)
+    dense = np.linalg.norm(net.phi, 2)
+    assert abs(net.norm2 - dense) <= 8 * EPS * dense
 
 
 def test_trace_identity():

@@ -202,6 +202,16 @@ def test_blocked_powers_match_sequential_across_blocks(demo, case, blocks, extra
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["demo", "random", "orthogonal"])
+def test_a_one_node_norm_is_the_dense_norm(demo, case):
+    # a one-node network's one block is its transition matrix, so the power
+    # check's nu reads ||Phi||_2 and ||Phibar||_2 within 8 ulps of the SVD's
+    phi, phibar, _ = pair_and_samples(demo, case, samples=1)
+    for M in (phi, phibar):
+        dense = np.linalg.norm(M, 2)
+        assert abs(as_system(M).norm2 - dense) <= 8 * np.finfo(float).eps * dense
+
+
 def fast_mode_pair(rate=200.0):
     # e^{rate t} is the largest entry of both propagators
     dyn = NodeDynamics(np.diag([1.0, rate]), np.eye(2))
