@@ -33,7 +33,7 @@ collisions (each one cluster of the block spectra, from
 the verdict.
 
 The rows of ``enumerate`` share the base, which keeps what depends on it
-alone (spec(L), ||B||_2), and ``analyze_rows`` decides them together
+alone (spec(L), ||B||_2).  Only ``analyze_rows`` decides a row
 (``analyze`` is its batch of one): the pair check, the graph-side
 decision, each collision cluster's SVD of Delta X_g (``collision_svds``)
 and the corrected condition (``corrected_conditions``) are each one
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -178,7 +178,7 @@ def no_variation(base: NetworkSystem, common: Common) -> bool:
 
 def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
                            base: NetworkSystem | None = None,
-                           decided: tuple[Common, Svds] | None = None) -> Subspace:
+                           decided: tuple[np.ndarray, Common, Svds] | None = None) -> Subspace:
     """The exact subspace of initial states whose responses under Phi and
     Phibar, the networks of the node dynamics (A, B) coupled through L and
     Lbar, coincide for all time: the largest Phi-invariant subspace inside
@@ -201,9 +201,10 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     would read the roundoff left by a cluster that Delta misses as rank;
     the stack starts from the orthonormal rows above that cutoff, and a
     cluster of rank 0 is kept whole without one.  The parts hold one
-    cluster of each conjugate pair.  Unless handed ``decided``, the
-    (common, svds) ``analyze_rows`` made on ``base``, a call checks the
-    pair (``check_pair``) and decides it.
+    cluster of each conjugate pair.  ``decided`` is the checked Lbar and
+    its (common, svds), which ``analyze_rows`` hands each row, read with
+    the base they were made on and that Lbar object (ValueError
+    otherwise); without it, the result is ``analyze``'s ``indiscernible``.
 
     The result is ``Subspace.spanned``: its parts, one per entry of
     ``base.group_vectors`` (the pair (C_G, Z), for kron(C_G, Z)) and then
@@ -216,12 +217,10 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
     included.
     """
     if decided is None:
-        base, Lbars = check_pair(dyn, L, [Lbar], base)
-        diffs = laplacian_difference(base.laplacian, Lbars)
-        decided = common_laplacian_vectors(base, diffs, tol)[0], collision_svds(base, diffs)[0]
-    elif base is None:
-        raise ValueError("decisions are read with the base they were made on")
-    common, svds = decided
+        return analyze(dyn, L, Lbar, replace(_DEFAULT_OPTIONS, rank_tol=tol), base).indiscernible
+    made_for, common, svds = decided
+    if base is None or made_for is not Lbar:
+        raise ValueError("decisions are read with the base and the Lbar they were made for")
     if no_variation(base, common):
         return Subspace.full(base.dim)
     bases, diff_norm = common
@@ -243,32 +242,28 @@ def indiscernible_subspace(dyn: NodeDynamics, L, Lbar, tol: float = RANK_TOL,
 
 
 def shared_modal_subspace(dyn: NodeDynamics, L, Lbar, rank_tol: float = RANK_TOL,
-                          base: NetworkSystem | None = None,
-                          common: Common | None = None) -> Subspace:
+                          base: NetworkSystem | None = None) -> Subspace:
     """Span of the Kronecker eigenvectors shared by construction:
     v (x) w for every common eigenpair (alpha, v) of L and Lbar with
     (lambda, w) an eigenpair of A - alpha*B, plus a (x) v over all
     coefficient vectors a for each network-invariant mode (lambda, v).
-    Always contained in the indiscernible subspace.
+    Always contained in the indiscernible subspace.  The ``shared_modal``
+    field of ``analyze``'s report at ``rank_tol``; ``base`` is the network
+    of (dyn, L)."""
+    return analyze(dyn, L, Lbar, replace(_DEFAULT_OPTIONS, rank_tol=rank_tol), base).shared_modal
 
-    The common eigenvectors of each distinct alpha of L are ``common``,
-    the row of ``common_laplacian_vectors`` a report passes with its base,
-    else checked (``check_pair``) and decided here.
-    A block whose eigenvalues are pairwise at least ``base.cluster_tol``
+
+def _shared_modal(base: NetworkSystem, bases: tuple, rank_tol: float) -> Subspace:
+    """The shared modal span of a row on ``base`` from its common vectors
+    ``bases`` of each distinct alpha (``common_laplacian_vectors``).  A
+    block whose eigenvalues are pairwise at least ``base.cluster_tol``
     apart has n independent eigenvectors, so its common vectors contribute
     common (x) I_n; only a block with a repeated eigenvalue takes the
     eigenvectors of its clusters at the base's ``cluster_tol`` from
     ``eig``.  The basis, one SVD of the ``real_columns`` cut at
     ``rank_tol`` * sigma_max, is a real orthonormal basis of the span, not
-    a canonical one.  ``base`` is the network of (dyn, L)."""
-    if common is None:
-        base, Lbars = check_pair(dyn, L, [Lbar], base)
-        [common] = common_laplacian_vectors(
-            base, laplacian_difference(base.laplacian, Lbars), rank_tol)
-    elif base is None:
-        raise ValueError("decisions are read with the base they were made on")
+    a canonical one."""
     N, n = base.node_count, base.node_dim
-    bases, _ = common
     w = base.block_eig[0]
     # each block's pairwise gaps off the diagonal (eye * inf would put NaN on it)
     gaps = np.where(np.eye(n, dtype=bool), np.inf,
@@ -427,12 +422,11 @@ _DEFAULT_OPTIONS = AnalyzeOptions()  # frozen, so every call without opts shares
 class DiscernibilityReport:
     """Everything the analysis produces for one (L, Lbar) pair.
 
-    ``shared_modal`` is computed on first read and kept, from ``base``,
-    ``varied_laplacian``, ``rank_tol`` and ``common``, the graph-side
-    decision (``common_laplacian_vectors``) the indiscernible subspace was
-    decided from; ``enumerate`` rows never read it.  The synchronous
-    manifold lies in every indiscernible subspace, so it is the overlap,
-    of dimension ``node_dim``, and ``extra_dim`` counts the rest."""
+    ``shared_modal`` is formed on first read and kept, from ``base``,
+    ``rank_tol`` and ``common``, the graph-side decision the indiscernible
+    subspace was decided from; ``enumerate`` rows never read it.  The
+    synchronous manifold lies in every indiscernible subspace, so it is
+    the overlap, of dimension ``node_dim``, and ``extra_dim`` the rest."""
 
     node_count: int
     node_dim: int
@@ -441,7 +435,6 @@ class DiscernibilityReport:
     corrected: CorrectedConditionResult
     verdict: str
     base: NetworkSystem = field(repr=False, compare=False)
-    varied_laplacian: np.ndarray = field(repr=False, compare=False)
     common: Common = field(repr=False, compare=False)
     rank_tol: float
     oracle_summary: ValidationSummary | None = None
@@ -460,9 +453,7 @@ class DiscernibilityReport:
 
     @cached_property
     def shared_modal(self) -> Subspace:
-        base = self.base
-        return shared_modal_subspace(base.dynamics, base.laplacian, self.varied_laplacian,
-                                     self.rank_tol, base, self.common)
+        return _shared_modal(self.base, self.common[0], self.rank_tol)
 
 
 VERDICT_NO_VARIATION = "no variation"
@@ -542,7 +533,7 @@ def analyze_rows(
                           collision_svds(base, diffs),
                           corrected_conditions(base, stack, opts.eig_tol))
             for Lbar, common, svds, corrected in decided:
-                ind = indiscernible_subspace(dyn, L, Lbar, tol, base, (common, svds))
+                ind = indiscernible_subspace(dyn, L, Lbar, tol, base, (Lbar, common, svds))
                 verdict = (VERDICT_NO_VARIATION if no_variation(base, common)
                            else VERDICT_DETECTABLE if ind.dim == base.node_dim
                            else VERDICT_EXTRA_STATES)
@@ -551,5 +542,4 @@ def analyze_rows(
                 yield DiscernibilityReport(
                     node_count=base.node_count, node_dim=base.node_dim, indiscernible=ind,
                     invariant_modes=base.modes, corrected=corrected, verdict=verdict,
-                    base=base, varied_laplacian=Lbar, common=common, rank_tol=tol,
-                    oracle_summary=summary)
+                    base=base, common=common, rank_tol=tol, oracle_summary=summary)

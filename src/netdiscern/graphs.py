@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,21 +35,15 @@ class Graph:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
-        canon = []
-        seen = set()
+        canon, seen = [], set()
         for edge in self.edges:
-            if len(edge) == 2:
-                i, j = edge
-                w = 1.0
-            else:
-                i, j, w = edge
-            i, j, w = int(i), int(j), float(w)
+            i, j, w = edge if len(edge) == 3 else (*edge, 1.0)
+            i, j, w = _node_index(i, edge), _node_index(j, edge), float(w)
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.node_count}")
-            if i > j:
-                i, j = j, i
+            i, j = min(i, j), max(i, j)
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             if not math.isfinite(w):
@@ -56,8 +52,7 @@ class Graph:
                 raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
             seen.add((i, j))
             canon.append((i, j, w))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     def adjacency(self) -> np.ndarray:
         W = np.zeros((self.node_count, self.node_count))
@@ -65,6 +60,16 @@ class Graph:
             W[i - 1, j - 1] = w
             W[j - 1, i - 1] = w
         return W
+
+
+def _node_index(value, edge) -> int:
+    """value as a node index: an integral number, else ValueError naming ``edge``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"edge {tuple(edge)!r} has a node index that is not an integer: {value!r}")
 
 
 def laplacian_of(W: np.ndarray) -> np.ndarray:
@@ -94,10 +99,10 @@ def laplacian(g: Graph) -> np.ndarray:
     return laplacian_of(g.adjacency())
 
 
-def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
+def validate_laplacian(L) -> np.ndarray:
     """Check the Laplacian invariants of L or of each of a stack: square,
     finite, symmetric, zero row sums and nonpositive off the diagonal, the
-    last three to an absolute ``tol * max(1, max |L_ij|)``.  Returns L as
+    last three to an absolute 1e-12 * max(1, max |L_ij|).  Returns L as
     floats; raises ValueError at the first bad matrix's first violation."""
     L = np.asarray(L, dtype=float)
     stack = L if L.ndim == 3 else L[None]
@@ -105,7 +110,7 @@ def validate_laplacian(L, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"Laplacian must be square, got shape {stack.shape[1:]}")
     finite = np.isfinite(stack).all(axis=(1, 2))
     stack = np.where(finite[:, None, None], stack, 0.0)  # a non-finite one fails first
-    bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    bound = 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     rowsum = np.abs(stack @ np.ones(stack.shape[1])).max(axis=1, initial=0.0)
     skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     off = stack.max(axis=(1, 2), initial=0.0, where=~np.eye(stack.shape[1], dtype=bool))
@@ -134,8 +139,8 @@ class LinkVariation:
             if not isinstance(self.target, int):
                 raise ValueError("disconnect_node target must be a node index")
         else:
-            i, j = self.target  # type: ignore[misc]
-            object.__setattr__(self, "target", (min(i, j), max(i, j)))
+            i, j = sorted(_node_index(v, self.target) for v in self.target)  # type: ignore
+            object.__setattr__(self, "target", (i, j))
         if self.kind in ("add_edge", "reweight_edge") and self.new_weight is not None:
             if not math.isfinite(self.new_weight):
                 raise ValueError(f"new_weight must be finite, got {self.new_weight}")

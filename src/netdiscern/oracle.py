@@ -27,6 +27,7 @@ stays flat as the system grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ class OracleConfig:
         object.__setattr__(self, "time_grid", grid)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        for name in ("sample_count", "seed"):  # the sampler takes integers alone
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ValueError(f"sample_count must be in [1, {MAX_SAMPLE_COUNT}]")
         if self.seed < 0:

@@ -1020,7 +1020,7 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
     L = laplacian(graph)
     dec = assemble_transition(dyn, L)
 
-    calls = {"eig": 0, "shared_modal_subspace": 0}
+    calls = {"eig": 0, "_shared_modal": 0}
 
     def count_calls(module, name):
         wrapped = getattr(module, name)
@@ -1032,17 +1032,17 @@ def test_enumerate_clusters_each_base_block_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count_calls(discernibility, "eig")
-    count_calls(discernibility, "shared_modal_subspace")
+    count_calls(discernibility, "_shared_modal")
     assert run_enumerate(config, str(tmp_path)) == 0
     rows = json.loads((tmp_path / "variations.json").read_text())["rows"]
     assert len(rows) == 66
-    assert calls == {"eig": 0, "shared_modal_subspace": 0}
+    assert calls == {"eig": 0, "_shared_modal": 0}
 
     entries = list(enumerate_single_link_variations(laplacian(graph), ["remove_edge", "add_edge"]))
     assert len(entries) == 66
     for _, Lvar in entries:
         analyze(dyn, L, Lvar, base=dec).shared_modal
-    assert calls["shared_modal_subspace"] == 66
+    assert calls["_shared_modal"] == 66
     w, _ = dec.block_eig
     repeated = sum(len(cluster_indices(w[int(group[0])], dec.cluster_tol)) < dyn.n
                    for group in dec.alpha_groups)

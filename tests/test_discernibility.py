@@ -843,24 +843,85 @@ def test_each_row_is_checked_once(monkeypatch, chunk_bytes):
 
 
 def test_decisions_are_read_with_their_base():
-    # the decisions analyze_rows makes are read on the base they were made
-    # on: handed without it, indiscernible_subspace and shared_modal_subspace
-    # raise instead of failing on a missing base or set of SVDs
-    dyn, g = example_dynamics(), ring_with_chords(6)
+    # the decisions analyze_rows hands a row name the base they were made
+    # on and the Lbar object they were made for: handed without the base,
+    # or with another Lbar (an edit of another link, a skewed copy of it,
+    # even an equal copy of their own Lbar), indiscernible_subspace raises
+    # instead of reading them; the disconnect_node(1) decisions read with
+    # the remove_edge Lbar gave dim 10, where that Lbar alone gives 12
+    dyn, g = example_dynamics(), ring_with_chords(8)
+    L, removed = laplacian(g), without_first_edge(g)
+    base, stack = discernibility.check_pair(
+        dyn, L, [LinkVariation("disconnect_node", 1).apply(L)])
+    diffs = discernibility.laplacian_difference(L, stack)
+    cut = stack[0]
+    decided = (cut, common_laplacian_vectors(base, diffs, RANK_TOL)[0],
+               discernibility.collision_svds(base, diffs)[0])
+    with pytest.raises(ValueError, match="with the base and the Lbar they were made for"):
+        indiscernible_subspace(dyn, L, cut, RANK_TOL, None, decided)
+    skewed = removed.copy()
+    skewed[0, 1] -= 1.0
+    for other in (removed, skewed, cut.copy()):
+        with pytest.raises(ValueError, match="with the base and the Lbar they were made for"):
+            indiscernible_subspace(dyn, L, other, RANK_TOL, base, decided)
+    assert analyze(dyn, L, removed, base=base).indiscernible.dim == 12
+    got, want = indiscernible_subspace(dyn, L, cut, RANK_TOL, base, decided), analyze(
+        dyn, L, cut, base=base).indiscernible
+    assert got.dim == want.dim == 10
+    assert got.basis.tobytes() == want.basis.tobytes()
+
+
+def test_one_row_functions_are_fields_of_the_report(demo):
+    # indiscernible_subspace and shared_modal_subspace give the bits of
+    # analyze's report fields, with and without a base, on the paper
+    # example and on random dynamics whose block spectra are complex; and
+    # they take analyze's rank_tol range, with its message outside it
+    g = ring_with_chords(6)
+    cases = [(demo.dyn, demo.L, demo.Lbar)]
+    for seed in range(3):
+        dyn = uniform_dynamics(np.random.default_rng(seed))
+        cases.append((dyn, laplacian(g), without_first_edge(g)))
+    complex_blocks = 0
+    for dyn, L, Lbar in cases:
+        base = assemble_transition(dyn, L)
+        complex_blocks += np.iscomplexobj(base.block_eig[0])
+        for own, rank_tol in ((None, RANK_TOL), (base, RANK_TOL), (base, 1e-6)):
+            report = analyze(dyn, L, Lbar, AnalyzeOptions(rank_tol=rank_tol), own)
+            for got, want in ((indiscernible_subspace(dyn, L, Lbar, rank_tol, own),
+                               report.indiscernible),
+                              (shared_modal_subspace(dyn, L, Lbar, rank_tol, own),
+                               report.shared_modal)):
+                assert got.dim == want.dim
+                assert got.basis.dtype == want.basis.dtype
+                assert got.basis.tobytes() == want.basis.tobytes()
+    assert complex_blocks >= 2
+    for rank_tol in (1e-13, 1.0):
+        with pytest.raises(ValueError) as want:
+            AnalyzeOptions(rank_tol=rank_tol)
+        for call in (indiscernible_subspace, shared_modal_subspace):
+            with pytest.raises(ValueError) as got:
+                call(demo.dyn, demo.L, demo.Lbar, rank_tol)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("entry", ["indiscernible_subspace", "shared_modal_subspace"])
+def test_a_direct_call_decides_its_row_once(demo, monkeypatch, entry):
+    # a direct call of a one-row function takes analyze_rows' one decision
+    # stage: one pair check, one graph-side decision and one set of
+    # collision SVDs, with or without a base
+    calls = Counter()
+    for name in ("check_pair", "common_laplacian_vectors", "collision_svds"):
+        def counted(*args, _name=name, _call=getattr(discernibility, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(discernibility, name, counted)
+    g = ring_with_chords(8)
     L, Lbar = laplacian(g), without_first_edge(g)
-    [report] = analyze_rows(dyn, L, [Lbar])
-    base = report.base
-    diffs = (L - Lbar)[None]
-    decided = (report.common, discernibility.collision_svds(base, diffs)[0])
-    with pytest.raises(ValueError, match="with the base they were made on"):
-        indiscernible_subspace(dyn, L, Lbar, RANK_TOL, None, decided)
-    with pytest.raises(ValueError, match="with the base they were made on"):
-        shared_modal_subspace(dyn, L, Lbar, RANK_TOL, None, report.common)
-    got = indiscernible_subspace(dyn, L, Lbar, RANK_TOL, base, decided)
-    assert got.dim == report.indiscernible.dim
-    assert got.basis.tobytes() == report.indiscernible.basis.tobytes()
-    got = shared_modal_subspace(dyn, L, Lbar, RANK_TOL, base, report.common)
-    assert got.basis.tobytes() == report.shared_modal.basis.tobytes()
+    for dyn, L, Lbar, base in ((demo.dyn, demo.L, demo.Lbar, None),
+                               (demo.dyn, L, Lbar, assemble_transition(demo.dyn, L))):
+        calls.clear()
+        getattr(discernibility, entry)(dyn, L, Lbar, RANK_TOL, base)
+        assert calls == {"check_pair": 1, "common_laplacian_vectors": 1, "collision_svds": 1}
 
 
 def report_fields(report):

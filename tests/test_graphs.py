@@ -1,6 +1,7 @@
 """Graphs, Laplacians, spectra, and single-link variation enumeration."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,27 @@ def test_graph_input_validation():
         Graph(3, ((1, 4, 1.0),))  # endpoint out of range
     with pytest.raises(ValueError):
         Graph(0, ())
+
+
+def test_a_node_index_must_be_integral():
+    # a fractional or string node index is refused, naming its edge, where
+    # it was truncated (and an edit of L ended in an IndexError); integral
+    # values of any number type are the node they name
+    L = laplacian(example_graph())
+    for edge, bad in (((1, 2.5), 2.5), ((1.5, 2), 1.5), (("1", "3"), "1"),
+                      ((1, float("nan")), float("nan"))):
+        message = f"has a node index that is not an integer: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(f"edge {(*edge, 1.0)!r} {message}")):
+            Graph(3, ((*edge, 1.0),))
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} {message}")):
+            LinkVariation("remove_edge", edge).apply(L)
+    with pytest.raises(ValueError, match=re.escape("edge ('1', '3', '2') has a node index")):
+        Graph(3, (("1", "3", "2"),))
+    for two in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert Graph(3, ((1, two, 1.0),)).edges == ((1, 2, 1.0),)
+        var = LinkVariation("remove_edge", (two, 1))
+        assert var.target == (1, 2) and all(type(v) is int for v in var.target)
+        assert np.array_equal(var.apply(L), LinkVariation("remove_edge", (1, 2)).apply(L))
 
 
 @pytest.mark.parametrize("w, message", [

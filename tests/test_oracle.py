@@ -52,6 +52,14 @@ def test_config_validation():
     for t in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             OracleConfig(time_grid=(0.0, t))
+    # the sampler takes integers alone: a fractional or string count or
+    # seed is refused when the plan is made, an integer of any type is kept
+    for name in ("sample_count", "seed"):
+        for value in (2.5, 1.5, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                OracleConfig(**{name: value})
+    cfg = OracleConfig(sample_count=np.int64(3), seed=np.int64(2))
+    assert (cfg.sample_count, cfg.seed) == (3, 2)
 
 
 UNSORTED_GRID = (2.5, 0.0, 1.0, 2.5, 0.3, 4.0)
